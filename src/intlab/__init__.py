@@ -1,12 +1,10 @@
 """Numerical laboratory for classical integrable many-body systems.
 
-Submodules group by system family: rational Calogero-Moser (calogero),
-trigonometric BC_n Sutherland and its rational dual (sutherland), the
-Ruijsenaars-type deformation of the latter (deformed), the hyperbolic
-van Diejen system (van_diejen), and the compactified Ruijsenaars-Schneider
-systems on complex projective space (compact_rs).  Shared kernels live in
-special, linalg and dynamics; the cli module drives experiments and the
-invariant-check battery.
+Submodules group by system family: calogero holds the rational
+Calogero-Moser system; sutherland holds the trigonometric BC_n Sutherland
+system, its rational dual and the rational deformed family.  Shared
+kernels live in special, linalg and dynamics; errors holds the exception
+types.
 """
 
 __version__ = "0.1.0"

@@ -12,9 +12,7 @@ import numpy as np
 
 from .dynamics import HamiltonianSystem, PhasePoint
 from .errors import DegeneracyError, DomainError
-from .linalg import adjugate, hermitian_eigen
-
-_EIG_GAP = 1e-9
+from .linalg import _DEGENERACY_GAP, hermitian_eigen
 
 
 @dataclass(frozen=True)
@@ -30,6 +28,8 @@ class RatCMPoint:
         object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, float)))
         if self.q.shape != self.p.shape:
             raise DomainError("q and p must have equal length")
+        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
+            raise DomainError("q and p must be finite")
         if len(self.q) > 1 and np.min(-np.diff(self.q)) <= 0:
             raise DomainError("configuration must satisfy q_1 > ... > q_n")
 
@@ -81,60 +81,50 @@ def moser_B(x):
     return B
 
 
+def _lax_weights(x):
+    """Spectrum of L and the weights of Q along its eigenvectors u_k.
+
+    c_k = (v^T Q u_k)(u_k^* v) and d_k = u_k^* Q u_k; both are independent
+    of the phase of u_k.
+    """
+    L, _, _ = lax_LQ(x)
+    spec = hermitian_eigen(L)
+    U = spec.basis
+    c = (x.q @ U) * U.conj().sum(axis=0)
+    d = x.q @ np.abs(U) ** 2
+    return spec, c, d
+
+
 def acd_functions(x, z):
     """The spectral trio A(z) = det(zI - L), C(z), D(z).
 
     C and D trace the adjugate of (zI - L) against Q, with and without
-    the rank-one projector onto the all-ones vector.
+    the rank-one projector onto the all-ones vector.  The adjugate is
+    sum_k prod_{l != k} (z - lam_l) u_k u_k^*, valid for every z.
     """
-    L, Q, v = lax_LQ(x)
-    n = x.n
-    M = z * np.eye(n) - L
-    adj = adjugate(M)
-    A = complex(np.linalg.det(M)) if n > 1 else complex(M[0, 0])
-    QA = Q @ adj
-    D = complex(np.trace(QA))
-    C = complex(v @ QA @ v)  # tr(Q adj vv*) collapses to a quadratic form
-    return A, C, D
-
-
-def a_poly_derivatives(lam, z):
-    """A, A', A'' at z from the factored form A(z) = prod (z - lam_k)."""
-    lam = np.asarray(lam)
-    diffs = z - lam
-    A = np.prod(diffs)
-    n = len(lam)
-    Ap = sum(np.prod(np.delete(diffs, j)) for j in range(n))
-    App = 2.0 * sum(
-        np.prod(np.delete(diffs, [j, k]))
-        for j in range(n)
-        for k in range(j + 1, n)
-    )
-    return complex(A), complex(Ap), complex(App)
+    spec, c, d = _lax_weights(x)
+    diffs = z - spec.eigenvalues
+    cof = np.prod(np.where(np.eye(x.n, dtype=bool), 1.0, diffs), axis=1)
+    return complex(np.prod(diffs)), complex(cof @ c), complex(cof @ d)
 
 
 def sklyanin_coords(x):
-    """Canonical spectral coordinates from the C/A' and D/A' quotients."""
-    L, _, _ = lax_LQ(x)
-    spec = hermitian_eigen(L)
-    lam = spec.eigenvalues
+    """Canonical spectral coordinates: theta_k = C/A' and mu_k = D/A' at lam_k.
+
+    At z = lam_k only the k-th term of the adjugate survives, so the
+    quotients reduce to the weights c_k and d_k.
+    """
+    spec, c, d = _lax_weights(x)
     if spec.near_degenerate:
         raise DegeneracyError(
-            f"Lax eigenvalues closer than {_EIG_GAP:.0e}; quotients unreliable"
+            f"Lax eigenvalues closer than {_DEGENERACY_GAP:.0e}; "
+            "eigenvector weights unreliable"
         )
-    n = x.n
-    theta = np.empty(n, dtype=complex)
-    mu = np.empty(n)
-    f = np.empty(n, dtype=complex)
-    for k in range(n):
-        _, C, D = acd_functions(x, lam[k])
-        _, Ap, _ = a_poly_derivatives(lam, lam[k])
-        theta[k] = C / Ap
-        mu[k] = (D / Ap).real
-        f[k] = 1j * x.g * sum(
-            1.0 / (lam[k] - lam[l]) for l in range(n) if l != k
-        )
-    return SpectralCoords(lam=lam, theta=theta, mu=mu, f=f)
+    lam = spec.eigenvalues
+    gaps = lam[:, None] - lam[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    f = 1j * x.g * np.sum(1.0 / gaps, axis=1)
+    return SpectralCoords(lam=lam, theta=c, mu=d, f=f)
 
 
 def hamiltonian(x):

@@ -1,6 +1,6 @@
 """Dense complex linear-algebra contracts shared by the system modules.
 
-Hermitian eigendecompositions, characteristic polynomials, adjugates,
+Hermitian eigendecompositions, characteristic polynomials,
 unitary-times-triangular factorization with a positive diagonal, and
 spectra of exponential products.  Everything here is plain numpy on
 small dense matrices; the value added is the fixed conventions
@@ -18,10 +18,6 @@ from .errors import FactorizationError, RangeError, StructureError
 # Downstream code decides what to do with the flag.
 _DEGENERACY_GAP = 1e-9
 
-# Switch char_poly from the trace recursion to the eigenvalue route
-# above this size (the recursion loses digits for large N).
-_FL_MAX_DIM = 16
-
 # exp() overflows float64 just above 709.
 _EXP_ARG_LIMIT = 700.0
 
@@ -34,6 +30,8 @@ def _as_square(M):
 
 
 def _require_hermitian(M, tol=1e-12, what="matrix"):
+    if not np.all(np.isfinite(M)):
+        raise StructureError(f"{what} has non-finite entries")
     scale = max(1.0, np.linalg.norm(M))
     dev = np.linalg.norm(M - M.conj().T)
     if dev > tol * scale:
@@ -84,43 +82,10 @@ def hermitian_eigen(M):
     return HermitianSpectrum(eigenvalues=w, basis=U, near_degenerate=flagged)
 
 
-def _faddeev_leverrier(M):
-    """Trace recursion: monic coefficients c_0..c_N and the final iterate.
-
-    N_1 = I, c_1 = -tr(M); N_{k+1} = M N_k + c_k I,
-    c_{k+1} = -tr(M N_{k+1})/(k+1).  Then det(yI - M) has coefficients
-    (1, c_1, .., c_N) and adj(M) = (-1)^{N-1} N_N.
-    """
-    N = M.shape[0]
-    coeffs = np.empty(N + 1, dtype=complex)
-    coeffs[0] = 1.0
-    Nk = np.eye(N, dtype=complex)
-    for k in range(1, N + 1):
-        MN = M @ Nk
-        coeffs[k] = -np.trace(MN) / k
-        if k < N:
-            Nk = MN + coeffs[k] * np.eye(N)
-    return coeffs, Nk
-
-
 def char_poly(M):
+    """Characteristic coefficients from the eigenvalues of M."""
     M = _as_square(M)
-    N = M.shape[0]
-    if N <= _FL_MAX_DIM:
-        coeffs, _ = _faddeev_leverrier(M)
-    else:
-        coeffs = np.poly(np.linalg.eigvals(M)).astype(complex)
-    return CharPoly(coefficients=coeffs)
-
-
-def adjugate(M):
-    """adj(M) with M adj(M) = det(M) I; valid for singular M as well."""
-    M = _as_square(M)
-    N = M.shape[0]
-    if N == 1:
-        return np.ones((1, 1), dtype=complex)
-    _, NN = _faddeev_leverrier(M)
-    return (-1.0) ** (N - 1) * NN
+    return CharPoly(coefficients=np.poly(np.linalg.eigvals(M)).astype(complex))
 
 
 def iwasawa_qr(K):

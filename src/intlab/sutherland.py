@@ -628,65 +628,6 @@ def _check_family_point(lam, theta):
     return lam, theta
 
 
-def _v_pot(x, mu):
-    return (x + 1j * mu) / x
-
-def _w_pot(x, nu, kap):
-    return ((x + 1j * nu) / x) * ((x + 1j * kap) / x)
-
-
-def _subset_hamiltonian(el, lam, theta, c):
-    """Sign-symmetrized subset sum of order el.
-
-    Every subset contributes through the modulus of a complex product,
-    which is exactly the positive geometric mean of the two sign-reversed
-    root factors, so no branch choices arise.
-    """
-    mu, nu, kap = c.mu, c.nu, c.kappa
-    n = lam.size
-    total = 0.0
-    for size in range(el + 1):
-        for sub in combinations(range(n), size):
-            rest = tuple(k for k in range(n) if k not in sub)
-            weight = _u_sum(rest, el - size, lam, mu, nu, kap)
-            for eps in product((1.0, -1.0), repeat=size):
-                angle = sum(e * theta[i] for i, e in zip(sub, eps))
-                vv = 1.0 + 0.0j
-                for i, e in zip(sub, eps):
-                    vv *= _w_pot(e * lam[i], nu, kap)
-                pairs = tuple(zip(sub, eps))
-                for (i1, e1), (i2, e2) in combinations(pairs, 2):
-                    vv *= _v_pot(e1 * lam[i1] + e2 * lam[i2], mu) ** 2
-                for i, e in zip(sub, eps):
-                    for k in rest:
-                        vv *= _v_pot(e * lam[i] + lam[k], mu)
-                        vv *= _v_pot(e * lam[i] - lam[k], mu)
-                total += np.cosh(angle) * abs(vv) * weight
-    return total
-
-
-def _u_sum(rest, p, lam, mu, nu, kap):
-    if p == 0:
-        return 1.0
-    total = 0.0 + 0.0j
-    for sub in combinations(rest, p):
-        for eps in product((1.0, -1.0), repeat=p):
-            term = 1.0 + 0.0j
-            for i, e in zip(sub, eps):
-                term *= _w_pot(e * lam[i], nu, kap)
-            pairs = tuple(zip(sub, eps))
-            for (i1, e1), (i2, e2) in combinations(pairs, 2):
-                x = e1 * lam[i1] + e2 * lam[i2]
-                term *= _v_pot(x, mu) * _v_pot(-x, mu)
-            for i, e in zip(sub, eps):
-                for k in rest:
-                    if k not in sub:
-                        term *= _v_pot(e * lam[i] + lam[k], mu)
-                        term *= _v_pot(e * lam[i] - lam[k], mu)
-            total += term
-    return (-1) ** p * total.real
-
-
 def family_lax(lam, theta, c):
     """Hermitian first-order matrix of the rational deformed system.
 
@@ -727,10 +668,16 @@ class FamilyTable:
 
 
 def family_eval(lam, theta, c):
-    """Evaluate both commuting families of the rational deformed system."""
+    """Evaluate both commuting families of the rational deformed system.
+
+    The subset-sum values are read off the characteristic coefficients
+    through the integer map family_matrices(n).subset_from_char.
+    """
     lam, theta = _check_family_point(lam, theta)
     n = lam.size
-    subset = np.array([_subset_hamiltonian(el, lam, theta, c) for el in range(n + 1)])
+    coeffs = char_poly(family_lax(lam, theta, c)).coefficients.real.astype(float)
+    signs = (-1.0) ** np.arange(n + 1)
+    subset = signs * (family_matrices(n).subset_from_char @ coeffs[: n + 1])
     mu, nu, kap = c.mu, c.nu, c.kappa
     total = 0.0
     for j in range(n):
@@ -743,11 +690,10 @@ def family_eval(lam, theta, c):
         total += term
     ratio = nu * kap / mu**2
     energy = total + ratio * float(np.prod(1 + mu**2 / lam**2)) - ratio
-    coeffs = np.asarray(char_poly(family_lax(lam, theta, c)).coefficients)
     return FamilyTable(
         subset_values=subset,
         energy=float(energy),
-        char_coefficients=coeffs.real.astype(float),
+        char_coefficients=coeffs,
     )
 
 

@@ -14,7 +14,9 @@ as direct as possible:
   * the deformed-family values come from the combinatorial subset sums and,
     independently, from the eigenvalues of the rational first-order matrix.
 
-The printed numbers are frozen into tests/test_sutherland.py.
+The printed numbers are frozen into tests/test_sutherland.py, which also
+imports family_hamiltonian, rational_lax and char_coeffs to check the
+rational family at larger n.
 """
 
 from itertools import combinations, product

@@ -6,10 +6,11 @@ tests/oracles/calogero_reference.py (mpmath at 40 digits).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intlab.calogero import (
     RatCMPoint,
-    a_poly_derivatives,
     acd_functions,
     hamiltonian,
     lax_LQ,
@@ -32,11 +33,38 @@ SCATTER_SPECTRUM = np.array(
 )
 
 
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
 def random_point(rng, n, g, min_gap=0.35):
     gaps = min_gap + rng.uniform(0.0, 1.0, size=n - 1)
     q = np.concatenate([[0.0], -np.cumsum(gaps)]) + rng.normal()
     p = rng.normal(size=n)
     return RatCMPoint(q, p, g)
+
+
+@st.composite
+def cm_points(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    g = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.2, 2.0))
+    gaps = draw(st.lists(st.floats(0.35, 2.0), min_size=n - 1, max_size=n - 1))
+    p = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    return RatCMPoint(np.concatenate([[0.0], -np.cumsum(gaps)]), p, g)
+
+
+def a_poly_derivatives(lam, z):
+    """A, A', A'' at z from the factored form A(z) = prod (z - lam_k)."""
+    lam = np.asarray(lam)
+    diffs = z - lam
+    A = np.prod(diffs)
+    n = len(lam)
+    Ap = sum(np.prod(np.delete(diffs, j)) for j in range(n))
+    App = 2.0 * sum(
+        np.prod(np.delete(diffs, [j, k]))
+        for j in range(n)
+        for k in range(j + 1, n)
+    )
+    return complex(A), complex(Ap), complex(App)
 
 
 class TestRatCMPoint:
@@ -45,6 +73,16 @@ class TestRatCMPoint:
             RatCMPoint([0.0, 1.0], [0.0, 0.0], 1.0)
         with pytest.raises(DomainError):
             RatCMPoint([1.0, 1.0], [0.0, 0.0], 1.0)
+
+    def test_non_finite_rejected(self):
+        for q, p in (
+            ([1.0, 0.0], [np.nan, 0.2]),
+            ([np.nan, 0.0], [0.1, 0.2]),
+            ([np.inf, 0.0], [0.1, 0.2]),
+            ([1.0, 0.0], [0.1, -np.inf]),
+        ):
+            with pytest.raises(DomainError):
+                RatCMPoint(q, p, 1.0)
 
     def test_free_coupling_allowed(self):
         x = RatCMPoint([1.0, 0.0], [0.0, 0.0], 0.0)
@@ -147,6 +185,15 @@ class TestAcdFunctions:
                     _, _, App = a_poly_derivatives(lam, z)
                     assert abs(C - D - 0.5j * g * App) <= 1e-10 * (1.0 + abs(A))
 
+    @PROPERTY
+    @given(cm_points(), st.complex_numbers(max_magnitude=5.0))
+    def test_theorem_identity_property(self, x, z):
+        lam = np.linalg.eigvalsh(lax_LQ(x)[0])
+        A, C, D = acd_functions(x, z)
+        _, _, App = a_poly_derivatives(lam, z)
+        scale = (1.0 + np.max(np.abs(x.q))) * np.prod(1.0 + np.abs(z - lam))
+        assert abs(C - D - 0.5j * x.g * App) <= 1e-12 * scale
+
     def test_diagonal_gauge_quotient_gives_angles(self):
         # with L diagonal the D/A' quotient at lambda_k returns the
         # conjugate coordinate phi_k directly
@@ -158,11 +205,11 @@ class TestAcdFunctions:
             for k in range(3):
                 if j != k:
                     Qt[j, k] = -1j * g / (lam[j] - lam[k])
-        from intlab.linalg import adjugate
-
         for k in range(3):
-            M = lam[k] * np.eye(3) - np.diag(lam)
-            Dval = np.trace(Qt @ adjugate(M))
+            # adjugate of the diagonal matrix lam_k I - diag(lam)
+            diffs = lam[k] - lam
+            adj = np.diag([np.prod(np.delete(diffs, j)) for j in range(3)])
+            Dval = np.trace(Qt @ adj)
             _, Ap, _ = a_poly_derivatives(lam, lam[k])
             assert Dval / Ap == pytest.approx(phi[k], abs=1e-12)
 
@@ -176,11 +223,23 @@ class TestSklyaninCoords:
 
     def test_theta_splits_into_mu_plus_f(self):
         rng = np.random.default_rng(8)
-        x = random_point(rng, 4, g=1.2)
+        for n in (4, 20, 40):
+            c = sklyanin_coords(random_point(rng, n, g=1.2))
+            scale = np.max(np.abs(c.mu) + np.abs(c.f))
+            err = np.max(np.abs(c.theta - c.mu - c.f))
+            assert err <= 1e-12 * scale, f"n = {n}: {err:.2e} against scale {scale:.2e}"
+            # mu is real, f imaginary
+            assert np.isrealobj(c.mu)
+            assert np.max(np.abs(c.f.real)) <= 1e-12 * scale
+
+    @PROPERTY
+    @given(cm_points())
+    def test_theta_splits_into_mu_plus_f_property(self, x):
         c = sklyanin_coords(x)
-        np.testing.assert_allclose(c.theta, c.mu + c.f, atol=1e-10)
-        # mu is real, f imaginary
-        assert np.max(np.abs(c.f.real)) <= 1e-10
+        scale = np.max(np.abs(c.mu) + np.abs(c.f))
+        assert np.max(np.abs(c.theta - c.mu - c.f)) <= 1e-12 * scale
+        assert np.isrealobj(c.mu)
+        assert np.max(np.abs(c.f.real)) <= 1e-12 * scale
 
     def test_eigenvalue_brackets_vanish(self):
         g = 0.9

@@ -7,7 +7,6 @@ import pytest
 
 from intlab.errors import FactorizationError, RangeError, StructureError
 from intlab.linalg import (
-    adjugate,
     char_poly,
     hermitian_eigen,
     iwasawa_qr,
@@ -59,6 +58,11 @@ class TestHermitianEigen:
         with pytest.raises(StructureError):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(StructureError):
+                hermitian_eigen(np.array([[bad, 1.0], [1.0, 0.0]]))
+
 
 class TestCharPoly:
     def test_identity_2(self):
@@ -109,27 +113,6 @@ class TestCharPoly:
             K = char_poly(M).coefficients
             for m in range(N + 1):
                 assert abs(K[N - m] - K[m]) <= 1e-9 * max(1.0, abs(K[m]))
-
-
-class TestAdjugate:
-    def test_scalar(self):
-        np.testing.assert_allclose(adjugate(np.array([[7.0]])), [[1.0]])
-
-    def test_2x2(self):
-        M = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(adjugate(M), [[4.0, -2.0], [-3.0, 1.0]])
-
-    def test_defining_identity(self):
-        rng = np.random.default_rng(4)
-        M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        resid = M @ adjugate(M) - np.linalg.det(M) * np.eye(5)
-        assert np.linalg.norm(resid) <= 1e-10 * abs(np.linalg.det(M))
-
-    def test_singular_input(self):
-        # rank-1 matrix of size >= 3 has vanishing adjugate
-        v = np.arange(1.0, 4.0)
-        M = np.outer(v, v)
-        assert np.linalg.norm(adjugate(M)) <= 1e-10
 
 
 class TestIwasawaQR:

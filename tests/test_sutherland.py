@@ -1,14 +1,20 @@
 """Tests for the BC_n Sutherland / rational dual module.
 
 Frozen reference numbers come from tests/oracles/sutherland_reference.py
-(mpmath at 50 digits) at couplings mu=0.8, nu=0.7, kappa=0.25.
+(mpmath at 50 digits) at couplings mu=0.8, nu=0.7, kappa=0.25.  The
+rational-family checks at n = 3, 4 and 8 import that module and evaluate
+its subset sums and characteristic coefficients at test time.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intlab.dynamics import PhasePoint, poisson_bracket_fd
 from intlab.errors import ChartError, DomainError, RegularityError
+from intlab.linalg import char_poly
 from intlab.sutherland import (
     BCnCouplings,
     DualPoint,
@@ -31,6 +37,7 @@ from intlab.sutherland import (
     sutherland_H,
     transported_family,
 )
+from oracles import sutherland_reference as oracle
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
 
@@ -60,6 +67,14 @@ def random_alcove_point(rng, n, min_gap=0.15):
     while np.min(np.diff(np.concatenate([[0.0], cuts, [np.pi / 2]]))) < 0.08:
         cuts = np.sort(rng.uniform(min_gap, np.pi / 2 - min_gap, n))
     return SutherlandPoint(cuts[::-1], rng.normal(size=n))
+
+
+@st.composite
+def family_points(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    gaps = draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n))
+    theta = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return 0.1 + np.cumsum(gaps)[::-1], np.array(theta)
 
 
 def random_chamber_lam(rng, n, c):
@@ -481,11 +496,45 @@ class TestFamilyEval:
 
     def test_palindromic_coefficients(self):
         rng = np.random.default_rng(19)
-        lam = np.sort(rng.uniform(0.4, 3.5, 3))[::-1]
-        tab = family_eval(lam, rng.normal(size=3), COUP)
-        np.testing.assert_allclose(
-            tab.char_coefficients, tab.char_coefficients[::-1], atol=1e-10
+        for n in (3, 5, 8):
+            lam = np.sort(rng.uniform(0.4, 3.5, n))[::-1]
+            K = family_eval(lam, rng.normal(size=n), COUP).char_coefficients
+            np.testing.assert_allclose(
+                K, K[::-1], atol=1e-10 * np.max(np.abs(K)), err_msg=f"n = {n}"
+            )
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(family_points())
+    def test_palindromic_property(self, point):
+        lam, theta = point
+        K = char_poly(family_lax(lam, theta, COUP)).coefficients
+        assert np.max(np.abs(K - K[::-1])) <= 1e-10 * np.max(np.abs(K))
+
+    def test_subset_values_match_definition(self):
+        # 50-digit subset sums straight from the definition
+        for lam, theta in (
+            (["3.1", "1.9", "0.7"], ["0.3", "-0.5", "0.2"]),
+            (["3.6", "2.5", "1.5", "0.5"], ["0.45", "-0.2", "0.35", "-0.6"]),
+        ):
+            lam_mp = [mp.mpf(v) for v in lam]
+            theta_mp = [mp.mpf(v) for v in theta]
+            want = np.array([
+                float(oracle.family_hamiltonian(el, lam_mp, theta_mp))
+                for el in range(len(lam) + 1)
+            ])
+            tab = family_eval(np.array(lam, float), np.array(theta, float), COUP)
+            np.testing.assert_allclose(tab.subset_values, want, rtol=1e-12)
+
+    def test_char_poly_matches_mpmath_at_n8(self):
+        lam = ["7.3", "6.1", "5.2", "4.0", "3.1", "2.2", "1.4", "0.6"]
+        theta = ["0.4", "-0.3", "0.15", "-0.6", "0.25", "0.5", "-0.45", "0.1"]
+        L = oracle.rational_lax([mp.mpf(v) for v in lam], [mp.mpf(v) for v in theta])
+        want = np.array(
+            [float(mp.re(k)) for k in oracle.char_coeffs(mp.eighe(L, eigvals_only=True))]
         )
+        K = char_poly(family_lax(np.array(lam, float), np.array(theta, float), COUP))
+        err = np.max(np.abs(K.coefficients - want))
+        assert err <= 1e-12 * np.max(np.abs(want))
 
     def test_lax_structure(self):
         rng = np.random.default_rng(20)
