@@ -55,29 +55,26 @@ class SpectralCoords:
     f: np.ndarray
 
 
+def _gaps(x):
+    """Pairwise differences x_j - x_k with an infinite diagonal, so that
+    every quotient by them vanishes there."""
+    gaps = x[:, None] - x[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    return gaps
+
+
 def lax_LQ(x):
     """Lax matrix L, position matrix Q = diag(q), and the vector of ones."""
-    n = x.n
-    L = np.diag(x.p.astype(complex))
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                L[j, k] = 1j * x.g / (x.q[j] - x.q[k])
-    return L, np.diag(x.q.astype(complex)), np.ones(n)
+    L = 1j * x.g / _gaps(x.q)
+    np.fill_diagonal(L, x.p)
+    return L, np.diag(x.q.astype(complex)), np.ones(x.n)
 
 
 def moser_B(x):
     """Second Lax-pair matrix; dL/dt = [L, B] along the flow."""
-    n = x.n
-    B = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        B[k, k] = 1j * x.g * sum(
-            1.0 / (x.q[k] - x.q[l]) ** 2 for l in range(n) if l != k
-        )
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                B[j, k] = -1j * x.g / (x.q[j] - x.q[k]) ** 2
+    inv2 = 1.0 / _gaps(x.q) ** 2
+    B = -1j * x.g * inv2
+    np.fill_diagonal(B, 1j * x.g * np.sum(inv2, axis=1))
     return B
 
 
@@ -121,9 +118,7 @@ def sklyanin_coords(x):
             "eigenvector weights unreliable"
         )
     lam = spec.eigenvalues
-    gaps = lam[:, None] - lam[None, :]
-    np.fill_diagonal(gaps, np.inf)
-    f = 1j * x.g * np.sum(1.0 / gaps, axis=1)
+    f = 1j * x.g * np.sum(1.0 / _gaps(lam), axis=1)
     return SpectralCoords(lam=lam, theta=c, mu=d, f=f)
 
 
@@ -141,13 +136,8 @@ def make_system(n, g):
         return hamiltonian(RatCMPoint(point.q, point.p, g))
 
     def grad(point):
-        q = point.q
-        dq = np.zeros(n)
-        for j in range(n):
-            for k in range(n):
-                if k != j:
-                    dq[j] += -2.0 * g ** 2 / (q[j] - q[k]) ** 3
-        return dq, point.p.copy()
+        gaps = _gaps(point.q)  # gaps**3 takes numpy's slow general power
+        return (-2.0 * g**2 / (gaps * gaps * gaps)).sum(axis=1), point.p.copy()
 
     def inside(point):
         return n == 1 or bool(np.min(-np.diff(point.q)) > 0)

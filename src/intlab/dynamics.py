@@ -116,22 +116,25 @@ class ScatteringData:
     lambda_plus: np.ndarray
 
 
-def _fd_gradient(f, x):
-    """Central-difference gradient of a scalar observable, split (q, p)."""
+def _fd_gradient(f, x, step=_FD_STEP):
+    """Central-difference gradient of a scalar observable, split (q, p).
+
+    The step along each coordinate is step * (1 + |coordinate|).
+    """
     n = x.dim
     dq = np.empty(n)
     dp = np.empty(n)
     for j in range(n):
-        hq = _FD_STEP * (1.0 + abs(x.q[j]))
+        hq = step * (1.0 + abs(x.q[j]))
         qp, qm = x.q.copy(), x.q.copy()
         qp[j] += hq
         qm[j] -= hq
-        dq[j] = (f(PhasePoint(qp, x.p)) - f(PhasePoint(qm, x.p))) / (2 * hq)
-        hp = _FD_STEP * (1.0 + abs(x.p[j]))
+        dq[j] = (float(f(PhasePoint(qp, x.p))) - float(f(PhasePoint(qm, x.p)))) / (2 * hq)
+        hp = step * (1.0 + abs(x.p[j]))
         pp, pm = x.p.copy(), x.p.copy()
         pp[j] += hp
         pm[j] -= hp
-        dp[j] = (f(PhasePoint(x.q, pp)) - f(PhasePoint(x.q, pm))) / (2 * hp)
+        dp[j] = (float(f(PhasePoint(x.q, pp))) - float(f(PhasePoint(x.q, pm)))) / (2 * hp)
     return dq, dp
 
 
@@ -232,31 +235,13 @@ def poisson_bracket_fd(f, g, x, h=None):
     for attempt in range(4):
         step = base / 4.0 ** attempt
         try:
-            fq, fp = _bracket_gradient(f, x, step)
-            gq, gp = _bracket_gradient(g, x, step)
+            fq, fp = _fd_gradient(f, x, step)
+            gq, gp = _fd_gradient(g, x, step)
         except (DomainError, FloatingPointError, ValueError):
             continue
         if all(np.all(np.isfinite(v)) for v in (fq, fp, gq, gp)):
             return float(np.dot(fq, gp) - np.dot(fp, gq))
     raise DomainError("observable not evaluable near the requested point")
-
-
-def _bracket_gradient(f, x, step):
-    n = x.dim
-    dq = np.empty(n)
-    dp = np.empty(n)
-    for j in range(n):
-        hq = step * (1.0 + abs(x.q[j]))
-        qp, qm = x.q.copy(), x.q.copy()
-        qp[j] += hq
-        qm[j] -= hq
-        dq[j] = (float(f(PhasePoint(qp, x.p))) - float(f(PhasePoint(qm, x.p)))) / (2 * hq)
-        hp = step * (1.0 + abs(x.p[j]))
-        pp, pm = x.p.copy(), x.p.copy()
-        pp[j] += hp
-        pm[j] -= hp
-        dp[j] = (float(f(PhasePoint(x.q, pp))) - float(f(PhasePoint(x.q, pm)))) / (2 * hp)
-    return dq, dp
 
 
 def _fit_window_slice(traj, fit_window, at_end):

@@ -26,6 +26,7 @@ maps that translate between the asymptotic forms of the two families.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -48,6 +49,32 @@ def _vec(x, name):
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
     return arr
+
+
+def _pairs(x, diagonal=None):
+    """Pair matrices x_j - x_k and x_j + x_k, diagonals set to `diagonal` if given."""
+    d = x[:, None] - x[None, :]
+    s = x[:, None] + x[None, :]
+    if diagonal is not None:
+        np.fill_diagonal(d, diagonal)
+        np.fill_diagonal(s, diagonal)
+    return d, s
+
+
+@lru_cache(maxsize=None)
+def _upper(n):
+    """Index pairs j < k; cached, as np.triu_indices costs more than the sums."""
+    j, k = np.triu_indices(n, 1)
+    j.flags.writeable = k.flags.writeable = False  # shared by every caller
+    return j, k
+
+
+def _in_alcove(q):
+    return bool(q[-1] > 0 and q[0] < np.pi / 2 and (q[1:] < q[:-1]).all())
+
+
+def _in_chamber(lam, c):
+    return bool(lam[-1] > c.nu and (lam[:-1] - lam[1:] > 2 * c.mu).all())
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +134,7 @@ class SutherlandPoint:
         p = _vec(self.p, "p")
         if q.shape != p.shape:
             raise DomainError("q and p must have matching shapes")
-        if q[-1] <= 0 or q[0] >= np.pi / 2 or np.any(np.diff(q) >= 0):
+        if not _in_alcove(q):
             raise DomainError("q must satisfy pi/2 > q_1 > ... > q_n > 0")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
@@ -161,7 +188,7 @@ class DualPoint:
 
 
 def _require_chamber(lam, c):
-    if lam[-1] <= c.nu or np.any(-np.diff(lam) <= 2 * c.mu):
+    if not _in_chamber(lam, c):
         raise DomainError(
             "lam outside the open dual chamber (gaps > 2*mu, lam_n > nu)"
         )
@@ -169,31 +196,32 @@ def _require_chamber(lam, c):
 
 def _require_strongly_regular(lam, c):
     """Margins for every denominator the weight formulas divide by."""
-    n = lam.size
     edge = abs(2 * c.mu - c.nu)
-    for a in range(n):
-        if abs(lam[a] - c.nu) <= _REG_MARGIN or abs(lam[a] - edge) <= _REG_MARGIN:
-            raise RegularityError(f"lam[{a}] too close to a coupling threshold")
-        for b in range(a + 1, n):
-            for s in (lam[a] - lam[b], lam[a] + lam[b]):
-                if abs(abs(s) - 2 * c.mu) <= _REG_MARGIN:
-                    raise RegularityError(
-                        f"|lam[{a}] +/- lam[{b}]| within margin of 2*mu"
-                    )
+    near = (np.abs(lam - c.nu) <= _REG_MARGIN) | (np.abs(lam - edge) <= _REG_MARGIN)
+    if np.any(near):
+        raise RegularityError(f"lam[{np.argmax(near)}] too close to a coupling threshold")
+    a, b = _upper(lam.size)
+    near = np.abs(np.abs([lam[a] - lam[b], lam[a] + lam[b]]) - 2 * c.mu) <= _REG_MARGIN
+    if np.any(near):
+        k = np.argmax(near.any(axis=0))
+        raise RegularityError(f"|lam[{a[k]}] +/- lam[{b[k]}]| within margin of 2*mu")
 
 
 # ---------------------------------------------------------------------------
 # direct side
 
 
+def _cos_over_sin3(x):
+    sn = np.sin(x)
+    return np.cos(x) / (sn * sn * sn)  # sn**3 takes numpy's slow general power
+
+
 def _energy(q, p, c):
-    value = 0.5 * float(p @ p)
-    for j in range(q.size):
-        for k in range(j + 1, q.size):
-            value += c.gamma / np.sin(q[j] - q[k]) ** 2
-            value += c.gamma / np.sin(q[j] + q[k]) ** 2
-    value += float(np.sum(c.gamma1 / np.sin(q) ** 2))
-    value += float(np.sum(c.gamma2 / np.sin(2 * q) ** 2))
+    j, k = _upper(q.size)
+    pair = c.gamma / np.sin(q[j] - q[k]) ** 2 + c.gamma / np.sin(q[j] + q[k]) ** 2
+    value = 0.5 * float(p @ p) + float(pair.sum())
+    value += float((c.gamma1 / np.sin(q) ** 2).sum())
+    value += float((c.gamma2 / np.sin(2 * q) ** 2).sum())
     return value
 
 
@@ -210,14 +238,12 @@ def lax_Y(x, c):
     -iY vanish, and H[0] reproduces sutherland_H.
     """
     q, p, n = x.q, x.p, x.n
-    a = np.diag(1j * p)
+    d, s = _pairs(q, np.pi / 2)  # diagonals are overwritten below
+    a = (-c.mu / np.sin(d)).astype(complex)
+    np.fill_diagonal(a, 1j * p)
+    b = c.mu / np.sin(s)
     s2 = np.sin(2 * q)
-    b = np.diag(c.nu / s2 + c.kappa * np.cos(2 * q) / s2).astype(complex)
-    for j in range(n):
-        for k in range(n):
-            if k != j:
-                a[j, k] = -c.mu / np.sin(q[j] - q[k])
-                b[j, k] = c.mu / np.sin(q[j] + q[k])
+    np.fill_diagonal(b, c.nu / s2 + c.kappa * np.cos(2 * q) / s2)
     Y = np.block([[a, b], [-b, -a]])
     eye = np.eye(n)
     Y[:n, n:] -= 1j * c.kappa * eye
@@ -240,19 +266,16 @@ def make_system(n, c):
 
     def grad(point):
         q = point.q
-        dq = np.zeros(n)
-        for j in range(n):
-            for k in range(n):
-                if k != j:
-                    dq[j] -= 2 * c.gamma * np.cos(q[j] - q[k]) / np.sin(q[j] - q[k]) ** 3
-                    dq[j] -= 2 * c.gamma * np.cos(q[j] + q[k]) / np.sin(q[j] + q[k]) ** 3
-            dq[j] -= 2 * c.gamma1 * np.cos(q[j]) / np.sin(q[j]) ** 3
-            dq[j] -= 4 * c.gamma2 * np.cos(2 * q[j]) / np.sin(2 * q[j]) ** 3
+        d, s = _pairs(q, np.pi / 2)
+        pair = _cos_over_sin3(d) + _cos_over_sin3(s)
+        np.fill_diagonal(pair, 0.0)  # cos(pi/2) is not exactly zero
+        dq = -2 * c.gamma * pair.sum(axis=1)
+        dq -= 2 * c.gamma1 * _cos_over_sin3(q)
+        dq -= 4 * c.gamma2 * _cos_over_sin3(2 * q)
         return dq, np.array(point.p, dtype=float)
 
     def inside(point):
-        q = point.q
-        return bool(q[-1] > 0 and q[0] < np.pi / 2 and np.all(np.diff(q) < 0))
+        return _in_alcove(point.q)
 
     def margin(point):
         q = point.q
@@ -307,7 +330,8 @@ class DualState:
 
 
 def _root(value):
-    if value <= 0:
+    """Elementwise square root; every factor must be positive on its own."""
+    if (value <= 0).any():
         raise DomainError("square-root factor lost positivity: lam left the chamber")
     return np.sqrt(value)
 
@@ -323,29 +347,19 @@ def dual_state(d, c):
     _require_chamber(lam, c)
     _require_strongly_regular(lam, c)
     mu, nu = c.mu, c.nu
-    f = np.zeros(2 * n, dtype=complex)
-    for a in range(n):
-        low = _root(1 - nu / lam[a])
-        high = _root(1 + nu / lam[a])
-        for b in range(n):
-            if b != a:
-                low *= _root(1 - 2 * mu / (lam[a] - lam[b]))
-                low *= _root(1 - 2 * mu / (lam[a] + lam[b]))
-                high *= _root(1 + 2 * mu / (lam[a] - lam[b]))
-                high *= _root(1 + 2 * mu / (lam[a] + lam[b]))
-        f[a] = low
-        f[n + a] = np.exp(1j * th[a]) * high
-    weights = np.zeros(2 * n)
-    for a in range(n):
-        down = 1.0
-        up = 1.0
-        for b in range(n):
-            if b != a:
-                num = (lam[a] - lam[b]) * (lam[a] + lam[b])
-                down *= num / ((2 * mu - lam[a] + lam[b]) * (2 * mu - lam[a] - lam[b]))
-                up *= num / ((2 * mu + lam[a] - lam[b]) * (2 * mu + lam[a] + lam[b]))
-        weights[a] = down
-        weights[n + a] = up
+    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
+    low_m, low_p = 1 - 2 * mu / minus, 1 - 2 * mu / plus
+    high_m, high_p = 1 + 2 * mu / minus, 1 + 2 * mu / plus
+    f = np.concatenate([
+        _root(1 - nu / lam) * (_root(low_m) * _root(low_p)).prod(axis=1),
+        np.exp(1j * th) * _root(1 + nu / lam) * (_root(high_m) * _root(high_p)).prod(axis=1),
+    ])
+    # prod_b (lam_a^2 - lam_b^2) / ((lam_a -+ 2*mu)^2 - lam_b^2) is the
+    # product of the same factors, inverted
+    weights = 1.0 / np.concatenate([
+        (low_m * low_p).prod(axis=1),
+        (high_m * high_p).prod(axis=1),
+    ])
     cf_plus = np.concatenate([(1 - nu / lam) / weights[:n], (1 + nu / lam) / weights[n:]])
     shift = (2 * mu - nu) / lam
     cf_minus = np.concatenate([(-1 + shift) / weights[:n], (-1 - shift) / weights[n:]])
@@ -354,20 +368,15 @@ def dual_state(d, c):
 
 def dual_hamiltonian(d, c):
     """Dual energy through the explicit square-root product form."""
-    lam, th, n = d.lam, d.theta, d.n
+    lam, th = d.lam, d.theta
     _require_chamber(lam, c)
     mu, nu, kap = c.mu, c.nu, c.kappa
-    total = 0.0
-    for j in range(n):
-        term = np.cos(th[j])
-        term *= _root(1 - nu**2 / lam[j] ** 2) * _root(1 - kap**2 / lam[j] ** 2)
-        for k in range(n):
-            if k != j:
-                term *= _root(1 - 4 * mu**2 / (lam[j] - lam[k]) ** 2)
-                term *= _root(1 - 4 * mu**2 / (lam[j] + lam[k]) ** 2)
-        total += term
+    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
+    pair = _root(1 - 4 * mu**2 / minus**2) * _root(1 - 4 * mu**2 / plus**2)
+    terms = np.cos(th) * _root(1 - nu**2 / lam**2) * _root(1 - kap**2 / lam**2)
+    total = float((terms * pair.prod(axis=1)).sum())
     const = nu * kap / (4 * mu**2)
-    return total - const * float(np.prod(1 - 4 * mu**2 / lam**2)) + const
+    return total - const * float((1 - 4 * mu**2 / lam**2).prod()) + const
 
 
 def _cancelled_corner(lam, mu, nu):
@@ -438,36 +447,18 @@ def _chart_g(lam, c):
     Each is the corresponding f-factor with the single chamber-gap factor
     that vanishes on the boundary divided out.
     """
-    n = lam.size
     mu, nu = c.mu, c.nu
-    g = np.zeros(2 * n)
-    for a in range(n):
-        if a < n - 1:
-            val = (1 - nu / lam[a]) / (lam[a] - lam[a + 1])
-            skip = a + 1
-        else:
-            val = 1.0 / lam[a]
-            skip = -1
-        for b in range(n):
-            if b != a and b != skip:
-                val *= 1 - 2 * mu / (lam[a] - lam[b])
-            if b != a:
-                val *= 1 - 2 * mu / (lam[a] + lam[b])
-        g[a] = np.sqrt(val)
-    for a in range(n):
-        if a > 0:
-            val = (1 + nu / lam[a]) / (lam[a - 1] - lam[a])
-            skip = a - 1
-        else:
-            val = 1 + nu / lam[a]
-            skip = -1
-        for b in range(n):
-            if b != a and b != skip:
-                val *= 1 + 2 * mu / (lam[a] - lam[b])
-            if b != a:
-                val *= 1 + 2 * mu / (lam[a] + lam[b])
-        g[n + a] = np.sqrt(val)
-    return g
+    d, s = _pairs(lam, np.inf)  # diagonal factors are 1
+    low, high = 1 - 2 * mu / d, 1 + 2 * mu / d
+    e = np.arange(lam.size - 1)
+    low[e, e + 1] = high[e + 1, e] = 1.0  # the gap factor divided out
+    gaps = -np.diff(lam)
+    lead_low = np.append((1 - nu / lam[:-1]) / gaps, 1.0 / lam[-1])
+    lead_high = np.insert((1 + nu / lam[1:]) / gaps, 0, 1 + nu / lam[0])
+    return np.sqrt(np.concatenate([
+        lead_low * (low * (1 - 2 * mu / s)).prod(axis=1),
+        lead_high * (high * (1 + 2 * mu / s)).prod(axis=1),
+    ]))
 
 
 @dataclass(frozen=True)
@@ -497,41 +488,26 @@ def dual_lax_global(z, c):
     mu, nu = c.mu, c.nu
     lam = lambda_of_z(z, c)
     g = _chart_g(lam, c)
-    zl = np.concatenate([[1.0 + 0.0j], z])  # zl[a] = z_(a-1) with z_0 = 1
-    A = np.zeros((2 * n, 2 * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            if b == a + 1:
-                A[a, b] = -2 * mu * g[a] * g[n + b]
-            else:
-                A[a, b] = (
-                    -2 * mu * np.conj(z[a]) * zl[b] * g[a] * g[n + b]
-                    / (lam[a] - lam[b] - 2 * mu)
-                )
-            if b == a - 1:
-                A[n + a, n + b] = -2 * mu * g[b] * g[n + a]
-            else:
-                A[n + a, n + b] = (
-                    2 * mu * np.conj(zl[a]) * z[b] * g[n + a] * g[b]
-                    / (lam[a] - lam[b] + 2 * mu)
-                )
-            if a == b == n - 1 and abs(lam[a] - mu) < _CANCEL_SWITCH:
-                A[a, n + b] = _cancelled_corner(lam, mu, nu)
-            else:
-                val = (
-                    -2 * mu * np.conj(z[a]) * z[b] * g[a] * g[b]
-                    / (lam[a] + lam[b] - 2 * mu)
-                )
-                if a == b:
-                    val += (mu - nu) / (lam[a] - mu)
-                A[a, n + b] = val
-            val = (
-                2 * mu * np.conj(zl[a]) * zl[b] * g[n + a] * g[n + b]
-                / (lam[a] + lam[b] + 2 * mu)
-            )
-            if a == b:
-                val -= (mu - nu) / (lam[a] + mu)
-            A[n + a, b] = val
+    lo = np.conj(z) * g[:n]
+    hi = np.concatenate([[1.0], z[:-1]]) * g[n:]  # z_(a-1) * g_(n+a), z_(-1) = 1
+    d, s = _pairs(lam)
+    # b = a + 1 (top left) and b = a - 1 (bottom right) are 0/0 where a
+    # chamber gap saturates; |z_a|^2 cancels and the entry is -2*mu*g*g.
+    e = np.arange(n - 1)
+    tl_den, br_den = d - 2 * mu, d + 2 * mu
+    tl_den[e, e + 1] = br_den[e + 1, e] = np.inf
+    tl = -2 * mu * np.outer(lo, hi) / tl_den
+    br = 2 * mu * np.outer(np.conj(hi), np.conj(lo)) / br_den
+    tl[e, e + 1] = br[e + 1, e] = -2 * mu * g[e] * g[n + e + 1]
+    corner = abs(lam[-1] - mu) < _CANCEL_SWITCH
+    tr_den, shift = s - 2 * mu, lam - mu
+    if corner:
+        tr_den[-1, -1] = shift[-1] = np.inf  # entry rewritten below
+    tr = -2 * mu * np.outer(lo, np.conj(lo)) / tr_den + np.diag((mu - nu) / shift)
+    if corner:
+        tr[-1, -1] = _cancelled_corner(lam, mu, nu)
+    bl = 2 * mu * np.outer(np.conj(hi), hi) / (s + 2 * mu) - np.diag((mu - nu) / (lam + mu))
+    A = np.block([[tl, tr], [bl, br]])
     h = dual_h_matrix(lam, c.kappa)
     spun = h @ A @ h
     args = np.angle(np.linalg.eigvals(-spun.conj().T))
@@ -572,10 +548,7 @@ def make_dual_system(n, c):
         return dual_hamiltonian(DualPoint(point.q, point.p), c)
 
     def inside(point):
-        lam = point.q
-        if np.any(np.diff(lam) >= 0) or lam[-1] <= c.nu:
-            return False
-        return bool(np.all(-np.diff(lam) > 2 * c.mu))
+        return _in_chamber(point.q, c)
 
     def margin(point):
         lam = point.q
@@ -600,13 +573,13 @@ def make_dual_system(n, c):
 def dual_action_jacobian(q):
     """Sine matrix of the alcove-position map and its determinant.
 
-    X[a, b] = (-1)^(a+1) * 2 * sin(2*(a+1)... rows are indexed from 1, so
+    With rows a and columns b both indexed from 1,
     X_{a,b} = (-1)^(a+1) * 2 * sin(2*a*q_b).  The determinant factors into
     sin(2 q_b) terms and pairwise cos(2 q) differences, hence never
     vanishes on the open alcove; tests pin the closed form.
     """
     q = _vec(q, "q")
-    if q[-1] <= 0 or q[0] >= np.pi / 2 or np.any(np.diff(q) >= 0):
+    if not _in_alcove(q):
         raise DomainError("q must lie in the open alcove")
     n = q.size
     rows = np.arange(1, n + 1)[:, None]
@@ -637,14 +610,8 @@ def family_lax(lam, theta, c):
     lam, theta = _check_family_point(lam, theta)
     mu, nu, kap = c.mu, c.nu, c.kappa
     n = lam.size
-    z = np.zeros(n, dtype=complex)
-    for l in range(n):
-        val = -(1 + 1j * nu / lam[l])
-        for m in range(n):
-            if m != l:
-                val *= 1 + 1j * mu / (lam[l] - lam[m])
-                val *= 1 + 1j * mu / (lam[l] + lam[m])
-        z[l] = val
+    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
+    z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
     F = np.zeros(2 * n, dtype=complex)
     F[:n] = np.exp(-theta / 2) * np.sqrt(np.abs(z))
     F[n:] = np.conj(z) / F[:n]
@@ -679,15 +646,10 @@ def family_eval(lam, theta, c):
     signs = (-1.0) ** np.arange(n + 1)
     subset = signs * (family_matrices(n).subset_from_char @ coeffs[: n + 1])
     mu, nu, kap = c.mu, c.nu, c.kappa
-    total = 0.0
-    for j in range(n):
-        term = np.cosh(theta[j])
-        term *= np.sqrt(1 + nu**2 / lam[j] ** 2) * np.sqrt(1 + kap**2 / lam[j] ** 2)
-        for k in range(n):
-            if k != j:
-                term *= np.sqrt(1 + mu**2 / (lam[j] - lam[k]) ** 2)
-                term *= np.sqrt(1 + mu**2 / (lam[j] + lam[k]) ** 2)
-        total += term
+    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
+    pair = np.sqrt(1 + mu**2 / minus**2) * np.sqrt(1 + mu**2 / plus**2)
+    terms = np.cosh(theta) * np.sqrt(1 + nu**2 / lam**2) * np.sqrt(1 + kap**2 / lam**2)
+    total = float((terms * pair.prod(axis=1)).sum())
     ratio = nu * kap / mu**2
     energy = total + ratio * float(np.prod(1 + mu**2 / lam**2)) - ratio
     return FamilyTable(

@@ -272,6 +272,23 @@ class TestSklyaninCoords:
                 assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-6)
 
 
+class TestGradient:
+    def test_gradient_matches_differences(self):
+        rng = np.random.default_rng(5)
+        x = random_point(rng, 8, 1.0)
+        dq, dp = make_system(8, 1.0).grad(x.as_phase())
+        step = 1e-6
+        for j in range(8):
+            qp, qm = x.q.copy(), x.q.copy()
+            qp[j] += step
+            qm[j] -= step
+            fd = (
+                hamiltonian(RatCMPoint(qp, x.p, 1.0)) - hamiltonian(RatCMPoint(qm, x.p, 1.0))
+            ) / (2 * step)
+            assert dq[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        np.testing.assert_allclose(dp, x.p)
+
+
 class TestFlow:
     def setup_method(self):
         self.sys = make_system(3, 1.0)

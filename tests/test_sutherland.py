@@ -37,6 +37,7 @@ from intlab.sutherland import (
     sutherland_H,
     transported_family,
 )
+from intlab.sutherland import _root
 from oracles import sutherland_reference as oracle
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
@@ -67,6 +68,18 @@ def random_alcove_point(rng, n, min_gap=0.15):
     while np.min(np.diff(np.concatenate([[0.0], cuts, [np.pi / 2]]))) < 0.08:
         cuts = np.sort(rng.uniform(min_gap, np.pi / 2 - min_gap, n))
     return SutherlandPoint(cuts[::-1], rng.normal(size=n))
+
+
+def grid_alcove_point(rng, n):
+    # jittered equal spacing: works at any n, where random cuts with a
+    # minimum gap stop fitting into the alcove
+    grid = (np.pi / 2) * np.arange(n, 0, -1) / (n + 1)
+    gap = grid[0] - grid[1]
+    return SutherlandPoint(grid + rng.uniform(-0.2 * gap, 0.2 * gap, n), rng.normal(size=n))
+
+
+def mp_vector(x):
+    return [mp.mpf(float(v)) for v in x]
 
 
 @st.composite
@@ -162,6 +175,13 @@ class TestSutherlandH:
             quarter = np.trace((-1j * Y) @ (-1j * Y)).real / 4
             assert abs(quarter - sutherland_H(x, COUP)) < 1e-12
 
+    def test_matches_mpmath_at_benchmark_sizes(self):
+        rng = np.random.default_rng(30)
+        for n in (8, 20):
+            x = grid_alcove_point(rng, n)
+            want = float(oracle.sutherland_direct(mp_vector(x.q), mp_vector(x.p)))
+            assert sutherland_H(x, COUP) == pytest.approx(want, rel=1e-12)
+
     def test_boundary_blowup_monotone(self):
         values = [
             sutherland_H(SutherlandPoint([1.2, 0.7, qn], [0.0, 0.0, 0.0]), COUP)
@@ -202,6 +222,18 @@ class TestLaxY:
         ev = np.sort(np.linalg.eigvalsh(-1j * Y))[::-1]
         np.testing.assert_allclose(ev[:2], FROZEN_LAM, atol=1e-12)
 
+    def test_trace_family_matches_mpmath_at_n8(self):
+        x = grid_alcove_point(np.random.default_rng(31), 8)
+        M = mp.mpc(0, -1) * oracle.first_order_matrix(mp_vector(x.q), mp_vector(x.p))
+        M2 = M * M
+        power = M2
+        want = []
+        for k in range(1, 9):
+            want.append(float(mp.re(oracle.trace(power))) / (4 * k))
+            power = power * M2
+        _, fam = lax_Y(x, COUP)
+        np.testing.assert_allclose(fam, want, rtol=1e-12)
+
     def test_commuting_family_brackets(self):
         # bracket values are pure finite-difference noise; tame points keep
         # the higher derivatives small enough for the 1e-6 budget
@@ -227,20 +259,20 @@ class TestLaxY:
 class TestDirectSystem:
     def test_gradient_matches_differences(self):
         rng = np.random.default_rng(4)
-        sys = make_system(3, COUP)
-        x = random_alcove_point(rng, 3)
-        dq, dp = sys.grad(PhasePoint(x.q, x.p))
-        step = 1e-6
-        for j in range(3):
-            qp, qm = x.q.copy(), x.q.copy()
-            qp[j] += step
-            qm[j] -= step
-            fd = (
-                sutherland_H(SutherlandPoint(qp, x.p), COUP)
-                - sutherland_H(SutherlandPoint(qm, x.p), COUP)
-            ) / (2 * step)
-            assert dq[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
-        np.testing.assert_allclose(dp, x.p)
+        for n in (3, 8, 20):
+            x = grid_alcove_point(rng, n)
+            dq, dp = make_system(n, COUP).grad(PhasePoint(x.q, x.p))
+            step = 1e-6
+            for j in range(n):
+                qp, qm = x.q.copy(), x.q.copy()
+                qp[j] += step
+                qm[j] -= step
+                fd = (
+                    sutherland_H(SutherlandPoint(qp, x.p), COUP)
+                    - sutherland_H(SutherlandPoint(qm, x.p), COUP)
+                ) / (2 * step)
+                assert dq[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            np.testing.assert_allclose(dp, x.p)
 
     def test_margin_and_domain(self):
         sys = make_system(2, COUP)
@@ -311,6 +343,13 @@ class TestDualState:
                 )
                 assert abs(linear) < 1e-10 and abs(quad) < 1e-10
 
+    def test_root_checks_each_factor(self):
+        # two negative factors multiply to a positive number; each must
+        # be rejected on its own
+        with pytest.raises(DomainError, match="lost positivity"):
+            _root(np.array([-2.0, -3.0]))
+        np.testing.assert_allclose(_root(np.array([4.0, 9.0])), [2.0, 3.0])
+
     def test_outside_chamber_rejected(self):
         with pytest.raises(DomainError):
             dual_state(DualPoint([2.0, 1.0], [0.0, 0.0]), COUP)  # gap 1.0 < 2*mu
@@ -324,6 +363,16 @@ class TestDualState:
         lam = np.array([1.0 + 2 * COUP.mu + 1e-9, 1.0])
         with pytest.raises(RegularityError):
             dual_state(DualPoint(lam, [0.0, 0.0]), COUP)
+
+
+class TestDualHamiltonian:
+    def test_matches_mpmath_at_n6(self):
+        rng = np.random.default_rng(32)
+        lam = random_chamber_lam(rng, 6, COUP)
+        # |theta| < 1 keeps every cosine positive, so no term cancels
+        theta = rng.uniform(-1.0, 1.0, 6)
+        want = float(oracle.dual_direct(mp_vector(lam), mp_vector(theta)))
+        assert dual_hamiltonian(DualPoint(lam, theta), COUP) == pytest.approx(want, rel=1e-12)
 
 
 class TestDualLaxLocal:
