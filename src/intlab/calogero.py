@@ -122,18 +122,21 @@ def sklyanin_coords(x):
     return SpectralCoords(lam=lam, theta=c, mu=d, f=f)
 
 
+def _energy(q, p, g):
+    gaps = _gaps(q)  # each pair appears twice in the full sum
+    return float(0.5 * (p @ p) + 0.5 * (g**2 / (gaps * gaps)).sum())
+
+
 def hamiltonian(x):
     """H = p^2/2 + sum of pair potentials g^2 / (q_j - q_k)^2."""
-    gaps = x.q[:, None] - x.q[None, :]
-    iu = np.triu_indices(x.n, 1)
-    return float(0.5 * np.dot(x.p, x.p) + np.sum(x.g ** 2 / gaps[iu] ** 2))
+    return _energy(x.q, x.p, x.g)
 
 
 def make_system(n, g):
     """HamiltonianSystem wrapper for the dynamics module."""
 
     def H(point):
-        return hamiltonian(RatCMPoint(point.q, point.p, g))
+        return _energy(point.q, point.p, g)
 
     def grad(point):
         gaps = _gaps(point.q)  # gaps**3 takes numpy's slow general power

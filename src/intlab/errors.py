@@ -13,10 +13,6 @@ class DomainError(IntlabError):
     """Input lies outside the open domain an operation is defined on."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at (or numerically on top of) a pole."""
-
-
 class StructureError(IntlabError):
     """A matrix does not have the structure the operation requires."""
 

@@ -27,13 +27,12 @@ maps that translate between the asymptotic forms of the two families.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
 from .dynamics import HamiltonianSystem
-from .errors import ChartError, DomainError, RegularityError
+from .errors import ChartError, DomainError, RangeError, RegularityError
 from .linalg import char_poly
 
 # Slack below which a weight denominator counts as degenerate.
@@ -149,7 +148,8 @@ class DualPoint:
     """Dual-side point (lam, theta) with an optional global representative z.
 
     Chamber membership depends on the couplings, so the operations check
-    it; construction only enforces ordering, positivity and shape.
+    it; construction only enforces ordering, positivity and shape, which
+    is all the rational deformed family asks of its (lam, theta).
     """
 
     lam: np.ndarray
@@ -304,15 +304,19 @@ def dual_h_matrix(lam, kappa):
     Conjugating diag(lam, -lam) with it gives diag(d, -d) - kappa*C where
     d_j = sqrt(lam_j^2 - kappa^2) and C is the half-swap; the matrix is
     orthogonal and reduces to the identity at kappa = 0.
+
+    An imaginary kappa = -i*k is the continuation to the rational deformed
+    family: d_j = sqrt(lam_j^2 + k^2) and the result is the complex
+    Hermitian block [[a, -i*b], [i*b, a]] that family_lax conjugates with.
     """
     lam = _vec(lam, "lam")
-    kappa = float(kappa)
     n = lam.size
-    if kappa == 0.0:
+    if kappa == 0:
         return np.eye(2 * n)
-    if np.any(lam < abs(kappa)):
-        raise DomainError("need lam_j >= |kappa| for the rotation to exist")
-    root = np.sqrt(lam + np.sqrt(lam**2 - kappa**2))
+    disc = lam**2 - kappa**2
+    if np.any(lam <= 0) or np.any(disc.real < 0):
+        raise DomainError("need lam_j > 0 and Re(lam_j^2 - kappa^2) >= 0 for the rotation")
+    root = np.sqrt(lam + np.sqrt(disc))
     alpha = np.diag(root / np.sqrt(2 * lam))
     beta = np.diag(kappa / (np.sqrt(2 * lam) * root))
     return np.block([[alpha, beta], [-beta, alpha]])
@@ -366,17 +370,35 @@ def dual_state(d, c):
     return DualState(f=f, weights=weights, cf_plus=cf_plus, cf_minus=cf_minus)
 
 
+def _product_energy(lam, wave, mu2, nu2, kap2, nu_kap):
+    """Square-root product form shared by the dual energy and the rational family.
+
+    sum_j wave_j sqrt((1 - nu2/lam_j^2)(1 - kap2/lam_j^2))
+    prod_{k != j} sqrt((1 - mu2/(lam_j - lam_k)^2)(1 - mu2/(lam_j + lam_k)^2)),
+    plus const * (1 - prod_j (1 - mu2/lam_j^2)) with const = nu_kap/mu2.
+    The dual energy takes (mu2, nu2, kap2, wave) = (4 mu^2, nu^2, kappa^2,
+    cos theta); the rational family takes (-mu^2, -nu^2, -kappa^2,
+    cosh theta), under which const turns from nu*kappa/(4 mu^2) into
+    -nu*kappa/mu^2.
+    """
+    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
+    pair = _root(1 - mu2 / minus**2) * _root(1 - mu2 / plus**2)
+    terms = wave * _root(1 - nu2 / lam**2) * _root(1 - kap2 / lam**2)
+    total = float((terms * pair.prod(axis=1)).sum())
+    const = nu_kap / mu2
+    return total - const * float((1 - mu2 / lam**2).prod()) + const
+
+
+def _dual_energy(lam, theta, c):
+    _require_chamber(lam, c)
+    return _product_energy(
+        lam, np.cos(theta), 4 * c.mu**2, c.nu**2, c.kappa**2, c.nu * c.kappa
+    )
+
+
 def dual_hamiltonian(d, c):
     """Dual energy through the explicit square-root product form."""
-    lam, th = d.lam, d.theta
-    _require_chamber(lam, c)
-    mu, nu, kap = c.mu, c.nu, c.kappa
-    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
-    pair = _root(1 - 4 * mu**2 / minus**2) * _root(1 - 4 * mu**2 / plus**2)
-    terms = np.cos(th) * _root(1 - nu**2 / lam**2) * _root(1 - kap**2 / lam**2)
-    total = float((terms * pair.prod(axis=1)).sum())
-    const = nu * kap / (4 * mu**2)
-    return total - const * float((1 - 4 * mu**2 / lam**2).prod()) + const
+    return _dual_energy(d.lam, d.theta, c)
 
 
 def _cancelled_corner(lam, mu, nu):
@@ -545,7 +567,7 @@ def make_dual_system(n, c):
     """
 
     def H(point):
-        return dual_hamiltonian(DualPoint(point.q, point.p), c)
+        return _dual_energy(point.q, point.p, c)
 
     def inside(point):
         return _in_chamber(point.q, c)
@@ -591,25 +613,15 @@ def dual_action_jacobian(q):
 # rational deformed family on the plain positive chamber
 
 
-def _check_family_point(lam, theta):
-    lam = _vec(lam, "lam")
-    theta = _vec(theta, "theta")
-    if lam.shape != theta.shape:
-        raise DomainError("lam and theta must have matching shapes")
-    if np.any(np.diff(lam) >= 0) or lam[-1] <= 0:
-        raise DomainError("lam must be strictly decreasing and positive")
-    return lam, theta
-
-
 def family_lax(lam, theta, c):
     """Hermitian first-order matrix of the rational deformed system.
 
     Satisfies C L C = L^(-1) and det L = 1, which makes the coefficients
     of its characteristic polynomial palindromic.
     """
-    lam, theta = _check_family_point(lam, theta)
-    mu, nu, kap = c.mu, c.nu, c.kappa
-    n = lam.size
+    d = DualPoint(lam, theta)
+    lam, theta, n = d.lam, d.theta, d.n
+    mu, nu = c.mu, c.nu
     minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
     z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
     F = np.zeros(2 * n, dtype=complex)
@@ -618,10 +630,7 @@ def family_lax(lam, theta, c):
     big = np.concatenate([lam, -lam])
     num = 1j * mu * np.outer(F, np.conj(F)) + 1j * (mu - 2 * nu) * _half_swap(n)
     A = num / (1j * mu + big[:, None] - big[None, :])
-    root = np.sqrt(lam + np.sqrt(lam**2 + kap**2))
-    aval = np.diag(root / np.sqrt(2 * lam))
-    bval = np.diag(kap / (np.sqrt(2 * lam) * root))
-    hinv = np.block([[aval, -1j * bval], [1j * bval, aval]])  # C h C
+    hinv = dual_h_matrix(lam, -1j * c.kappa)  # C h C
     return hinv @ A @ hinv
 
 
@@ -630,7 +639,7 @@ class FamilyTable:
     """Values of the two rational commuting families at one phase point."""
 
     subset_values: np.ndarray  # subset-sum family, orders 0..n
-    energy: float  # explicit square-root form; subset_values[1] = 2*(energy - n)
+    energy: float  # square-root product form; subset_values[1] = 2*(energy - n)
     char_coefficients: np.ndarray  # characteristic coefficients K_0..K_2n
 
 
@@ -640,23 +649,15 @@ def family_eval(lam, theta, c):
     The subset-sum values are read off the characteristic coefficients
     through the integer map family_matrices(n).subset_from_char.
     """
-    lam, theta = _check_family_point(lam, theta)
-    n = lam.size
+    d = DualPoint(lam, theta)
+    lam, theta, n = d.lam, d.theta, d.n
     coeffs = char_poly(family_lax(lam, theta, c)).coefficients.real.astype(float)
     signs = (-1.0) ** np.arange(n + 1)
     subset = signs * (family_matrices(n).subset_from_char @ coeffs[: n + 1])
-    mu, nu, kap = c.mu, c.nu, c.kappa
-    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
-    pair = np.sqrt(1 + mu**2 / minus**2) * np.sqrt(1 + mu**2 / plus**2)
-    terms = np.cosh(theta) * np.sqrt(1 + nu**2 / lam**2) * np.sqrt(1 + kap**2 / lam**2)
-    total = float((terms * pair.prod(axis=1)).sum())
-    ratio = nu * kap / mu**2
-    energy = total + ratio * float(np.prod(1 + mu**2 / lam**2)) - ratio
-    return FamilyTable(
-        subset_values=subset,
-        energy=float(energy),
-        char_coefficients=coeffs,
+    energy = _product_energy(
+        lam, np.cosh(theta), -c.mu**2, -c.nu**2, -c.kappa**2, c.nu * c.kappa
     )
+    return FamilyTable(subset_values=subset, energy=energy, char_coefficients=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +683,10 @@ class FamilyMatrices:
 def family_matrices(n):
     if n < 1:
         raise DomainError("need n >= 1")
+    # the largest entry is char_from_subset[n, 0] = C(2n, n)
+    limit = np.iinfo(np.int64).max
+    if comb(2 * n, n) > limit:
+        raise RangeError(f"n = {n}: C(2n, n) exceeds the int64 limit {limit}")
     size = n + 1
     to_subset = np.zeros((size, size), dtype=np.int64)
     to_char = np.zeros((size, size), dtype=np.int64)
@@ -706,26 +711,6 @@ def family_matrices(n):
         for l in range(m + 1):
             char_from_subset[m, l] = comb(2 * (n - l), m - l)
     return FamilyMatrices(to_subset, to_char, subset_from_char, char_from_subset)
-
-
-def _subset_cosh(q, k):
-    """Plain sign-symmetrized cosh sum over k-element subsets."""
-    if k == 0:
-        return 1.0
-    total = 0.0
-    for sub in combinations(range(q.size), k):
-        for eps in product((1.0, -1.0), repeat=k):
-            total += np.cosh(sum(e * q[i] for i, e in zip(sub, eps)))
-    return total
-
-
-def _elementary_symmetric(vals, k):
-    acc = np.zeros(k + 1)
-    acc[0] = 1.0
-    for v in vals:
-        for j in range(k, 0, -1):
-            acc[j] += v * acc[j - 1]
-    return acc[k]
 
 
 @dataclass(frozen=True)
@@ -754,20 +739,20 @@ def family_relation(q, n=None):
     elif n != q.size:
         raise DomainError("n must match len(q)")
     mats = family_matrices(n)
-    cosh_vals = np.array([_subset_cosh(q, k) for k in range(n + 1)])
+    orders = np.arange(n + 1)
+    # the cosh sum over k-subsets and signs is 2^k e_k(cosh q), and np.poly
+    # of the negated values lists e_0..e_n
+    cosh_vals = 2.0**orders * np.poly(-np.cosh(q))
     subset_vals = mats.to_subset @ cosh_vals
     char_vals = mats.to_char @ cosh_vals
-    signs = (-1.0) ** np.arange(n + 1)
+    signs = (-1.0) ** orders
     residual_direct = float(
         np.max(np.abs(signs * subset_vals - mats.subset_from_char @ char_vals))
     )
     residual_inverse = float(
         np.max(np.abs(signs * char_vals - mats.char_from_subset @ subset_vals))
     )
-    sh = np.sinh(q / 2) ** 2
-    elem = np.array(
-        [4.0**el * _elementary_symmetric(sh, el) for el in range(n + 1)]
-    )
+    elem = 4.0**orders * np.poly(-np.sinh(q / 2) ** 2)
     residual_symmetric = float(np.max(np.abs(subset_vals - elem)))
     return FamilyRelation(
         subset_values=subset_vals,

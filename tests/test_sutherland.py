@@ -2,9 +2,12 @@
 
 Frozen reference numbers come from tests/oracles/sutherland_reference.py
 (mpmath at 50 digits) at couplings mu=0.8, nu=0.7, kappa=0.25.  The
-rational-family checks at n = 3, 4 and 8 import that module and evaluate
-its subset sums and characteristic coefficients at test time.
+rational-family checks at n = 3, 4, 5 and 8 import that module and
+evaluate its subset sums, energies and characteristic coefficients at
+test time.
 """
+
+from itertools import combinations, product
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intlab.dynamics import PhasePoint, poisson_bracket_fd
-from intlab.errors import ChartError, DomainError, RegularityError
+from intlab.errors import ChartError, DomainError, RangeError, RegularityError
 from intlab.linalg import char_poly
 from intlab.sutherland import (
     BCnCouplings,
@@ -290,12 +293,13 @@ class TestDualH:
     def test_conjugation_identity(self):
         rng = np.random.default_rng(6)
         lam = np.sort(rng.uniform(0.5, 4.0, 3))[::-1]
-        kappa = 0.3
-        h = dual_h_matrix(lam, kappa)
         Lam = np.diag(np.concatenate([lam, -lam]))
-        d = np.sqrt(lam**2 - kappa**2)
-        target = np.diag(np.concatenate([d, -d])) - kappa * half_swap(3)
-        np.testing.assert_allclose(h @ Lam @ np.linalg.inv(h), target, atol=1e-12)
+        # an imaginary kappa is the rational family's rotation
+        for kappa in (0.3, -0.3j):
+            h = dual_h_matrix(lam, kappa)
+            d = np.sqrt(lam**2 - kappa**2)
+            target = np.diag(np.concatenate([d, -d])) - kappa * half_swap(3)
+            np.testing.assert_allclose(h @ Lam @ np.linalg.inv(h), target, atol=1e-12)
 
     def test_orthogonal(self):
         rng = np.random.default_rng(7)
@@ -304,8 +308,9 @@ class TestDualH:
         np.testing.assert_allclose(h @ h.T, np.eye(8), atol=1e-12)
 
     def test_rejects_small_lambda(self):
-        with pytest.raises(DomainError):
-            dual_h_matrix([0.2, 0.1], 0.3)
+        for lam, kappa in (([0.2, 0.1], 0.3), ([-1.0, -2.0], 0.3), ([1.0, -0.5], -0.3j)):
+            with pytest.raises(DomainError):
+                dual_h_matrix(lam, kappa)
 
 
 class TestDualState:
@@ -574,6 +579,20 @@ class TestFamilyEval:
             tab = family_eval(np.array(lam, float), np.array(theta, float), COUP)
             np.testing.assert_allclose(tab.subset_values, want, rtol=1e-12)
 
+    def test_energy_matches_mpmath(self):
+        for lam, theta in (
+            (["4.4", "3.3", "2.1", "1.2", "0.5"], ["0.3", "-0.5", "0.2", "0.6", "-0.1"]),
+            (
+                ["7.3", "6.1", "5.2", "4.0", "3.1", "2.2", "1.4", "0.6"],
+                ["0.4", "-0.3", "0.15", "-0.6", "0.25", "0.5", "-0.45", "0.1"],
+            ),
+        ):
+            want = float(oracle.pusztai_hamiltonian(
+                [mp.mpf(v) for v in lam], [mp.mpf(v) for v in theta]
+            ))
+            tab = family_eval(np.array(lam, float), np.array(theta, float), COUP)
+            assert tab.energy == pytest.approx(want, rel=1e-12), f"n = {len(lam)}"
+
     def test_char_poly_matches_mpmath_at_n8(self):
         lam = ["7.3", "6.1", "5.2", "4.0", "3.1", "2.2", "1.4", "0.6"]
         theta = ["0.4", "-0.3", "0.15", "-0.6", "0.25", "0.5", "-0.45", "0.1"]
@@ -615,6 +634,16 @@ class TestFamilyRelation:
         assert rel.residual_direct < 1e-10
         assert rel.residual_inverse < 1e-10
         assert rel.residual_symmetric < 1e-10
+        # cosh sums over k-subsets and all sign choices, term by term
+        brute = [
+            sum(
+                np.cosh(np.dot(eps, q[list(sub)]))
+                for sub in combinations(range(4), k)
+                for eps in product((1.0, -1.0), repeat=k)
+            )
+            for k in range(5)
+        ]
+        np.testing.assert_allclose(rel.cosh_values, brute, rtol=1e-13)
 
     def test_triangular_maps_invert_exactly(self):
         for n in range(1, 6):
@@ -632,6 +661,14 @@ class TestFamilyRelation:
         with pytest.raises(DomainError):
             family_relation([0.5, 0.2], n=3)
 
+    def test_int64_limit_raises_range_error(self):
+        family_matrices(33)  # C(66, 33) still fits
+        with pytest.raises(RangeError, match="n = 34"):
+            family_matrices(34)
+        lam = np.arange(34, 0, -1) * 0.7
+        with pytest.raises(RangeError):
+            family_eval(lam, np.zeros(34), COUP)
+
 
 class TestDualSystem:
     def test_flow_data(self):
@@ -643,3 +680,6 @@ class TestDualSystem:
         assert sys.energy(inside) == pytest.approx(
             dual_hamiltonian(DualPoint([4.0, 1.5], [0.1, -0.2]), COUP)
         )
+        # the flow's energy keeps the chamber check of dual_hamiltonian
+        with pytest.raises(DomainError):
+            sys.hamiltonian(outside)
