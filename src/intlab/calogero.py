@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianSystem, PhasePoint
+from .dynamics import HamiltonianSystem, PhasePoint, _vec
 from .errors import DegeneracyError, DomainError
 from .linalg import _DEGENERACY_GAP, hermitian_eigen
 
@@ -24,12 +24,10 @@ class RatCMPoint:
     g: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, float)))
-        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, float)))
+        object.__setattr__(self, "q", _vec(self.q, "q"))
+        object.__setattr__(self, "p", _vec(self.p, "p"))
         if self.q.shape != self.p.shape:
             raise DomainError("q and p must have equal length")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
-            raise DomainError("q and p must be finite")
         if len(self.q) > 1 and np.min(-np.diff(self.q)) <= 0:
             raise DomainError("configuration must satisfy q_1 > ... > q_n")
 

@@ -29,6 +29,16 @@ _FIT_RESIDUAL_LIMIT = 1e-2
 _BOUNDARY_MARGIN = 1e-8
 
 
+def _vec(x, name):
+    """A non-empty, finite 1-D float array, or DomainError naming the input."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError(f"{name} must be a non-empty 1-D real vector")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """Canonical coordinates: q positions (or actions), p momenta."""
@@ -103,10 +113,6 @@ class Trajectory:
     @property
     def final(self):
         return self.states[-1]
-
-    def energy_drift(self):
-        e = self.invariants["energy"]
-        return float(np.max(np.abs(e - e[0])))
 
 
 @dataclass(frozen=True)
@@ -222,18 +228,15 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     )
 
 
-def poisson_bracket_fd(f, g, x, h=None):
+def poisson_bracket_fd(f, g, x):
     """Central-difference canonical Poisson bracket {f, g} at x.
 
-    The step is h * (1 + |coordinate|) per direction; on evaluation
-    failure (observable raises, or returns a non-finite number) the
-    step is reduced up to three times before giving up.
+    The step is _FD_STEP * (1 + |coordinate|) per direction; on
+    evaluation failure (observable raises, or returns a non-finite
+    number) the step is divided by 4, up to three times, before giving up.
     """
-    base = _FD_STEP if h is None else float(h)
-    if base <= 0:
-        raise DomainError("step must be positive")
     for attempt in range(4):
-        step = base / 4.0 ** attempt
+        step = _FD_STEP / 4.0 ** attempt
         try:
             fq, fp = _fd_gradient(f, x, step)
             gq, gp = _fd_gradient(g, x, step)
@@ -244,20 +247,10 @@ def poisson_bracket_fd(f, g, x, h=None):
     raise DomainError("observable not evaluable near the requested point")
 
 
-def _fit_window_slice(traj, fit_window, at_end):
-    if fit_window is None:
-        m = len(traj.times)
-        count = max(m // 4, 2)
-        return slice(m - count, m) if at_end else slice(0, count)
-    lo, hi = fit_window
-    mask = (traj.times >= lo) & (traj.times <= hi)
-    if np.count_nonzero(mask) < 2:
-        raise DomainError("fit window contains fewer than two samples")
-    idx = np.nonzero(mask)[0]
-    return slice(idx[0], idx[-1] + 1)
-
-
-def _fit_asymptote(traj, window, slope_transform):
+def _fit_asymptote(traj, at_end):
+    m = len(traj.times)
+    count = max(m // 4, 2)
+    window = slice(m - count, m) if at_end else slice(0, count)
     ts = traj.times[window]
     qs = np.array([x.q for x in traj.states[window]])
     design = np.vstack([ts, np.ones_like(ts)]).T
@@ -269,28 +262,20 @@ def _fit_asymptote(traj, window, slope_transform):
         raise ConvergenceError(
             f"trajectory not asymptotically free yet (fit residual {resid:.2e})"
         )
-    thetas = slopes if slope_transform is None else slope_transform(slopes)
-    return np.asarray(thetas, float), intercepts
+    return slopes, intercepts
 
 
-def extract_scattering(traj_fwd, traj_bwd, fit_window=None, slope_transform=None):
+def extract_scattering(traj_fwd, traj_bwd):
     """Read asymptotic momenta from a forward and a backward trajectory.
 
-    Positions are fit as q_a(t) ~ slope_a * t + intercept_a over the
-    window (the late part of traj_fwd, the early part of traj_bwd).
-    slope_transform maps fitted slopes to momenta; identity by default,
-    arcsinh for systems whose free motion is q ~ t sinh(theta).  The
-    transformed slopes are cross-checked against the momentum
-    coordinates at the window edge and must agree to 1e-3.
+    Positions are fit as q_a(t) ~ theta_a * t + intercept_a over a fixed
+    window: the last quarter of the samples of traj_fwd and the first
+    quarter of traj_bwd (at least two samples each).  The fitted slopes
+    are cross-checked against the momentum coordinates at the window
+    edge and must agree to 1e-3.
     """
-    th_plus, lam_plus = _fit_asymptote(
-        traj_fwd, _fit_window_slice(traj_fwd, fit_window, at_end=True), slope_transform
-    )
-    # the same window, mirrored onto the negative-time half-axis
-    bw_window = None if fit_window is None else (-fit_window[1], -fit_window[0])
-    th_minus, _ = _fit_asymptote(
-        traj_bwd, _fit_window_slice(traj_bwd, bw_window, at_end=False), slope_transform
-    )
+    th_plus, lam_plus = _fit_asymptote(traj_fwd, at_end=True)
+    th_minus, _ = _fit_asymptote(traj_bwd, at_end=False)
 
     edge_plus = traj_fwd.final.p
     edge_minus = traj_bwd.initial.p
@@ -309,20 +294,9 @@ def extract_scattering(traj_fwd, traj_bwd, fit_window=None, slope_transform=None
     )
 
 
-def invariant_drift(traj, family=None):
-    """Max |I_k(x(t)) - I_k(x(0))| per named invariant.
-
-    With family=None the drift of the samples already stored on the
-    trajectory is reported.
-    """
-    if family is None:
-        table = traj.invariants
-    else:
-        table = {
-            label: np.array([np.atleast_1d(func(x)) for x in traj.states])
-            for label, func in family.items()
-        }
+def invariant_drift(traj):
+    """Max |I_k(x(t)) - I_k(x(0))| per invariant stored on the trajectory."""
     return {
         label: float(np.max(np.abs(values - values[0])))
-        for label, values in table.items()
+        for label, values in traj.invariants.items()
     }

@@ -33,10 +33,6 @@ class DegeneracyError(RegularityError):
     """Eigenvalues too close to separate reliably."""
 
 
-class FactorizationError(IntlabError):
-    """A matrix factorization does not exist or could not be computed."""
-
-
 class ChartError(DomainError):
     """A coordinate chart is not defined at the requested point."""
 

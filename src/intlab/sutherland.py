@@ -31,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from .dynamics import HamiltonianSystem
+from .dynamics import HamiltonianSystem, _vec
 from .errors import ChartError, DomainError, RangeError, RegularityError
 from .linalg import char_poly
 
@@ -39,15 +39,6 @@ from .linalg import char_poly
 _REG_MARGIN = 1e-8
 # |lam_n - mu| below which the cancelled corner form replaces the raw quotient.
 _CANCEL_SWITCH = 1e-6
-
-
-def _vec(x, name):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{name} must be a non-empty 1-D real vector")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    return arr
 
 
 def _pairs(x, diagonal=None):
@@ -66,6 +57,12 @@ def _upper(n):
     j, k = np.triu_indices(n, 1)
     j.flags.writeable = k.flags.writeable = False  # shared by every caller
     return j, k
+
+
+def _power_sums(lam2):
+    """Trace family sum_j lam2_j^k / (2k), k = 1..n, of squared dual positions."""
+    k = np.arange(1, lam2.size + 1)
+    return (lam2[None, :] ** k[:, None]).sum(axis=1) / (2 * k)
 
 
 def _in_alcove(q):
@@ -145,7 +142,7 @@ class SutherlandPoint:
 
 @dataclass(frozen=True)
 class DualPoint:
-    """Dual-side point (lam, theta) with an optional global representative z.
+    """Dual-side point (lam, theta) in the local chart.
 
     Chamber membership depends on the couplings, so the operations check
     it; construction only enforces ordering, positivity and shape, which
@@ -154,7 +151,6 @@ class DualPoint:
 
     lam: np.ndarray
     theta: np.ndarray
-    z: np.ndarray = None
 
     def __post_init__(self):
         lam = _vec(self.lam, "lam")
@@ -165,11 +161,6 @@ class DualPoint:
             raise DomainError("lam must be strictly decreasing and positive")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "theta", theta)
-        if self.z is not None:
-            z = np.asarray(self.z, dtype=complex)
-            if z.shape != lam.shape:
-                raise DomainError("z must match lam in shape")
-            object.__setattr__(self, "z", z)
 
     @property
     def n(self):
@@ -184,7 +175,7 @@ class DualPoint:
         lam = lambda_of_z(z, c)
         args = np.angle(z)
         theta = np.diff(np.concatenate(([0.0], args)))
-        return cls(lam, theta, z=z)
+        return cls(lam, theta)
 
 
 def _require_chamber(lam, c):
@@ -234,8 +225,11 @@ def lax_Y(x, c):
     """First-order matrix of the direct flow and its commuting trace family.
 
     Returns (Y, H) with Y the 2n x 2n anti-Hermitian matrix and
-    H[k-1] = tr((-iY)^(2k)) / (4k) for k = 1..n.  Odd trace powers of
-    -iY vanish, and H[0] reproduces sutherland_H.
+    H[k-1] = tr((-iY)^(2k)) / (4k) for k = 1..n.  The spectrum of (-iY)^2
+    holds each squared dual position lam_j^2 twice, so H is the power sum
+    of transported_family; squaring before the power halves the rounding
+    it amplifies.  Odd trace powers of -iY vanish, and H[0] reproduces
+    sutherland_H.
     """
     q, p, n = x.q, x.p, x.n
     d, s = _pairs(q, np.pi / 2)  # diagonals are overwritten below
@@ -248,14 +242,9 @@ def lax_Y(x, c):
     eye = np.eye(n)
     Y[:n, n:] -= 1j * c.kappa * eye
     Y[n:, :n] -= 1j * c.kappa * eye
-    m2 = (-1j * Y) @ (-1j * Y)
-    values = np.empty(n)
-    power = m2
-    for k in range(1, n + 1):
-        values[k - 1] = float(np.trace(power).real) / (4 * k)
-        if k < n:
-            power = power @ m2
-    return Y, values
+    X = -1j * Y
+    lam2 = np.linalg.eigvalsh(X @ X).reshape(n, 2).mean(axis=1)  # each lam_j^2 twice
+    return Y, _power_sums(lam2)
 
 
 def make_system(n, c):
@@ -544,10 +533,7 @@ def transported_family(z, c):
     invariant of the direct flow.  Only the moduli |z_j| enter, so the
     whole family is blind to the phases that the dual energy sees.
     """
-    lam = lambda_of_z(z, c)
-    return np.array(
-        [float(np.sum(lam ** (2 * k))) / (2 * k) for k in range(1, lam.size + 1)]
-    )
+    return _power_sums(lambda_of_z(z, c) ** 2)
 
 
 def chart_gauge(z):
@@ -620,7 +606,11 @@ def family_lax(lam, theta, c):
     of its characteristic polynomial palindromic.
     """
     d = DualPoint(lam, theta)
-    lam, theta, n = d.lam, d.theta, d.n
+    return _family_lax(d.lam, d.theta, c)
+
+
+def _family_lax(lam, theta, c):
+    n = lam.size
     mu, nu = c.mu, c.nu
     minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
     z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
@@ -651,7 +641,7 @@ def family_eval(lam, theta, c):
     """
     d = DualPoint(lam, theta)
     lam, theta, n = d.lam, d.theta, d.n
-    coeffs = char_poly(family_lax(lam, theta, c)).coefficients.real.astype(float)
+    coeffs = char_poly(_family_lax(lam, theta, c)).coefficients.real.astype(float)
     signs = (-1.0) ** np.arange(n + 1)
     subset = signs * (family_matrices(n).subset_from_char @ coeffs[: n + 1])
     energy = _product_energy(
@@ -680,7 +670,9 @@ class FamilyMatrices:
     char_from_subset: np.ndarray
 
 
+@lru_cache(maxsize=None)
 def family_matrices(n):
+    """The maps for n particles; cached per n, so the arrays are read-only."""
     if n < 1:
         raise DomainError("need n >= 1")
     # the largest entry is char_from_subset[n, 0] = C(2n, n)
@@ -710,6 +702,8 @@ def family_matrices(n):
     for m in range(size):
         for l in range(m + 1):
             char_from_subset[m, l] = comb(2 * (n - l), m - l)
+    for M in (to_subset, to_char, subset_from_char, char_from_subset):
+        M.flags.writeable = False  # shared by every caller
     return FamilyMatrices(to_subset, to_char, subset_from_char, char_from_subset)
 
 
@@ -725,7 +719,7 @@ class FamilyRelation:
     residual_symmetric: float
 
 
-def family_relation(q, n=None):
+def family_relation(q):
     """Position-only forms of both families and the residuals of their links.
 
     residual_direct measures the subset family against the integer map of
@@ -734,10 +728,7 @@ def family_relation(q, n=None):
     symmetric polynomials in sinh^2(q/2).
     """
     q = _vec(q, "q")
-    if n is None:
-        n = q.size
-    elif n != q.size:
-        raise DomainError("n must match len(q)")
+    n = q.size
     mats = family_matrices(n)
     orders = np.arange(n + 1)
     # the cosh sum over k-subsets and signs is 2^k e_k(cosh q), and np.poly

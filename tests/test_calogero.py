@@ -25,7 +25,7 @@ from intlab.dynamics import (
     invariant_drift,
     poisson_bracket_fd,
 )
-from intlab.errors import DomainError
+from intlab.errors import DegeneracyError, DomainError
 
 # sorted spectrum of L at q=(1,0,-1), p=(1,-1,1), g=1
 SCATTER_SPECTRUM = np.array(
@@ -80,6 +80,15 @@ class TestRatCMPoint:
             ([np.nan, 0.0], [0.1, 0.2]),
             ([np.inf, 0.0], [0.1, 0.2]),
             ([1.0, 0.0], [0.1, -np.inf]),
+        ):
+            with pytest.raises(DomainError):
+                RatCMPoint(q, p, 1.0)
+
+    def test_shape_rejected(self):
+        for q, p in (
+            ([[1.0, 0.0]], [[0.1, 0.2]]),  # 2-D, one row
+            ([], []),
+            (0.5, 0.1),  # 0-D
         ):
             with pytest.raises(DomainError):
                 RatCMPoint(q, p, 1.0)
@@ -232,6 +241,12 @@ class TestSklyaninCoords:
             assert np.isrealobj(c.mu)
             assert np.max(np.abs(c.f.real)) <= 1e-12 * scale
 
+    def test_degenerate_spectrum_raises(self):
+        # at g = 0 with equal momenta, L = 0.4 I has one eigenvalue n times
+        x = RatCMPoint([1.0, 0.0, -1.0], [0.4, 0.4, 0.4], 0.0)
+        with pytest.raises(DegeneracyError):
+            sklyanin_coords(x)
+
     @PROPERTY
     @given(cm_points())
     def test_theta_splits_into_mu_plus_f_property(self, x):
@@ -313,7 +328,7 @@ class TestFlow:
             invariant_family={"lax": self.lax_spectrum},
         )
         assert invariant_drift(traj)["lax"] <= 1e-8
-        assert traj.energy_drift() <= 100 * 1e-10
+        assert invariant_drift(traj)["energy"] <= 100 * 1e-10
 
     def test_scattering_momenta_are_lax_eigenvalues(self):
         fwd = integrate_flow(self.sys, self.x0, (0.0, 120.0), tol=1e-11)

@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from intlab.errors import FactorizationError, RangeError, StructureError
-from intlab.linalg import (
-    char_poly,
-    hermitian_eigen,
-    iwasawa_qr,
-    spectral_flow,
-)
+from intlab.errors import StructureError
+from intlab.linalg import char_poly, hermitian_eigen
 
 
 def random_hermitian(rng, n):
@@ -114,83 +109,3 @@ class TestCharPoly:
             for m in range(N + 1):
                 assert abs(K[N - m] - K[m]) <= 1e-9 * max(1.0, abs(K[m]))
 
-
-class TestIwasawaQR:
-    def test_identity(self):
-        g, b = iwasawa_qr(np.eye(3))
-        np.testing.assert_allclose(g, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(b, np.eye(3), atol=1e-14)
-
-    def test_triangular_input_passthrough(self):
-        K = np.array([[2.0, 1.0 + 1j], [0.0, 0.5]])
-        g, b = iwasawa_qr(K)
-        np.testing.assert_allclose(g, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(b, np.linalg.inv(K), atol=1e-13)
-
-    def test_random_det_one(self):
-        rng = np.random.default_rng(8)
-        for n in (2, 4, 6):
-            K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            K /= np.linalg.det(K) ** (1.0 / n)
-            g, b = iwasawa_qr(K)
-            binv = np.linalg.inv(b)
-            assert np.linalg.norm(K - g @ binv) <= 1e-11 * np.linalg.norm(K)
-            assert np.linalg.norm(g.conj().T @ g - np.eye(n)) <= 1e-12 * n
-            assert np.all(np.abs(np.tril(b, -1)) < 1e-13)
-            assert np.all(np.diagonal(b).real > 0)
-            assert np.linalg.norm(np.diagonal(b).imag) < 1e-13
-            assert abs(np.linalg.det(g) - 1.0) < 1e-10
-            assert abs(np.linalg.det(b) - 1.0) < 1e-10
-
-    def test_refactorization_is_stable(self):
-        rng = np.random.default_rng(21)
-        K = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        K /= np.linalg.det(K) ** 0.25
-        g1, b1 = iwasawa_qr(K)
-        g2, b2 = iwasawa_qr(g1 @ np.linalg.inv(b1))
-        assert np.linalg.norm(g1 - g2) <= 1e-10
-        assert np.linalg.norm(b1 - b2) <= 1e-10
-
-    def test_singular_rejected(self):
-        with pytest.raises(FactorizationError):
-            iwasawa_qr(np.zeros((2, 2)))
-
-
-class TestSpectralFlow:
-    def test_t_zero(self):
-        lam = np.array([0.5, -0.2, 0.1])
-        out = spectral_flow(lam, np.eye(3), 0.0)
-        np.testing.assert_allclose(out, np.sort(np.exp(2 * lam))[::-1], rtol=1e-12)
-
-    def test_zero_lambda_diagonal_generator(self):
-        x = np.array([0.3, -0.7, 1.1, 0.0])
-        out = spectral_flow(np.zeros(4), np.diag(x), 2.0)
-        np.testing.assert_allclose(out, np.sort(np.exp(2.0 * x))[::-1], rtol=1e-12)
-
-    def test_matches_direct_product(self):
-        rng = np.random.default_rng(17)
-        lam = rng.normal(size=4) * 0.4
-        X = (lambda A: (A + A.conj().T) / 2)(
-            rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        )
-        t = 0.8
-        out = spectral_flow(lam, X, t)
-        import scipy.linalg
-
-        direct = (
-            np.diag(np.exp(lam))
-            @ scipy.linalg.expm(t * X)
-            @ np.diag(np.exp(lam))
-        )
-        ref = np.sort(np.linalg.eigvals(direct).real)[::-1]
-        np.testing.assert_allclose(out, ref, atol=1e-10 * max(1.0, ref[0]))
-
-    def test_positive(self):
-        rng = np.random.default_rng(30)
-        lam = rng.normal(size=5)
-        X = random_hermitian(rng, 5)
-        assert np.all(spectral_flow(lam, X, 1.5) > 0)
-
-    def test_overflow_guard(self):
-        with pytest.raises(RangeError):
-            spectral_flow(np.array([0.0]), np.array([[1.0]]), 1e4)

@@ -237,6 +237,22 @@ class TestLaxY:
         _, fam = lax_Y(x, COUP)
         np.testing.assert_allclose(fam, want, rtol=1e-12)
 
+    def test_trace_family_matches_matrix_powers(self):
+        # the definition tr((-iY)^(2k)) / (4k), by repeated products, as
+        # the float reference for the spectral route
+        rng = np.random.default_rng(32)
+        for n in (2, 8, 20):
+            for scale in (1.0, 4.0):
+                x = grid_alcove_point(rng, n)
+                x = SutherlandPoint(x.q, scale * x.p)
+                Y, fam = lax_Y(x, COUP)
+                m2 = (-1j * Y) @ (-1j * Y)
+                power, want = m2, []
+                for k in range(1, n + 1):
+                    want.append(np.trace(power).real / (4 * k))
+                    power = power @ m2
+                np.testing.assert_allclose(fam, want, rtol=1e-13)
+
     def test_commuting_family_brackets(self):
         # bracket values are pure finite-difference noise; tame points keep
         # the higher derivatives small enough for the 1e-6 budget
@@ -656,15 +672,18 @@ class TestFamilyRelation:
             )
             assert np.all(np.diag(mats.subset_from_char) == 1)
             assert np.all(np.abs(np.diag(mats.to_char)) == 1)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            family_relation([0.5, 0.2], n=3)
+            # the matrices are cached per n and shared, so they are read-only
+            for M in (mats.to_subset, mats.to_char, mats.subset_from_char, mats.char_from_subset):
+                with pytest.raises(ValueError):
+                    M[0, 0] = 7
 
     def test_int64_limit_raises_range_error(self):
         family_matrices(33)  # C(66, 33) still fits
-        with pytest.raises(RangeError, match="n = 34"):
-            family_matrices(34)
+        for _ in range(2):  # a failed build is not cached: every call raises
+            with pytest.raises(RangeError, match="n = 34"):
+                family_matrices(34)
+            with pytest.raises(DomainError):
+                family_matrices(0)
         lam = np.arange(34, 0, -1) * 0.7
         with pytest.raises(RangeError):
             family_eval(lam, np.zeros(34), COUP)
