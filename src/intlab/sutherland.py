@@ -11,12 +11,14 @@ Chart conventions for the dual side:
   * the global chart is z in C^n, with |z_j|^2 measuring the excess of
     the j-th chamber inequality and the phases of z carrying the angles.
 
-The two charts are glued by a diagonal unitary built from cumulative
-phases; `dual_lax_global` is defined on all of C^n, including z = 0,
-where the chamber inequalities saturate and the local chart dies.  The
-commuting invariants of the direct side, transported to the dual side,
-are symmetric functions of lam(z) alone, so they only see the moduli
-|z_j|; the dual energy, by contrast, sees the phases as well.
+One routine writes the unitary dual matrix.  It works in the global
+chart, which covers all of C^n, including z = 0, where the chamber
+inequalities saturate and the local chart dies; the local-chart matrix
+is its gauge by the diagonal unitary `chart_gauge` built from
+cumulative phases.  The commuting invariants of the direct side,
+transported to the dual side, are symmetric functions of lam(z) alone,
+so they only see the moduli |z_j|; the dual energy, by contrast, sees
+the phases as well.
 
 The last third of the module treats a *rational* deformed family on the
 plain positive chamber (no 2*mu gaps): subset-sum Hamiltonians with
@@ -32,11 +34,9 @@ from math import comb
 import numpy as np
 
 from .dynamics import HamiltonianSystem, _vec
-from .errors import ChartError, DomainError, RangeError, RegularityError
+from .errors import ChartError, DomainError, RangeError
 from .linalg import char_poly
 
-# Slack below which a weight denominator counts as degenerate.
-_REG_MARGIN = 1e-8
 # |lam_n - mu| below which the cancelled corner form replaces the raw quotient.
 _CANCEL_SWITCH = 1e-6
 
@@ -63,6 +63,16 @@ def _power_sums(lam2):
     """Trace family sum_j lam2_j^k / (2k), k = 1..n, of squared dual positions."""
     k = np.arange(1, lam2.size + 1)
     return (lam2[None, :] ** k[:, None]).sum(axis=1) / (2 * k)
+
+
+def _zvec(z):
+    """Complex twin of dynamics._vec for global-chart points."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 1 or z.size == 0:
+        raise DomainError("z must be a non-empty 1-D complex vector")
+    if not np.all(np.isfinite(z)):
+        raise DomainError("z must be finite")
+    return z
 
 
 def _in_alcove(q):
@@ -169,13 +179,10 @@ class DualPoint:
     @classmethod
     def from_global(cls, z, c):
         """Lift a global-chart point; requires every component nonzero."""
-        z = np.asarray(z, dtype=complex).reshape(-1)
+        z = _zvec(z)
         if np.any(np.abs(z) == 0.0):
             raise ChartError("the angle chart needs all z components nonzero")
-        lam = lambda_of_z(z, c)
-        args = np.angle(z)
-        theta = np.diff(np.concatenate(([0.0], args)))
-        return cls(lam, theta)
+        return cls(lambda_of_z(z, c), np.diff(np.angle(z), prepend=0.0))
 
 
 def _require_chamber(lam, c):
@@ -183,19 +190,6 @@ def _require_chamber(lam, c):
         raise DomainError(
             "lam outside the open dual chamber (gaps > 2*mu, lam_n > nu)"
         )
-
-
-def _require_strongly_regular(lam, c):
-    """Margins for every denominator the weight formulas divide by."""
-    edge = abs(2 * c.mu - c.nu)
-    near = (np.abs(lam - c.nu) <= _REG_MARGIN) | (np.abs(lam - edge) <= _REG_MARGIN)
-    if np.any(near):
-        raise RegularityError(f"lam[{np.argmax(near)}] too close to a coupling threshold")
-    a, b = _upper(lam.size)
-    near = np.abs(np.abs([lam[a] - lam[b], lam[a] + lam[b]]) - 2 * c.mu) <= _REG_MARGIN
-    if np.any(near):
-        k = np.argmax(near.any(axis=0))
-        raise RegularityError(f"|lam[{a[k]}] +/- lam[{b[k]}]| within margin of 2*mu")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +278,7 @@ def make_system(n, c):
 
 
 # ---------------------------------------------------------------------------
-# dual side, local chart
+# dual side: the block rotation and the product-form energy
 
 
 def dual_h_matrix(lam, kappa):
@@ -311,52 +305,11 @@ def dual_h_matrix(lam, kappa):
     return np.block([[alpha, beta], [-beta, alpha]])
 
 
-@dataclass(frozen=True)
-class DualState:
-    """Square-root vector f, chamber weights, and the two solution branches
-    of the quadratic constraints satisfied by the weighted moduli."""
-
-    f: np.ndarray
-    weights: np.ndarray
-    cf_plus: np.ndarray
-    cf_minus: np.ndarray
-
-
 def _root(value):
     """Elementwise square root; every factor must be positive on its own."""
     if (value <= 0).any():
         raise DomainError("square-root factor lost positivity: lam left the chamber")
     return np.sqrt(value)
-
-
-def dual_state(d, c):
-    """Vector data of the local-chart dual matrix.
-
-    The first half of f is real, the second half carries e^(i*theta);
-    cf_plus sums to +2n and cf_minus to -2n, which pins the branch of
-    every square root at once.
-    """
-    lam, th, n = d.lam, d.theta, d.n
-    _require_chamber(lam, c)
-    _require_strongly_regular(lam, c)
-    mu, nu = c.mu, c.nu
-    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
-    low_m, low_p = 1 - 2 * mu / minus, 1 - 2 * mu / plus
-    high_m, high_p = 1 + 2 * mu / minus, 1 + 2 * mu / plus
-    f = np.concatenate([
-        _root(1 - nu / lam) * (_root(low_m) * _root(low_p)).prod(axis=1),
-        np.exp(1j * th) * _root(1 + nu / lam) * (_root(high_m) * _root(high_p)).prod(axis=1),
-    ])
-    # prod_b (lam_a^2 - lam_b^2) / ((lam_a -+ 2*mu)^2 - lam_b^2) is the
-    # product of the same factors, inverted
-    weights = 1.0 / np.concatenate([
-        (low_m * low_p).prod(axis=1),
-        (high_m * high_p).prod(axis=1),
-    ])
-    cf_plus = np.concatenate([(1 - nu / lam) / weights[:n], (1 + nu / lam) / weights[n:]])
-    shift = (2 * mu - nu) / lam
-    cf_minus = np.concatenate([(-1 + shift) / weights[:n], (-1 - shift) / weights[n:]])
-    return DualState(f=f, weights=weights, cf_plus=cf_plus, cf_minus=cf_minus)
 
 
 def _product_energy(lam, wave, mu2, nu2, kap2, nu_kap):
@@ -390,62 +343,13 @@ def dual_hamiltonian(d, c):
     return _dual_energy(d.lam, d.theta, c)
 
 
-def _cancelled_corner(lam, mu, nu):
-    """Corner entry with the lam_n = mu pole removed.
-
-    The raw quotient [mu*f_n^2 - (mu - nu)] / (mu - lam_n) is 0/0 at the
-    crossing; expanding f_n^2 factor by factor telescopes it into the
-    series below, regular through lam_n = mu.
-    """
-    x = lam[-1]
-    acc = 0.0
-    run = 1.0
-    for la in lam[:-1]:
-        acc += run / (x**2 - la**2)
-        run *= ((x - 2 * mu) ** 2 - la**2) / (x**2 - la**2)
-    return (4 * mu**2 * (x - nu) * acc - nu) / x
-
-
-def _half_swap(n):
-    C = np.zeros((2 * n, 2 * n))
-    C[:n, n:] = np.eye(n)
-    C[n:, :n] = np.eye(n)
-    return C
-
-
-def dual_lax_local(d, c):
-    """Unitary local-chart dual matrix and the energy read off its trace.
-
-    Returns (A, value) with value = Re tr(h A h) / 2, which agrees with
-    dual_hamiltonian.  The (n, 2n) entry is evaluated by the cancelled
-    form whenever lam_n is within _CANCEL_SWITCH of mu.
-    """
-    state = dual_state(d, c)
-    lam, n = d.lam, d.n
-    mu, nu = c.mu, c.nu
-    f = state.f
-    cf = np.concatenate([f[n:], f[:n]])
-    big = np.concatenate([lam, -lam])
-    num = 2 * mu * np.outer(f, np.conj(cf)) - 2 * (mu - nu) * _half_swap(n)
-    den = 2 * mu + big[None, :] - big[:, None]
-    corner = abs(lam[-1] - mu) < _CANCEL_SWITCH
-    if corner:
-        den[n - 1, 2 * n - 1] = 1.0  # placeholder, entry rewritten below
-    A = num / den
-    if corner:
-        A[n - 1, 2 * n - 1] = _cancelled_corner(lam, mu, nu)
-    h = dual_h_matrix(lam, c.kappa)
-    value = 0.5 * float(np.trace(h @ A @ h).real)
-    return A, value
-
-
 # ---------------------------------------------------------------------------
-# dual side, global chart
+# dual side: one dual matrix, built in the global chart and gauged to the local
 
 
 def lambda_of_z(z, c):
     """Positions on the closed chamber: lam_k = nu + 2*mu*(n-k) + sum_{j>=k} |z_j|^2."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
+    z = _zvec(z)
     mods = np.abs(z) ** 2
     n = z.size
     tails = np.cumsum(mods[::-1])[::-1]
@@ -455,8 +359,8 @@ def lambda_of_z(z, c):
 def _chart_g(lam, c):
     """The 2n positive square-root combinations smooth on the closed chamber.
 
-    Each is the corresponding f-factor with the single chamber-gap factor
-    that vanishes on the boundary divided out.
+    Each is a square-root product of chamber factors, with the single gap
+    factor that vanishes on the boundary divided out.
     """
     mu, nu = c.mu, c.nu
     d, s = _pairs(lam, np.inf)  # diagonal factors are 1
@@ -472,32 +376,32 @@ def _chart_g(lam, c):
     ]))
 
 
-@dataclass(frozen=True)
-class DualGlobal:
-    """Global-chart data: positions lam(z), the unitary dual matrix, and the
-    alcove positions recovered from its spectrum."""
+def _cancelled_corner(lam, mu, nu):
+    """Corner entry with the lam_n = mu pole removed.
 
-    lam: np.ndarray
-    lax: np.ndarray
-    alcove_q: np.ndarray
+    The raw quotient [mu*|z_n g_n|^2 - (mu - nu)] / (mu - lam_n) is 0/0 at
+    the crossing; expanding |z_n g_n|^2 factor by factor telescopes it
+    into the series below, regular through lam_n = mu.
+    """
+    x = lam[-1]
+    acc = 0.0
+    run = 1.0
+    for la in lam[:-1]:
+        acc += run / (x**2 - la**2)
+        run *= ((x - 2 * mu) ** 2 - la**2) / (x**2 - la**2)
+    return (4 * mu**2 * (x - nu) * acc - nu) / x
 
 
-def dual_lax_global(z, c):
-    """Global-chart dual matrix, defined on all of C^n including z = 0.
+def _dual_matrix(lam, z, c):
+    """The unitary dual matrix at global-chart z, with lam = lambda_of_z(z).
 
     The entries adjacent to the diagonal of the two square blocks, and
     the corner entry of the off-diagonal block, are evaluated by their
     cancelled forms, so the matrix stays smooth where chamber gaps
-    saturate.  alcove_q holds the direct-side positions encoded in the
-    spectrum of the conjugated matrix; at z = 0 they are the equilibrium
-    configuration of the direct flow.
+    saturate.
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.size == 0 or not np.all(np.isfinite(z)):
-        raise DomainError("z must be a finite complex vector")
     n = z.size
     mu, nu = c.mu, c.nu
-    lam = lambda_of_z(z, c)
     g = _chart_g(lam, c)
     lo = np.conj(z) * g[:n]
     hi = np.concatenate([[1.0], z[:-1]]) * g[n:]  # z_(a-1) * g_(n+a), z_(-1) = 1
@@ -518,12 +422,41 @@ def dual_lax_global(z, c):
     if corner:
         tr[-1, -1] = _cancelled_corner(lam, mu, nu)
     bl = 2 * mu * np.outer(np.conj(hi), hi) / (s + 2 * mu) - np.diag((mu - nu) / (lam + mu))
-    A = np.block([[tl, tr], [bl, br]])
-    h = dual_h_matrix(lam, c.kappa)
-    spun = h @ A @ h
+    return np.block([[tl, tr], [bl, br]])
+
+
+@dataclass(frozen=True)
+class DualGlobal:
+    """Global-chart data: the positions lam(z) and the unitary dual matrix."""
+
+    lam: np.ndarray
+    lax: np.ndarray
+
+
+def dual_lax_global(z, c):
+    """Global-chart dual matrix, defined on all of C^n including z = 0.
+
+    It stays smooth where chamber gaps saturate; the local-chart matrix
+    of dual_lax_local is its gauge, and alcove_q reads the direct-side
+    positions off its spectrum.
+    """
+    z = _zvec(z)
+    lam = lambda_of_z(z, c)
+    return DualGlobal(lam=lam, lax=_dual_matrix(lam, z, c))
+
+
+def alcove_q(z, c):
+    """Direct-side alcove positions encoded in the dual matrix at z.
+
+    They are half the n largest eigenphases of -(h A h)^*, with A the
+    global-chart matrix and h = dual_h_matrix(lam(z), kappa).  At z = 0
+    they are the equilibrium configuration of the direct flow.
+    """
+    glob = dual_lax_global(z, c)
+    h = dual_h_matrix(glob.lam, c.kappa)
+    spun = h @ glob.lax @ h
     args = np.angle(np.linalg.eigvals(-spun.conj().T))
-    q = np.sort(args)[::-1][:n] / 2.0
-    return DualGlobal(lam=lam, lax=A, alcove_q=q)
+    return np.sort(args)[::-1][: glob.lam.size] / 2.0
 
 
 def transported_family(z, c):
@@ -538,11 +471,35 @@ def transported_family(z, c):
 
 def chart_gauge(z):
     """Diagonal unitary gluing the two dual charts on nonvanishing z."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
+    z = _zvec(z)
     if np.any(np.abs(z) == 0.0):
         raise ChartError("gauge between charts needs all z components nonzero")
     half = np.conj(z) / np.abs(z)
     return np.diag(np.concatenate([half, half]))
+
+
+def dual_lax_local(d, c):
+    """Unitary local-chart dual matrix and the energy read off its trace.
+
+    The matrix is G* A G, with A the global-chart matrix at
+    z_j = sqrt(excess_j) * e^(i*(theta_1 + ... + theta_j)), excess_j the
+    slack of the j-th chamber inequality, and G = chart_gauge(z).
+    Returns (G* A G, value) with value = Re tr(h A h) / 2 for
+    h = dual_h_matrix(lam, kappa), which agrees with dual_hamiltonian.
+    In n x n blocks h^2 = lam^-1 [[d, kappa], [-kappa, d]] with
+    d = sqrt(lam^2 - kappa^2), so the value needs only the diagonals of
+    the four blocks, which the gauge leaves alone.
+    """
+    lam, n = d.lam, d.n
+    _require_chamber(lam, c)
+    excess = np.append(-np.diff(lam) - 2 * c.mu, lam[-1] - c.nu)
+    z = np.sqrt(excess) * np.exp(1j * np.cumsum(d.theta))
+    g = chart_gauge(z).diagonal()
+    A = np.conj(g)[:, None] * _dual_matrix(lam, z, c) * g[None, :]
+    diag = A.diagonal()
+    cross = A.diagonal(-n) - A.diagonal(n)
+    trace = (np.sqrt(lam**2 - c.kappa**2) * (diag[:n] + diag[n:]) + c.kappa * cross) / lam
+    return A, 0.5 * float(trace.sum().real)
 
 
 def make_dual_system(n, c):
@@ -618,7 +575,8 @@ def _family_lax(lam, theta, c):
     F[:n] = np.exp(-theta / 2) * np.sqrt(np.abs(z))
     F[n:] = np.conj(z) / F[:n]
     big = np.concatenate([lam, -lam])
-    num = 1j * mu * np.outer(F, np.conj(F)) + 1j * (mu - 2 * nu) * _half_swap(n)
+    half_swap = np.eye(2 * n, k=n) + np.eye(2 * n, k=-n)
+    num = 1j * mu * np.outer(F, np.conj(F)) + 1j * (mu - 2 * nu) * half_swap
     A = num / (1j * mu + big[:, None] - big[None, :])
     hinv = dual_h_matrix(lam, -1j * c.kappa)  # C h C
     return hinv @ A @ hinv

@@ -11,6 +11,10 @@ as direct as possible:
     2n x 2n first-order matrix and its trace powers, cross-checked in situ
     against the plain potential sum;
   * the dual Hamiltonian comes from the explicit square-root product form;
+  * the local-chart dual matrix comes from its square-root vector f and
+    the quotient [2 mu f_j conj(f'_k) - 2 (mu - nu) C_jk] / (2 mu + L_k - L_j),
+    with the branch identities of f and the trace identity for the
+    dual Hamiltonian asserted in situ;
   * the deformed-family values come from the combinatorial subset sums and,
     independently, from the eigenvalues of the rational first-order matrix.
 
@@ -118,6 +122,100 @@ def dual_direct(lam, theta):
 
 
 H_DUAL = dual_direct(LAM, THETA)
+
+
+def dual_chamber_products(lam, sign):
+    """prod_{b != a} (1 + 2 sign mu/(lam_a - lam_b))(1 + 2 sign mu/(lam_a + lam_b)), per a."""
+    n = len(lam)
+    out = []
+    for a in range(n):
+        prod = mp.mpf(1)
+        for b in range(n):
+            if b != a:
+                prod *= 1 + sign * 2 * MU / (lam[a] - lam[b])
+                prod *= 1 + sign * 2 * MU / (lam[a] + lam[b])
+        out.append(prod)
+    return out
+
+
+def dual_f(lam, theta):
+    """Square-root vector of the local chart; each factor is rooted on its own."""
+    n = len(lam)
+    f = []
+    for sign in (-1, 1):
+        for a in range(n):
+            val = mp.sqrt(1 + sign * NU / lam[a])
+            for b in range(n):
+                if b != a:
+                    val *= mp.sqrt(1 + sign * 2 * MU / (lam[a] - lam[b]))
+                    val *= mp.sqrt(1 + sign * 2 * MU / (lam[a] + lam[b]))
+            f.append(val if sign < 0 else mp.expj(theta[a]) * val)
+    return f
+
+
+def dual_local_matrix(lam, theta):
+    """Unitary local-chart dual matrix; the (n, 2n) quotient is 0/0 at lam_n = mu."""
+    n = len(lam)
+    f = dual_f(lam, theta)
+    swapped = f[n:] + f[:n]
+    big = list(lam) + [-x for x in lam]
+    amat = mp.zeros(2 * n)
+    for j in range(2 * n):
+        for k in range(2 * n):
+            num = 2 * MU * f[j] * mp.conj(swapped[k])
+            if abs(j - k) == n:
+                num -= 2 * (MU - NU)
+            amat[j, k] = num / (2 * MU + big[k] - big[j])
+    return amat
+
+
+def dual_rotation(lam):
+    """Block rotation [[alpha, beta], [-beta, alpha]] of the kappa coupling."""
+    n = len(lam)
+    h = mp.zeros(2 * n)
+    for j in range(n):
+        x = lam[j]
+        root = mp.sqrt(x + mp.sqrt(x**2 - KAPPA**2))
+        h[j, j] = h[n + j, n + j] = root / mp.sqrt(2 * x)
+        h[j, n + j] = KAPPA / (mp.sqrt(2 * x) * root)
+        h[n + j, j] = -h[j, n + j]
+    return h
+
+
+def check_dual_branches(lam, theta):
+    """Branch identities of f: with the weights w = 1 / dual_chamber_products,
+    |f|^2 = cf+, the branches cf+ and cf- sum to +2n and -2n, and both solve
+    the linear and quadratic constraints of the weighted moduli."""
+    n = len(lam)
+    w = [1 / x for x in dual_chamber_products(lam, -1) + dual_chamber_products(lam, 1)]
+    cf_plus = [(1 - NU / x) / wa for x, wa in zip(lam, w[:n])]
+    cf_plus += [(1 + NU / x) / wa for x, wa in zip(lam, w[n:])]
+    cf_minus = [(-1 + (2 * MU - NU) / x) / wa for x, wa in zip(lam, w[:n])]
+    cf_minus += [(-1 - (2 * MU - NU) / x) / wa for x, wa in zip(lam, w[n:])]
+    f = dual_f(lam, theta)
+    assert max(abs(abs(v) ** 2 - cf) for v, cf in zip(f, cf_plus)) < mp.mpf("1e-40")
+    assert abs(mp.fsum(cf_plus) - 2 * n) < mp.mpf("1e-40")
+    assert abs(mp.fsum(cf_minus) + 2 * n) < mp.mpf("1e-40")
+    for branch in (cf_plus, cf_minus):
+        for a in range(n):
+            wc = w[a] * branch[a]
+            wn = w[n + a] * branch[n + a]
+            x = lam[a]
+            linear = (MU + x) * wc + (MU - x) * wn - 2 * (MU - NU)
+            quad = x**2 * wc * wn - MU * (MU - NU) * (wc + wn) + (MU - NU) ** 2 + MU**2 - x**2
+            assert abs(linear) < mp.mpf("1e-40") and abs(quad) < mp.mpf("1e-40")
+
+
+check_dual_branches(LAM, THETA)
+check_dual_branches(
+    [mp.mpf("6.1"), mp.mpf("3.9"), mp.mpf("1.3")], [mp.mpf("0.7"), mp.mpf("-1.9"), mp.mpf("2.6")]
+)
+
+# The local matrix is unitary and Re tr(h A h) / 2 is the dual Hamiltonian.
+A_DUAL = dual_local_matrix(LAM, THETA)
+assert mp.mnorm(A_DUAL * A_DUAL.H - mp.eye(4), 1) < mp.mpf("1e-40")
+H_ROT = dual_rotation(LAM)
+assert abs(mp.re(trace(H_ROT * A_DUAL * H_ROT)) / 2 - H_DUAL) < mp.mpf("1e-40")
 
 
 # ---------------------------------------------------------------------------

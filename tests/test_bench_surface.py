@@ -1,0 +1,32 @@
+"""The benchmark's call surface: one item of each perfbench workload.
+
+perfbench/ calls intlab's public entry points by name and reads fields of
+what they return (for instance `dual_lax_global(z).lax`).  A change there
+breaks the benchmark without failing a unit test, so this runs slot 0 of
+every workload (seed 0, the generator perfbench/run.py builds) through the
+untraced Api and requires every gated residual to pass.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from tracing import Api  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_slot_zero_passes_its_checks(name):
+    workload = WORKLOADS[name]
+    rng = np.random.default_rng([0, sorted(WORKLOADS).index(name)])
+    ctx = workload.context(Api())
+    inp = workload.make_inputs(rng)[0]
+    out = workload.run(ctx, inp)
+    for label, err, tol in workload.check(ctx, inp, out):
+        assert np.isfinite(err), label
+        if tol is not None:
+            assert err <= tol, (label, err, tol)

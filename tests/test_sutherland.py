@@ -2,9 +2,9 @@
 
 Frozen reference numbers come from tests/oracles/sutherland_reference.py
 (mpmath at 50 digits) at couplings mu=0.8, nu=0.7, kappa=0.25.  The
-rational-family checks at n = 3, 4, 5 and 8 import that module and
-evaluate its subset sums, energies and characteristic coefficients at
-test time.
+local dual-matrix checks at n up to 12 and the rational-family checks at
+n = 3, 4, 5 and 8 import that module and evaluate its matrices, subset
+sums, energies and characteristic coefficients at test time.
 """
 
 from itertools import combinations, product
@@ -16,19 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intlab.dynamics import PhasePoint, poisson_bracket_fd
-from intlab.errors import ChartError, DomainError, RangeError, RegularityError
+from intlab.errors import ChartError, DomainError, RangeError
 from intlab.linalg import char_poly
 from intlab.sutherland import (
     BCnCouplings,
     DualPoint,
     SutherlandPoint,
+    alcove_q,
     chart_gauge,
     dual_action_jacobian,
     dual_h_matrix,
     dual_hamiltonian,
     dual_lax_global,
     dual_lax_local,
-    dual_state,
     family_eval,
     family_lax,
     family_matrices,
@@ -94,7 +94,7 @@ def family_points(draw, max_n=6):
 
 
 def random_chamber_lam(rng, n, c):
-    # gaps comfortably above 2*mu keep well clear of the regularity margins
+    # gaps comfortably above 2*mu keep the product-form factors well away from 0
     gaps = 2 * c.mu + rng.uniform(0.3, 1.2, size=n)
     lam = c.nu + np.cumsum(gaps)[::-1]
     return lam
@@ -329,63 +329,6 @@ class TestDualH:
                 dual_h_matrix(lam, kappa)
 
 
-class TestDualState:
-    def test_single_particle_formulas(self):
-        lam, theta = 2.5, 0.4
-        st = dual_state(DualPoint([lam], [theta]), COUP)
-        assert st.f[0] == pytest.approx(np.sqrt(1 - COUP.nu / lam), abs=1e-14)
-        expected = np.exp(1j * theta) * np.sqrt(1 + COUP.nu / lam)
-        assert st.f[1] == pytest.approx(expected, abs=1e-14)
-
-    def test_branch_sums(self):
-        rng = np.random.default_rng(8)
-        lam = random_chamber_lam(rng, 3, COUP)
-        st = dual_state(DualPoint(lam, rng.uniform(-np.pi, np.pi, 3)), COUP)
-        assert np.sum(st.cf_plus) == pytest.approx(6.0, abs=1e-10)
-        assert np.sum(st.cf_minus) == pytest.approx(-6.0, abs=1e-10)
-        np.testing.assert_allclose(np.abs(st.f) ** 2, st.cf_plus, atol=1e-12)
-
-    def test_quadratic_constraints(self):
-        rng = np.random.default_rng(9)
-        lam = random_chamber_lam(rng, 3, COUP)
-        st = dual_state(DualPoint(lam, rng.uniform(-np.pi, np.pi, 3)), COUP)
-        mu, nu = COUP.mu, COUP.nu
-        for branch in (st.cf_plus, st.cf_minus):
-            for a in range(3):
-                Wc = st.weights[a] * branch[a]
-                Wn = st.weights[3 + a] * branch[3 + a]
-                linear = (mu + lam[a]) * Wc + (mu - lam[a]) * Wn - 2 * (mu - nu)
-                quad = (
-                    lam[a] ** 2 * Wc * Wn
-                    - mu * (mu - nu) * (Wc + Wn)
-                    + (mu - nu) ** 2
-                    + mu**2
-                    - lam[a] ** 2
-                )
-                assert abs(linear) < 1e-10 and abs(quad) < 1e-10
-
-    def test_root_checks_each_factor(self):
-        # two negative factors multiply to a positive number; each must
-        # be rejected on its own
-        with pytest.raises(DomainError, match="lost positivity"):
-            _root(np.array([-2.0, -3.0]))
-        np.testing.assert_allclose(_root(np.array([4.0, 9.0])), [2.0, 3.0])
-
-    def test_outside_chamber_rejected(self):
-        with pytest.raises(DomainError):
-            dual_state(DualPoint([2.0, 1.0], [0.0, 0.0]), COUP)  # gap 1.0 < 2*mu
-        with pytest.raises(DomainError):
-            dual_state(DualPoint([3.0, 0.5], [0.0, 0.0]), COUP)  # lam_n < nu
-
-    def test_regularity_margins(self):
-        # inside the chamber but within 1e-8 of a dividing locus
-        with pytest.raises(RegularityError):
-            dual_state(DualPoint([3.0, COUP.nu + 1e-9], [0.0, 0.0]), COUP)
-        lam = np.array([1.0 + 2 * COUP.mu + 1e-9, 1.0])
-        with pytest.raises(RegularityError):
-            dual_state(DualPoint(lam, [0.0, 0.0]), COUP)
-
-
 class TestDualHamiltonian:
     def test_matches_mpmath_at_n6(self):
         rng = np.random.default_rng(32)
@@ -394,6 +337,13 @@ class TestDualHamiltonian:
         theta = rng.uniform(-1.0, 1.0, 6)
         want = float(oracle.dual_direct(mp_vector(lam), mp_vector(theta)))
         assert dual_hamiltonian(DualPoint(lam, theta), COUP) == pytest.approx(want, rel=1e-12)
+
+    def test_root_checks_each_factor(self):
+        # two negative factors multiply to a positive number; each must
+        # be rejected on its own
+        with pytest.raises(DomainError, match="lost positivity"):
+            _root(np.array([-2.0, -3.0]))
+        np.testing.assert_allclose(_root(np.array([4.0, 9.0])), [2.0, 3.0])
 
 
 class TestDualLaxLocal:
@@ -408,10 +358,28 @@ class TestDualLaxLocal:
 
     def test_trace_value_matches_direct_form(self):
         rng = np.random.default_rng(11)
-        lam = random_chamber_lam(rng, 2, COUP)
-        d = DualPoint(lam, rng.uniform(-np.pi, np.pi, 2))
-        _, value = dual_lax_local(d, COUP)
-        assert value == pytest.approx(dual_hamiltonian(d, COUP), abs=1e-10)
+        for kappa in (0.0, 0.25, -0.4):
+            c = BCnCouplings(mu=COUP.mu, nu=COUP.nu, kappa=kappa)
+            for n in (2, 6, 12):
+                lam = random_chamber_lam(rng, n, c)
+                d = DualPoint(lam, rng.uniform(-np.pi, np.pi, n))
+                A, value = dual_lax_local(d, c)
+                h = dual_h_matrix(lam, kappa)
+                tol = 1e-13 * max(1.0, abs(value))
+                assert abs(value - dual_hamiltonian(d, c)) < tol
+                assert abs(value - 0.5 * np.trace(h @ A @ h).real) < tol
+
+    def test_matches_mpmath(self):
+        # the oracle builds the matrix from the square-root vector f of
+        # the local chart, independently of the global-chart route
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 6, 12):
+            lam = random_chamber_lam(rng, n, COUP)
+            theta = rng.uniform(-np.pi, np.pi, n)
+            A, _ = dual_lax_local(DualPoint(lam, theta), COUP)
+            want = oracle.dual_local_matrix(mp_vector(lam), mp_vector(theta))
+            want = np.array(want.tolist(), dtype=complex)
+            np.testing.assert_allclose(A, want, rtol=0, atol=1e-12)
 
     def test_frozen_value(self):
         d = DualPoint([3.3, 1.1], [0.35, -0.6])
@@ -447,8 +415,41 @@ class TestDualLaxLocal:
                 reference = A[1, 3]
             assert abs(A[1, 3] - reference) < 1e-5
 
+    def test_outside_chamber_rejected(self):
+        with pytest.raises(DomainError):
+            dual_lax_local(DualPoint([2.0, 1.0], [0.0, 0.0]), COUP)  # gap 1.0 < 2*mu
+        with pytest.raises(DomainError):
+            dual_lax_local(DualPoint([3.0, 0.5], [0.0, 0.0]), COUP)  # lam_n < nu
+
+    def test_former_regularity_margins(self):
+        # within 1e-9 of lam_n = nu, of a gap 2*mu and of |2*mu - nu|: the
+        # weights divided by these, the matrix does not
+        mu, nu = COUP.mu, COUP.nu
+        edge = abs(2 * mu - nu)
+        for lam in ([3.0, nu + 1e-9], [1.1 + 2 * mu + 1e-9, 1.1], [4.0, edge], [4.0, edge + 1e-9]):
+            d = DualPoint(lam, [0.3, -0.2])
+            A, value = dual_lax_local(d, COUP)
+            np.testing.assert_allclose(A @ A.conj().T, np.eye(4), atol=1e-14)
+            # sqrt(lam_n - nu) in the product form turns rounding of 1e-16
+            # into about 1e-16 / sqrt(1e-9) = 3e-12
+            assert value == pytest.approx(dual_hamiltonian(d, COUP), abs=1e-11)
+
 
 class TestDualLaxGlobal:
+    def test_rejects_bad_z(self):
+        calls = (
+            lambda z: lambda_of_z(z, COUP),
+            lambda z: transported_family(z, COUP),
+            chart_gauge,
+            lambda z: DualPoint.from_global(z, COUP),
+            lambda z: dual_lax_global(z, COUP),
+            lambda z: alcove_q(z, COUP),
+        )
+        for call in calls:
+            for z in ([], [[0.5, 1.0], [1.0, 0.5]], [np.nan, 1.0], [0.5, np.inf]):
+                with pytest.raises(DomainError):
+                    call(z)
+
     def test_lambda_of_z(self):
         z = np.array([0.5 + 0.5j, -0.3j, 1.0])
         lam = lambda_of_z(z, COUP)
@@ -484,8 +485,7 @@ class TestDualLaxGlobal:
 
     def test_equilibrium_positions_critical(self):
         for c in (BCnCouplings(mu=1.0, nu=0.5, kappa=0.0), COUP):
-            glob = dual_lax_global(np.zeros(3, dtype=complex), c)
-            q = glob.alcove_q
+            q = alcove_q(np.zeros(3), c)
             assert q[-1] > 0 and q[0] < np.pi / 2 and np.all(np.diff(q) < 0)
             dq, _ = make_system(3, c).grad(PhasePoint(q, np.zeros(3)))
             assert np.max(np.abs(dq)) < 1e-8
