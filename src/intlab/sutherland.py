@@ -35,10 +35,6 @@ import numpy as np
 
 from .dynamics import HamiltonianSystem, _vec
 from .errors import ChartError, DomainError, RangeError
-from .linalg import char_poly
-
-# |lam_n - mu| below which the cancelled corner form replaces the raw quotient.
-_CANCEL_SWITCH = 1e-6
 
 
 def _pairs(x, diagonal=None):
@@ -397,8 +393,8 @@ def _dual_matrix(lam, z, c):
 
     The entries adjacent to the diagonal of the two square blocks, and
     the corner entry of the off-diagonal block, are evaluated by their
-    cancelled forms, so the matrix stays smooth where chamber gaps
-    saturate.
+    cancelled forms at every lam, so the matrix stays smooth where chamber
+    gaps saturate and exact through lam_n = mu, where the raw quotients are 0/0.
     """
     n = z.size
     mu, nu = c.mu, c.nu
@@ -414,13 +410,10 @@ def _dual_matrix(lam, z, c):
     tl = -2 * mu * np.outer(lo, hi) / tl_den
     br = 2 * mu * np.outer(np.conj(hi), np.conj(lo)) / br_den
     tl[e, e + 1] = br[e + 1, e] = -2 * mu * g[e] * g[n + e + 1]
-    corner = abs(lam[-1] - mu) < _CANCEL_SWITCH
     tr_den, shift = s - 2 * mu, lam - mu
-    if corner:
-        tr_den[-1, -1] = shift[-1] = np.inf  # entry rewritten below
+    tr_den[-1, -1] = shift[-1] = np.inf  # the corner is written below
     tr = -2 * mu * np.outer(lo, np.conj(lo)) / tr_den + np.diag((mu - nu) / shift)
-    if corner:
-        tr[-1, -1] = _cancelled_corner(lam, mu, nu)
+    tr[-1, -1] = _cancelled_corner(lam, mu, nu)
     bl = 2 * mu * np.outer(np.conj(hi), hi) / (s + 2 * mu) - np.diag((mu - nu) / (lam + mu))
     return np.block([[tl, tr], [bl, br]])
 
@@ -586,22 +579,27 @@ def _family_lax(lam, theta, c):
 class FamilyTable:
     """Values of the two rational commuting families at one phase point."""
 
-    subset_values: np.ndarray  # subset-sum family, orders 0..n
-    energy: float  # square-root product form; subset_values[1] = 2*(energy - n)
-    char_coefficients: np.ndarray  # characteristic coefficients K_0..K_2n
+    subset_values: np.ndarray  # e_l((y - 1)^2 / y) over the eigenvalue pairs, l = 0..n
+    energy: float  # independent product form; subset_values[1] = 2*(energy - n)
+    char_coefficients: np.ndarray  # K_0..K_2n of the eigenvalue pairs, palindromic
 
 
 def family_eval(lam, theta, c):
     """Evaluate both commuting families of the rational deformed system.
 
-    The subset-sum values are read off the characteristic coefficients
-    through the integer map family_matrices(n).subset_from_char.
+    family_lax is Hermitian positive definite with C L C = L^(-1), so its
+    spectrum is n pairs (y, 1/y) and its n largest eigenvalues satisfy
+    y >= 1, one from each pair.  The subset-sum values are the elementary
+    symmetric polynomials e_l((y - 1)^2 / y) of these nonnegative numbers,
+    so nothing cancels at any n; the characteristic coefficients are
+    those of prod (x - y)(x - 1/y), palindromic by construction.
     """
     d = DualPoint(lam, theta)
     lam, theta, n = d.lam, d.theta, d.n
-    coeffs = char_poly(_family_lax(lam, theta, c)).coefficients.real.astype(float)
-    signs = (-1.0) ** np.arange(n + 1)
-    subset = signs * (family_matrices(n).subset_from_char @ coeffs[: n + 1])
+    y = np.linalg.eigvalsh(_family_lax(lam, theta, c))[n:]
+    # np.poly of the negated values lists e_0..e_n
+    subset = np.poly(-((y - 1) ** 2) / y)
+    coeffs = np.poly(np.concatenate([y, 1 / y]))
     energy = _product_energy(
         lam, np.cosh(theta), -c.mu**2, -c.nu**2, -c.kappa**2, c.nu * c.kappa
     )

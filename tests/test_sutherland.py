@@ -3,7 +3,7 @@
 Frozen reference numbers come from tests/oracles/sutherland_reference.py
 (mpmath at 50 digits) at couplings mu=0.8, nu=0.7, kappa=0.25.  The
 local dual-matrix checks at n up to 12 and the rational-family checks at
-n = 3, 4, 5 and 8 import that module and evaluate its matrices, subset
+n = 3, 4, 5, 8 and 20 import that module and evaluate its matrices, subset
 sums, energies and characteristic coefficients at test time.
 """
 
@@ -403,8 +403,9 @@ class TestDualLaxLocal:
         assert values[-1] - limit < 0.1
 
     def test_corner_switch_continuous(self):
-        # lam_n crossing mu: the rewritten corner entry must join the raw
-        # quotient smoothly and keep the matrix unitary
+        # lam_n crossing mu: the corner entry is the cancelled form at every
+        # lam, so it stays continuous through the crossing, keeps the matrix
+        # unitary, and matches the 50-digit quotient wherever that is defined
         theta = np.array([0.2, -0.4])
         reference = None
         for eps in (3e-6, 1e-7, 0.0, -1e-7, -3e-6):
@@ -414,6 +415,11 @@ class TestDualLaxLocal:
             if reference is None:
                 reference = A[1, 3]
             assert abs(A[1, 3] - reference) < 1e-5
+        for eps in (1.001e-6, -1.001e-6, 1e-5, 1e-4):
+            lam = np.array([3.5, COUP.mu + eps])
+            A, _ = dual_lax_local(DualPoint(lam, theta), COUP)
+            want = oracle.dual_local_matrix(mp_vector(lam), mp_vector(theta))[1, 3]
+            assert abs(A[1, 3] - complex(want)) < 1e-14, f"eps = {eps}"
 
     def test_outside_chamber_rejected(self):
         with pytest.raises(DomainError):
@@ -575,6 +581,14 @@ class TestFamilyEval:
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(family_points())
+    def test_pair_condition_property(self, point):
+        # family_eval reads one member of each pair (y, 1/y) off the top half
+        lam, theta = point
+        y = np.linalg.eigvalsh(family_lax(lam, theta, COUP))[lam.size:]
+        assert y.min() >= 1.0
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(family_points())
     def test_palindromic_property(self, point):
         lam, theta = point
         K = char_poly(family_lax(lam, theta, COUP)).coefficients
@@ -594,6 +608,40 @@ class TestFamilyEval:
             ])
             tab = family_eval(np.array(lam, float), np.array(theta, float), COUP)
             np.testing.assert_allclose(tab.subset_values, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("n, seed", [(8, 40), (20, 41)])
+    def test_matches_mpmath_at_large_n(self, n, seed):
+        # 40-digit eigenvalues, their characteristic coefficients and the
+        # exact integer map with alternating signs: no step is shared with
+        # the eigenvalue-pair route of family_eval.  At n = 20 the map's
+        # cancellation leaves the reference within 1e-32 of a 60-digit run.
+        rng = np.random.default_rng(seed)
+        lam = 0.1 + np.cumsum(rng.uniform(0.2, 2.0, n))[::-1]
+        theta = rng.uniform(-2.0, 2.0, n)
+        M = family_matrices(n).subset_from_char
+        with mp.workdps(40):
+            L = oracle.rational_lax(mp_vector(lam), mp_vector(theta))
+            K = [mp.re(k) for k in oracle.char_coeffs(mp.eighe(L, eigvals_only=True))]
+            want = np.array([
+                float((-1) ** l * mp.fsum(int(M[l, m]) * K[m] for m in range(l + 1)))
+                for l in range(n + 1)
+            ])
+        tab = family_eval(lam, theta, COUP)
+        np.testing.assert_allclose(tab.subset_values, want, rtol=1e-12)
+        K = np.array([float(k) for k in K])
+        assert np.max(np.abs(tab.char_coefficients - K)) <= 1e-12 * np.max(np.abs(K))
+
+    def test_beyond_the_int64_map(self):
+        # n = 40: the integer map no longer fits in int64, the pair route needs none
+        n = 40
+        rng = np.random.default_rng(42)
+        lam = 0.1 + np.cumsum(rng.uniform(0.2, 2.0, n))[::-1]
+        tab = family_eval(lam, rng.uniform(-2.0, 2.0, n), COUP)
+        K = tab.char_coefficients
+        assert np.all(np.isfinite(tab.subset_values)) and np.all(np.isfinite(K))
+        h1 = tab.subset_values[1]
+        assert abs(h1 - 2 * (tab.energy - n)) <= 1e-12 * abs(h1)
+        assert np.max(np.abs(K - K[::-1])) <= 1e-12 * np.max(np.abs(K))
 
     def test_energy_matches_mpmath(self):
         for lam, theta in (
@@ -684,9 +732,6 @@ class TestFamilyRelation:
                 family_matrices(34)
             with pytest.raises(DomainError):
                 family_matrices(0)
-        lam = np.arange(34, 0, -1) * 0.7
-        with pytest.raises(RangeError):
-            family_eval(lam, np.zeros(34), COUP)
 
 
 class TestDualSystem:
