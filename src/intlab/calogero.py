@@ -15,6 +15,14 @@ from .errors import DegeneracyError, DomainError
 from .linalg import _DEGENERACY_GAP, hermitian_eigen
 
 
+def _order_margin(q):
+    """Smallest gap q_j - q_(j+1) of the ordered line, 1.0 for one particle.
+
+    q lies on the open domain q_1 > ... > q_n exactly when it is positive.
+    """
+    return float(np.min(q[:-1] - q[1:])) if q.size > 1 else 1.0
+
+
 @dataclass(frozen=True)
 class RatCMPoint:
     """Phase-space point (q, p) with coupling g; q strictly decreasing."""
@@ -28,7 +36,7 @@ class RatCMPoint:
         object.__setattr__(self, "p", _vec(self.p, "p"))
         if self.q.shape != self.p.shape:
             raise DomainError("q and p must have equal length")
-        if len(self.q) > 1 and np.min(-np.diff(self.q)) <= 0:
+        if not _order_margin(self.q) > 0:
             raise DomainError("configuration must satisfy q_1 > ... > q_n")
 
     @property
@@ -140,11 +148,11 @@ def make_system(n, g):
         gaps = _gaps(point.q)  # gaps**3 takes numpy's slow general power
         return (-2.0 * g**2 / (gaps * gaps * gaps)).sum(axis=1), point.p.copy()
 
-    def inside(point):
-        return n == 1 or bool(np.min(-np.diff(point.q)) > 0)
-
     def margin(point):
-        return 1.0 if n == 1 else float(np.min(-np.diff(point.q)))
+        return _order_margin(point.q)
+
+    def inside(point):
+        return margin(point) > 0
 
     return HamiltonianSystem(
         dim=n,

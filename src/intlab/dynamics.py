@@ -151,17 +151,19 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     stores increasing times.  invariant_family is a dict of named
     observables sampled along the way; the energy is always included.
     Leaving the domain truncates the trajectory and sets status
-    'truncated' instead of raising.
+    'truncated' instead of raising.  tol must be finite and positive,
+    both ends of t_span finite and distinct, and n_samples at least 2.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise DomainError("tol must be finite and positive")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not np.isfinite([t0, t1]).all() or t0 == t1:
+        raise DomainError("t_span needs two finite, distinct ends")
+    if n_samples < 2:
+        raise DomainError("n_samples must be at least 2")
     if not sys.contains(x0):
         raise DomainError(f"{sys.name}: initial point outside domain")
     sys.energy(x0)
-
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t0 == t1:
-        raise DomainError("empty time span")
 
     def rhs(t, y):
         x = PhasePoint.from_vector(y)

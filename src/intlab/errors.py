@@ -25,11 +25,7 @@ class RangeError(IntlabError):
     """Intermediate quantities would overflow double precision."""
 
 
-class RegularityError(DomainError):
-    """A regularity condition (simple spectrum, nonvanishing factor) fails."""
-
-
-class DegeneracyError(RegularityError):
+class DegeneracyError(DomainError):
     """Eigenvalues too close to separate reliably."""
 
 

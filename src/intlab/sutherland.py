@@ -8,8 +8,13 @@ lam_a - lam_{a+1} > 2*mu, lam_n > nu; its angles are genuine angles.
 Chart conventions for the dual side:
 
   * the local chart is (lam, theta) on the open chamber;
-  * the global chart is z in C^n, with |z_j|^2 measuring the excess of
-    the j-th chamber inequality and the phases of z carrying the angles.
+  * the global chart is z in C^n, with |z_j|^2 the slack of the j-th
+    chamber inequality (`_chamber_slack`) and the phases of z carrying
+    the angles.
+
+Each domain's inequalities are written once, as a slack vector with one
+entry per inequality: a point is inside when every entry is positive,
+and the smallest entry is its boundary margin.
 
 One routine writes the unitary dual matrix.  It works in the global
 chart, which covers all of C^n, including z = 0, where the chamber
@@ -71,12 +76,19 @@ def _zvec(z):
     return z
 
 
-def _in_alcove(q):
-    return bool(q[-1] > 0 and q[0] < np.pi / 2 and (q[1:] < q[:-1]).all())
+def _chamber_slack(x, gap, floor):
+    """Slack of the chamber x_j - x_(j+1) > gap (j < n), x_n > floor.
+
+    The dual chamber is (gap, floor) = (2*mu, nu), and there the slack is
+    |z|^2 of the global chart; lambda_of_z is its inverse.  The plain
+    positive chamber of the rational family is (0, 0).
+    """
+    return np.concatenate([x[:-1] - x[1:] - gap, [x[-1] - floor]])
 
 
-def _in_chamber(lam, c):
-    return bool(lam[-1] > c.nu and (lam[:-1] - lam[1:] > 2 * c.mu).all())
+def _alcove_slack(q):
+    """Slack of the alcove pi/2 > q_1 > ... > q_n > 0."""
+    return np.concatenate([[np.pi / 2 - q[0]], _chamber_slack(q, 0.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +148,7 @@ class SutherlandPoint:
         p = _vec(self.p, "p")
         if q.shape != p.shape:
             raise DomainError("q and p must have matching shapes")
-        if not _in_alcove(q):
+        if not _alcove_slack(q).min() > 0:
             raise DomainError("q must satisfy pi/2 > q_1 > ... > q_n > 0")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
@@ -150,9 +162,10 @@ class SutherlandPoint:
 class DualPoint:
     """Dual-side point (lam, theta) in the local chart.
 
-    Chamber membership depends on the couplings, so the operations check
-    it; construction only enforces ordering, positivity and shape, which
-    is all the rational deformed family asks of its (lam, theta).
+    The dual chamber depends on the couplings, so the operations check
+    it; construction only enforces shape and the plain positive chamber
+    lam_1 > ... > lam_n > 0 (`_chamber_slack` at (0, 0)), which is all
+    the rational deformed family asks of its (lam, theta).
     """
 
     lam: np.ndarray
@@ -163,7 +176,7 @@ class DualPoint:
         theta = _vec(self.theta, "theta")
         if lam.shape != theta.shape:
             raise DomainError("lam and theta must have matching shapes")
-        if np.any(np.diff(lam) >= 0) or lam[-1] <= 0:
+        if not _chamber_slack(lam, 0.0, 0.0).min() > 0:
             raise DomainError("lam must be strictly decreasing and positive")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "theta", theta)
@@ -182,10 +195,13 @@ class DualPoint:
 
 
 def _require_chamber(lam, c):
-    if not _in_chamber(lam, c):
+    """Dual-chamber slack of lam; DomainError unless every entry is positive."""
+    slack = _chamber_slack(lam, 2 * c.mu, c.nu)
+    if not slack.min() > 0:
         raise DomainError(
             "lam outside the open dual chamber (gaps > 2*mu, lam_n > nu)"
         )
+    return slack
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +269,11 @@ def make_system(n, c):
         dq -= 4 * c.gamma2 * _cos_over_sin3(2 * q)
         return dq, np.array(point.p, dtype=float)
 
-    def inside(point):
-        return _in_alcove(point.q)
-
     def margin(point):
-        q = point.q
-        vals = [np.pi / 2 - q[0], q[-1]]
-        if n > 1:
-            vals.append(float(np.min(-np.diff(q))))
-        return float(min(vals))
+        return float(_alcove_slack(point.q).min())
+
+    def inside(point):
+        return margin(point) > 0
 
     return HamiltonianSystem(
         dim=n,
@@ -344,7 +356,11 @@ def dual_hamiltonian(d, c):
 
 
 def lambda_of_z(z, c):
-    """Positions on the closed chamber: lam_k = nu + 2*mu*(n-k) + sum_{j>=k} |z_j|^2."""
+    """Positions on the closed chamber: lam_k = nu + 2*mu*(n-k) + sum_{j>=k} |z_j|^2.
+
+    The inverse of the dual-chamber slack: _chamber_slack(lam, 2*mu, nu)
+    gives back |z|^2, up to rounding.
+    """
     z = _zvec(z)
     mods = np.abs(z) ** 2
     n = z.size
@@ -364,8 +380,8 @@ def _chart_g(lam, c):
     e = np.arange(lam.size - 1)
     low[e, e + 1] = high[e + 1, e] = 1.0  # the gap factor divided out
     gaps = -np.diff(lam)
-    lead_low = np.append((1 - nu / lam[:-1]) / gaps, 1.0 / lam[-1])
-    lead_high = np.insert((1 + nu / lam[1:]) / gaps, 0, 1 + nu / lam[0])
+    lead_low = np.concatenate([(1 - nu / lam[:-1]) / gaps, [1.0 / lam[-1]]])
+    lead_high = np.concatenate([[1 + nu / lam[0]], (1 + nu / lam[1:]) / gaps])
     return np.sqrt(np.concatenate([
         lead_low * (low * (1 - 2 * mu / s)).prod(axis=1),
         lead_high * (high * (1 + 2 * mu / s)).prod(axis=1),
@@ -475,8 +491,9 @@ def dual_lax_local(d, c):
     """Unitary local-chart dual matrix and the energy read off its trace.
 
     The matrix is G* A G, with A the global-chart matrix at
-    z_j = sqrt(excess_j) * e^(i*(theta_1 + ... + theta_j)), excess_j the
-    slack of the j-th chamber inequality, and G = chart_gauge(z).
+    z_j = sqrt(slack_j) * e^(i*(theta_1 + ... + theta_j)), slack_j that
+    of the j-th chamber inequality, and G = chart_gauge(z), the diagonal
+    of the conjugate phases, taken twice.
     Returns (G* A G, value) with value = Re tr(h A h) / 2 for
     h = dual_h_matrix(lam, kappa), which agrees with dual_hamiltonian.
     In n x n blocks h^2 = lam^-1 [[d, kappa], [-kappa, d]] with
@@ -484,11 +501,10 @@ def dual_lax_local(d, c):
     the four blocks, which the gauge leaves alone.
     """
     lam, n = d.lam, d.n
-    _require_chamber(lam, c)
-    excess = np.append(-np.diff(lam) - 2 * c.mu, lam[-1] - c.nu)
-    z = np.sqrt(excess) * np.exp(1j * np.cumsum(d.theta))
-    g = chart_gauge(z).diagonal()
-    A = np.conj(g)[:, None] * _dual_matrix(lam, z, c) * g[None, :]
+    phase = np.exp(1j * np.cumsum(d.theta))
+    z = np.sqrt(_require_chamber(lam, c)) * phase
+    gauge = np.concatenate([phase, phase])  # G = diag(conj(gauge))
+    A = gauge[:, None] * _dual_matrix(lam, z, c) * np.conj(gauge)[None, :]
     diag = A.diagonal()
     cross = A.diagonal(-n) - A.diagonal(n)
     trace = (np.sqrt(lam**2 - c.kappa**2) * (diag[:n] + diag[n:]) + c.kappa * cross) / lam
@@ -500,20 +516,19 @@ def make_dual_system(n, c):
 
     Positions are lam, momenta the angles theta; the gradient is left to
     central differences because the product form differentiates messily.
+    The boundary margin is the smallest chamber slack, min |z_j|^2 in the
+    global chart.
     """
+    gap = 2 * c.mu
 
     def H(point):
         return _dual_energy(point.q, point.p, c)
 
-    def inside(point):
-        return _in_chamber(point.q, c)
-
     def margin(point):
-        lam = point.q
-        vals = [lam[-1] - c.nu]
-        if n > 1:
-            vals.append(float(np.min(-np.diff(lam) - 2 * c.mu)))
-        return float(min(vals))
+        return float(_chamber_slack(point.q, gap, c.nu).min())
+
+    def inside(point):
+        return margin(point) > 0
 
     return HamiltonianSystem(
         dim=n,
@@ -537,7 +552,7 @@ def dual_action_jacobian(q):
     vanishes on the open alcove; tests pin the closed form.
     """
     q = _vec(q, "q")
-    if not _in_alcove(q):
+    if not _alcove_slack(q).min() > 0:
         raise DomainError("q must lie in the open alcove")
     n = q.size
     rows = np.arange(1, n + 1)[:, None]

@@ -4,10 +4,14 @@ perfbench/ calls intlab's public entry points by name and reads fields of
 what they return (for instance `dual_lax_global(z).lax`).  A change there
 breaks the benchmark without failing a unit test, so this runs slot 0 of
 every workload (seed 0, the generator perfbench/run.py builds) through the
-untraced Api and requires every gated residual to pass.
+untraced Api and through the traced one, and requires every gated residual
+to pass.  The traced Api wraps the HamiltonianSystem callbacks (grad,
+domain_check, boundary_margin) with dataclasses.replace, so a change to
+those fields breaks only the traced run.
 """
 
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +19,29 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from tracing import Api  # noqa: E402
+from tracing import Api, Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_slot_zero_passes_its_checks(name):
+def traced_api():
+    return Tracer(time.perf_counter)
+
+
+@pytest.mark.parametrize(
+    "name, make_api",
+    [pytest.param(name, Api, id=name) for name in sorted(WORKLOADS)]
+    + [pytest.param(name, traced_api, id=f"{name}-traced") for name in sorted(WORKLOADS)],
+)
+def test_slot_zero_passes_its_checks(name, make_api):
     workload = WORKLOADS[name]
     rng = np.random.default_rng([0, sorted(WORKLOADS).index(name)])
-    ctx = workload.context(Api())
+    api = make_api()
+    ctx = workload.context(api)
     inp = workload.make_inputs(rng)[0]
     out = workload.run(ctx, inp)
     for label, err, tol in workload.check(ctx, inp, out):
         assert np.isfinite(err), label
         if tol is not None:
             assert err <= tol, (label, err, tol)
+    if isinstance(api, Tracer):
+        assert api.spans and None not in api.spans  # every span was closed

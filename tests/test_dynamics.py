@@ -89,8 +89,18 @@ class TestIntegrateFlow:
             integrate_flow(sys, PhasePoint([1.0], [0.0]), (0.0, 3.0), tol=1e-10)
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            integrate_flow(free_system(1), PhasePoint([0.0], [1.0]), (0, 1), tol=0.0)
+        # non-finite tol or t_span used to hang the integrator; the flow
+        # inputs are checked before any step is taken
+        x0 = PhasePoint([0.0], [1.0])
+        for tol in (0.0, -1e-9, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                integrate_flow(free_system(1), x0, (0, 1), tol=tol)
+        for span in ((0, np.inf), (0, np.nan), (-np.inf, 0), (1, 1)):
+            with pytest.raises(DomainError):
+                integrate_flow(free_system(1), x0, span, tol=1e-9)
+        for n_samples in (1, 0):
+            with pytest.raises(DomainError):
+                integrate_flow(free_system(1), x0, (0, 1), tol=1e-9, n_samples=n_samples)
 
     def test_self_convergence(self):
         # halving the tolerance should at least halve the endpoint error
