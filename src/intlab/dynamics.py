@@ -4,6 +4,8 @@ The integrator is a plain adaptive Runge-Kutta pair (scipy's RK45); no
 symplectic structure is imposed.  Conservation is checked after the
 fact: every trajectory carries its invariant samples, and callers are
 expected to look at the drift numbers rather than trust the scheme.
+Every system supplies its analytic gradient; the central-difference
+stencil serves only poisson_bracket_fd.
 
 Conventions used throughout the package:
   * a phase point is a pair of real vectors (q, p) of equal length,
@@ -14,6 +16,7 @@ Conventions used throughout the package:
     theta^- in increasing order, which pairs them up componentwise.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,16 +72,17 @@ class PhasePoint:
 class HamiltonianSystem:
     """A Hamiltonian plus the metadata the integrator needs.
 
-    grad, when given, must return (dH/dq, dH/dp); otherwise central
-    differences are used.  domain_check marks the open set the flow
-    must not leave.  boundary_margin, when given, returns a smooth
-    distance-like quantity that is positive inside the domain; it
-    drives event-based truncation near the boundary.
+    grad must return the analytic (dH/dq, dH/dp): every system supplies
+    one, and the central-difference stencil serves only
+    poisson_bracket_fd.  domain_check marks the open set the flow must
+    not leave.  boundary_margin, when given, returns a smooth
+    distance-like quantity that is positive inside the domain; it drives
+    event-based truncation near the boundary.
     """
 
     dim: int
     hamiltonian: object
-    grad: object = None
+    grad: object
     domain_check: object = None
     boundary_margin: object = None
     name: str = "system"
@@ -122,10 +126,11 @@ class ScatteringData:
     lambda_plus: np.ndarray
 
 
-def _fd_gradient(f, x, step=_FD_STEP):
+def _fd_gradient(f, x, step):
     """Central-difference gradient of a scalar observable, split (q, p).
 
-    The step along each coordinate is step * (1 + |coordinate|).
+    The step along each coordinate is step * (1 + |coordinate|); the
+    stencil serves poisson_bracket_fd, not the flows.
     """
     n = x.dim
     dq = np.empty(n)
@@ -152,13 +157,18 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     observables sampled along the way; the energy is always included.
     Leaving the domain truncates the trajectory and sets status
     'truncated' instead of raising.  tol must be finite and positive,
-    both ends of t_span finite and distinct, and n_samples at least 2.
+    both ends of t_span finite and distinct, and n_samples an integer of
+    at least 2.
     """
     if not 0 < tol < np.inf:
         raise DomainError("tol must be finite and positive")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not np.isfinite([t0, t1]).all() or t0 == t1:
         raise DomainError("t_span needs two finite, distinct ends")
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise DomainError("n_samples must be an integer") from None
     if n_samples < 2:
         raise DomainError("n_samples must be at least 2")
     if not sys.contains(x0):
@@ -166,11 +176,7 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     sys.energy(x0)
 
     def rhs(t, y):
-        x = PhasePoint.from_vector(y)
-        if sys.grad is not None:
-            dq, dp = sys.grad(x)
-        else:
-            dq, dp = _fd_gradient(sys.hamiltonian, x)
+        dq, dp = sys.grad(PhasePoint.from_vector(y))
         return np.concatenate([dp, -np.asarray(dq, float)])
 
     events = None

@@ -119,8 +119,10 @@ class BCnCouplings:
             raise DomainError("mu must be positive")
         if self.nu <= abs(self.kappa):
             raise DomainError("need nu > |kappa| >= 0")
-        # implied by the window above; kept as a tripwire
-        if self.gamma2 <= 0 or 4 * self.gamma1 + self.gamma2 <= 0:
+        # implied by the window above unless a square underflows; the cone
+        # 4*gamma1 + gamma2 is written as (nu + kappa)^2 / 2, since its sum
+        # form cancels to 0 for kappa within 2e-14 of -nu
+        if self.gamma2 <= 0 or (self.nu + self.kappa) ** 2 / 2 <= 0:
             raise DomainError("potential couplings left their admissible cone")
 
     @property
@@ -320,23 +322,38 @@ def _root(value):
     return np.sqrt(value)
 
 
+def _root_terms(lam, mu2, nu2, kap2):
+    """Square-root product terms V_j of the product form, and the pair matrices.
+
+    V_j = sqrt((1 - nu2/lam_j^2)(1 - kap2/lam_j^2))
+    prod_{k != j} sqrt((1 - mu2/(lam_j - lam_k)^2)(1 - mu2/(lam_j + lam_k)^2)).
+    Returns (V, lam_j - lam_k, lam_j + lam_k), the pair diagonals set to inf.
+    """
+    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
+    pair = _root(1 - mu2 / minus**2) * _root(1 - mu2 / plus**2)
+    lead = _root(1 - nu2 / lam**2) * _root(1 - kap2 / lam**2)
+    return lead * pair.prod(axis=1), minus, plus
+
+
 def _product_energy(lam, wave, mu2, nu2, kap2, nu_kap):
     """Square-root product form shared by the dual energy and the rational family.
 
-    sum_j wave_j sqrt((1 - nu2/lam_j^2)(1 - kap2/lam_j^2))
-    prod_{k != j} sqrt((1 - mu2/(lam_j - lam_k)^2)(1 - mu2/(lam_j + lam_k)^2)),
-    plus const * (1 - prod_j (1 - mu2/lam_j^2)) with const = nu_kap/mu2.
+    sum_j wave_j V_j with V_j the terms of `_root_terms`, plus
+    const * (1 - prod_j (1 - mu2/lam_j^2)) with const = nu_kap/mu2.
     The dual energy takes (mu2, nu2, kap2, wave) = (4 mu^2, nu^2, kappa^2,
     cos theta); the rational family takes (-mu^2, -nu^2, -kappa^2,
     cosh theta), under which const turns from nu*kappa/(4 mu^2) into
     -nu*kappa/mu^2.
     """
-    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
-    pair = _root(1 - mu2 / minus**2) * _root(1 - mu2 / plus**2)
-    terms = wave * _root(1 - nu2 / lam**2) * _root(1 - kap2 / lam**2)
-    total = float((terms * pair.prod(axis=1)).sum())
+    terms, _, _ = _root_terms(lam, mu2, nu2, kap2)
+    total = float((wave * terms).sum())
     const = nu_kap / mu2
     return total - const * float((1 - mu2 / lam**2).prod()) + const
+
+
+def _log_slope(x, a):
+    """d/dx log sqrt(1 - a/x^2) = a / (x (x^2 - a)); 0 at x = inf."""
+    return a / (x * (x * x - a))
 
 
 def _dual_energy(lam, theta, c):
@@ -349,6 +366,34 @@ def _dual_energy(lam, theta, c):
 def dual_hamiltonian(d, c):
     """Dual energy through the explicit square-root product form."""
     return _dual_energy(d.lam, d.theta, c)
+
+
+def _dual_grad(lam, theta, c):
+    """(dH/dlam, dH/dtheta) of the dual energy, by logarithmic derivatives.
+
+    With V the product terms and T = cos(theta) V, every root factor
+    sqrt(1 - a/x^2) contributes its log-slope a/(x(x^2 - a)) at x = lam_j,
+    lam_j - lam_k or lam_j + lam_k.  For the pair matrices D and S of these
+    slopes at the differences and sums (zero diagonals), D odd and S
+    symmetric,
+      dH/dlam = T (slope_nu + slope_kappa + rowsum(D + S)) + (D + S) T
+                - (nu kappa / 4 mu^2) prod_{k != j} (1 - 4 mu^2/lam_k^2) 8 mu^2/lam_j^3,
+      dH/dtheta = -sin(theta) V.
+    The last product leaves out lam_j's own factor instead of dividing it
+    out, as that factor vanishes at lam_j = 2 mu, inside the chamber when
+    nu < 2 mu.
+    """
+    _require_chamber(lam, c)
+    mu2, nu2, kap2 = 4 * c.mu**2, c.nu**2, c.kappa**2
+    terms, minus, plus = _root_terms(lam, mu2, nu2, kap2)
+    t = np.cos(theta) * terms
+    slope = _log_slope(minus, mu2) + _log_slope(plus, mu2)  # D + S
+    lead = _log_slope(lam, nu2) + _log_slope(lam, kap2)
+    dlam = t * (lead + slope.sum(axis=1)) + slope @ t
+    others = np.tile(1 - mu2 / lam**2, (lam.size, 1))
+    np.fill_diagonal(others, 1.0)
+    dlam -= c.nu * c.kappa * 2 * others.prod(axis=1) / lam**3
+    return dlam, -np.sin(theta) * terms
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +559,18 @@ def dual_lax_local(d, c):
 def make_dual_system(n, c):
     """HamiltonianSystem for the dual flow on (lam, theta) coordinates.
 
-    Positions are lam, momenta the angles theta; the gradient is left to
-    central differences because the product form differentiates messily.
-    The boundary margin is the smallest chamber slack, min |z_j|^2 in the
-    global chart.
+    Positions are lam, momenta the angles theta.  Like every system, it
+    supplies its analytic gradient (`_dual_grad`); the difference stencil
+    of dynamics serves only poisson_bracket_fd.  The boundary margin is
+    the smallest chamber slack, min |z_j|^2 in the global chart.
     """
     gap = 2 * c.mu
 
     def H(point):
         return _dual_energy(point.q, point.p, c)
+
+    def grad(point):
+        return _dual_grad(point.q, point.p, c)
 
     def margin(point):
         return float(_chamber_slack(point.q, gap, c.nu).min())
@@ -533,6 +581,7 @@ def make_dual_system(n, c):
     return HamiltonianSystem(
         dim=n,
         hamiltonian=H,
+        grad=grad,
         domain_check=inside,
         boundary_margin=margin,
         name=f"sutherland-bc-dual(n={n})",

@@ -10,7 +10,8 @@ as direct as possible:
   * the Sutherland commuting values come from an explicitly assembled
     2n x 2n first-order matrix and its trace powers, cross-checked in situ
     against the plain potential sum;
-  * the dual Hamiltonian comes from the explicit square-root product form;
+  * the dual Hamiltonian comes from the explicit square-root product form,
+    for any couplings, and its gradient from mp.diff of that form;
   * the local-chart dual matrix comes from its square-root vector f and
     the quotient [2 mu f_j conj(f'_k) - 2 (mu - nu) C_jk] / (2 mu + L_k - L_j),
     with the branch identities of f and the trace identity for the
@@ -102,23 +103,39 @@ LAM = [mp.mpf("3.3"), mp.mpf("1.1")]
 THETA = [mp.mpf("0.35"), mp.mpf("-0.6")]
 
 
-def dual_direct(lam, theta):
+def dual_direct(lam, theta, mu=MU, nu=NU, kappa=KAPPA):
     n = len(lam)
     total = mp.mpf(0)
     for j in range(n):
         term = mp.cos(theta[j])
-        term *= mp.sqrt(1 - NU**2 / lam[j] ** 2)
-        term *= mp.sqrt(1 - KAPPA**2 / lam[j] ** 2)
+        term *= mp.sqrt(1 - nu**2 / lam[j] ** 2)
+        term *= mp.sqrt(1 - kappa**2 / lam[j] ** 2)
         for k in range(n):
             if k != j:
-                term *= mp.sqrt(1 - 4 * MU**2 / (lam[j] - lam[k]) ** 2)
-                term *= mp.sqrt(1 - 4 * MU**2 / (lam[j] + lam[k]) ** 2)
+                term *= mp.sqrt(1 - 4 * mu**2 / (lam[j] - lam[k]) ** 2)
+                term *= mp.sqrt(1 - 4 * mu**2 / (lam[j] + lam[k]) ** 2)
         total += term
     prod = mp.mpf(1)
     for j in range(n):
-        prod *= 1 - 4 * MU**2 / lam[j] ** 2
-    c = NU * KAPPA / (4 * MU**2)
+        prod *= 1 - 4 * mu**2 / lam[j] ** 2
+    c = nu * kappa / (4 * mu**2)
     return total - c * prod + c
+
+
+def dual_gradient(lam, theta, mu=MU, nu=NU, kappa=KAPPA):
+    """(dH/dlam, dH/dtheta) of dual_direct, one mp.diff partial per coordinate."""
+    n = len(lam)
+    point = list(lam) + list(theta)
+
+    def energy(*x):
+        return dual_direct(x[:n], x[n:], mu, nu, kappa)
+
+    grad = []
+    for i in range(2 * n):
+        order = [0] * (2 * n)
+        order[i] = 1
+        grad.append(mp.diff(energy, point, order))
+    return grad[:n], grad[n:]
 
 
 H_DUAL = dual_direct(LAM, THETA)

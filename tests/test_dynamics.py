@@ -102,6 +102,15 @@ class TestIntegrateFlow:
             with pytest.raises(DomainError):
                 integrate_flow(free_system(1), x0, (0, 1), tol=1e-9, n_samples=n_samples)
 
+    def test_rejects_non_integer_samples(self):
+        # a float count used to fail inside np.linspace with a TypeError
+        x0 = PhasePoint([0.0], [1.0])
+        for n_samples in (2.5, 3.0, "3", None):
+            with pytest.raises(DomainError, match="integer"):
+                integrate_flow(free_system(1), x0, (0, 1), tol=1e-9, n_samples=n_samples)
+        traj = integrate_flow(free_system(1), x0, (0, 1), tol=1e-9, n_samples=np.int64(3))
+        assert len(traj.times) == 3
+
     def test_self_convergence(self):
         # halving the tolerance should at least halve the endpoint error
         from intlab.calogero import make_system
@@ -237,3 +246,9 @@ def test_trajectory_requires_increasing_times():
     x = PhasePoint([0.0], [0.0])
     with pytest.raises(DomainError):
         Trajectory(times=np.array([0.0, 0.0]), states=(x, x))
+
+
+def test_system_requires_gradient():
+    # the flows have no difference fallback; the stencil serves only brackets
+    with pytest.raises(TypeError, match="grad"):
+        HamiltonianSystem(dim=1, hamiltonian=lambda x: 0.0)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intlab.dynamics import PhasePoint, poisson_bracket_fd
+from intlab.dynamics import PhasePoint, integrate_flow, poisson_bracket_fd
 from intlab.errors import ChartError, DomainError, RangeError
 from intlab.linalg import char_poly
 from intlab.sutherland import (
@@ -40,7 +40,7 @@ from intlab.sutherland import (
     sutherland_H,
     transported_family,
 )
-from intlab.sutherland import _root
+from intlab.sutherland import _dual_grad, _root
 from oracles import sutherland_reference as oracle
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
@@ -114,6 +114,15 @@ class TestCouplings:
             c = BCnCouplings(mu=rng.uniform(0.1, 3.0), nu=nu, kappa=kappa)
             assert c.gamma > 0 and c.gamma2 > 0
             assert 4 * c.gamma1 + c.gamma2 > 0
+
+    def test_accepts_the_whole_window(self):
+        # the sum 2*nu*kappa + (nu - kappa)^2 / 2 cancels to 0 next to
+        # kappa = -nu; the window nu > |kappa| still holds there
+        for kappa in (np.nextafter(-0.7, 0.0), -0.7 + 1e-14, np.nextafter(0.7, 0.0)):
+            c = BCnCouplings(mu=0.8, nu=0.7, kappa=kappa)
+            assert c.gamma2 > 0
+        with pytest.raises(DomainError, match="cone"):
+            BCnCouplings(mu=1.0, nu=1e-200, kappa=0.0)  # gamma2 underflows
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
@@ -747,3 +756,124 @@ class TestDualSystem:
         # the flow's energy keeps the chamber check of dual_hamiltonian
         with pytest.raises(DomainError):
             sys.hamiltonian(outside)
+
+    def test_flow_follows_the_gradient(self):
+        # q' = dH/dp and p' = -dH/dq: lam moves along +dH/dtheta and theta
+        # along -dH/dlam over a short step
+        lam, theta = np.array([6.1, 3.9, 1.3]), np.array([0.7, -1.9, 2.6])
+        dlam, dtheta = _dual_grad(lam, theta, COUP)
+        t = 1e-4
+        traj = integrate_flow(
+            make_dual_system(3, COUP), PhasePoint(lam, theta), (0.0, t), tol=1e-12, n_samples=2
+        )
+        np.testing.assert_allclose((traj.final.q - lam) / t, dtheta, rtol=1e-3, atol=1e-8)
+        np.testing.assert_allclose((traj.final.p - theta) / t, -dlam, rtol=1e-3, atol=1e-8)
+
+    @staticmethod
+    def _flow_drift(lam, theta, t1, tol):
+        sys = make_dual_system(lam.size, COUP)
+        traj = integrate_flow(sys, PhasePoint(lam, theta), (0.0, t1), tol=tol)
+        assert traj.status == "completed" and traj.times[-1] == t1
+        energy = traj.invariants["energy"]
+        return np.max(np.abs(energy - energy[0])) / max(1.0, abs(energy[0]))
+
+    def test_n20_flow_conserves_energy(self):
+        # chamber excess about 1 per gap and angles within 0.5, the range
+        # of the benchmark's dual flow, here at n = 20
+        rng = np.random.default_rng(20)
+        lam = lambda_of_z(np.sqrt(1.0 + 0.1 * rng.uniform(-1.0, 1.0, 20)), COUP)
+        assert self._flow_drift(lam, rng.uniform(-0.5, 0.5, 20), 1.0, 1e-9) <= 1e-9
+
+    def test_drift_follows_the_tolerance(self):
+        # the difference stencil's truncation error put a floor of
+        # 6e-11 to 7e-10 under this drift; the closed form has none
+        rng = np.random.default_rng(0)
+        lam = lambda_of_z(np.sqrt(0.7 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, 6))), COUP)
+        assert self._flow_drift(lam, rng.uniform(-0.5, 0.5, 6), 3.0, 1e-12) <= 1e-11
+
+    def test_n20_flow_with_full_circle_angles(self):
+        # angles over the whole circle; the difference stencil drifted by
+        # 7e-4 here, RK45 on the closed-form gradient stays near its tolerance
+        rng = np.random.default_rng(1)
+        lam = random_chamber_lam(rng, 20, COUP)
+        assert self._flow_drift(lam, rng.uniform(-np.pi, np.pi, 20), 1.0, 1e-9) <= 1e-7
+
+
+def couplings_with(kappa):
+    return BCnCouplings(mu=COUP.mu, nu=COUP.nu, kappa=kappa)
+
+
+def oracle_gradient(lam, theta, c):
+    dlam, dtheta = oracle.dual_gradient(
+        mp_vector(lam), mp_vector(theta), mp.mpf(c.mu), mp.mpf(c.nu), mp.mpf(c.kappa)
+    )
+    return np.array([float(v) for v in dlam + dtheta])
+
+
+@st.composite
+def dual_points(draw):
+    n = draw(st.integers(2, 20))
+    kappa = draw(st.floats(-COUP.nu, COUP.nu, exclude_min=True, exclude_max=True))
+    excess = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    theta = draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n))
+    return lambda_of_z(np.sqrt(excess), COUP), np.array(theta), couplings_with(kappa)
+
+
+class TestDualGradient:
+    def assert_matches_oracle(self, lam, theta, c):
+        want = oracle_gradient(lam, theta, c)
+        got = np.concatenate(_dual_grad(np.asarray(lam, float), np.asarray(theta, float), c))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+    def test_matches_mpmath_at_oracle_point(self):
+        self.assert_matches_oracle(
+            [float(v) for v in oracle.LAM], [float(v) for v in oracle.THETA], COUP
+        )
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.25, -0.25])
+    @pytest.mark.parametrize("n", [6, 12, 20])
+    def test_matches_mpmath_at_large_n(self, n, kappa):
+        c = couplings_with(kappa)
+        rng = np.random.default_rng(n)
+        lam = random_chamber_lam(rng, n, c)
+        self.assert_matches_oracle(lam, rng.uniform(-np.pi, np.pi, n), c)
+
+    def test_finite_where_a_product_factor_vanishes(self):
+        # 1 - 4 mu^2 / lam_n^2 = 0 at lam_n = 2 mu, inside the chamber as nu < 2 mu
+        assert COUP.nu < 2 * COUP.mu
+        lam = np.array([2 * COUP.mu + 4.5, 2 * COUP.mu + 2.1, 2 * COUP.mu])
+        self.assert_matches_oracle(lam, np.array([0.4, -1.2, 2.0]), COUP)
+
+    def test_bracket_orientation(self):
+        # {lam_j, H} = dH/dtheta_j and {theta_j, H} = -dH/dlam_j
+        sys = make_dual_system(3, COUP)
+        x = PhasePoint([6.1, 3.9, 1.3], [0.7, -1.9, 2.6])
+        dlam, dtheta = sys.grad(x)
+        for j in range(3):
+            lam_j = lambda y, j=j: y.q[j]
+            theta_j = lambda y, j=j: y.p[j]
+            assert poisson_bracket_fd(lam_j, sys.hamiltonian, x) == pytest.approx(
+                dtheta[j], rel=1e-6, abs=1e-8
+            )
+            assert poisson_bracket_fd(theta_j, sys.hamiltonian, x) == pytest.approx(
+                -dlam[j], rel=1e-6, abs=1e-8
+            )
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(dual_points())
+    def test_gradient_matches_differences(self, point):
+        lam, theta, c = point
+        dlam, dtheta = _dual_grad(lam, theta, c)
+
+        def energy(lam, theta):
+            return dual_hamiltonian(DualPoint(lam, theta), c)
+
+        step = 1e-6
+        for j in range(lam.size):
+            e = np.zeros(lam.size)
+            e[j] = step
+            fd_lam = (energy(lam + e, theta) - energy(lam - e, theta)) / (2 * step)
+            fd_theta = (energy(lam, theta + e) - energy(lam, theta - e)) / (2 * step)
+            assert dlam[j] == pytest.approx(fd_lam, rel=1e-6, abs=1e-6)
+            assert dtheta[j] == pytest.approx(fd_theta, rel=1e-6, abs=1e-6)
