@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import HamiltonianSystem, PhasePoint, _vec
 from .errors import DegeneracyError, DomainError
-from .linalg import _DEGENERACY_GAP, hermitian_eigen
+from .linalg import _DEGENERACY_GAP, _stencil, hermitian_eigen
 
 
 def _order_margin(q):
@@ -128,9 +128,14 @@ def sklyanin_coords(x):
     return SpectralCoords(lam=lam, theta=c, mu=d, f=f)
 
 
+def _differences(n):
+    """Rows q_j - q_k (j < k) of the pair stencil, the CM potential's T."""
+    return _stencil(n)[: n * (n - 1) // 2]
+
+
 def _energy(q, p, g):
-    gaps = _gaps(q)  # each pair appears twice in the full sum
-    return float(0.5 * (p @ p) + 0.5 * (g**2 / (gaps * gaps)).sum())
+    d = _differences(q.size) @ q
+    return float(0.5 * (p @ p) + g**2 * (1.0 / (d * d)).sum())
 
 
 def hamiltonian(x):
@@ -139,14 +144,21 @@ def hamiltonian(x):
 
 
 def make_system(n, g):
-    """HamiltonianSystem wrapper for the dynamics module."""
+    """HamiltonianSystem wrapper for the dynamics module.
+
+    The potential is V = w . phi(T q) with T the pair-difference rows of
+    the stencil, w = g^2 on every row and phi = x^-2, so its gradient is
+    T^T (w * phi'(T q)) with phi' = -2 x^-3.
+    """
+    T = _differences(n)
+    slope = -2.0 * g**2
 
     def H(point):
         return _energy(point.q, point.p, g)
 
     def grad(point):
-        gaps = _gaps(point.q)  # gaps**3 takes numpy's slow general power
-        return (-2.0 * g**2 / (gaps * gaps * gaps)).sum(axis=1), point.p.copy()
+        d = T @ point.q
+        return (slope / (d * d * d)) @ T, point.p.copy()
 
     def margin(point):
         return _order_margin(point.q)

@@ -67,6 +67,14 @@ class PhasePoint:
         n = len(y) // 2
         return PhasePoint(q=y[:n], p=y[n:])
 
+    @classmethod
+    def _view(cls, y, n):
+        """Unchecked view of a float vector of length 2n; from_vector checks."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "q", y[:n])
+        object.__setattr__(x, "p", y[n:])
+        return x
+
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
@@ -175,14 +183,16 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
         raise DomainError(f"{sys.name}: initial point outside domain")
     sys.energy(x0)
 
+    n = x0.dim
+
     def rhs(t, y):
-        dq, dp = sys.grad(PhasePoint.from_vector(y))
+        dq, dp = sys.grad(PhasePoint._view(y, n))
         return np.concatenate([dp, -np.asarray(dq, float)])
 
     events = None
     if sys.boundary_margin is not None:
         def boundary_event(t, y):
-            return float(sys.boundary_margin(PhasePoint.from_vector(y))) - _BOUNDARY_MARGIN
+            return float(sys.boundary_margin(PhasePoint._view(y, n))) - _BOUNDARY_MARGIN
 
         boundary_event.terminal = True
         boundary_event.direction = -1

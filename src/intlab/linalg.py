@@ -1,12 +1,14 @@
 """Dense complex linear-algebra contracts shared by the system modules.
 
-Hermitian eigendecompositions and characteristic polynomials.  Everything
-here is plain numpy on small dense matrices; the value added is the
-fixed conventions (sorting, degeneracy flag, monic coefficients) that
+Hermitian eigendecompositions, characteristic polynomials, and the
+linear stencil of the pair potentials.  Everything here is plain numpy
+on small dense matrices; the value added is the fixed conventions
+(sorting, degeneracy flag, monic coefficients, stencil row order) that
 the rest of the package relies on.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +56,23 @@ class CharPoly:
 
     def __getitem__(self, m):
         return self.coefficients[m]
+
+
+@lru_cache(maxsize=None)
+def _stencil(n):
+    """Incidence matrix T of the pair-potential arguments of n positions.
+
+    T @ q stacks q_j - q_k and then q_j + q_k over the pairs j < k (in
+    np.triu_indices order), then q, then 2q; each row has at most two
+    nonzero entries, +-1 or a single 2, so every entry of T @ q is exact
+    up to one rounding.  A potential V = w . phi(T q) has the gradient
+    T^T (w * phi'(T q)).  Cached and read-only, as every caller shares it.
+    """
+    j, k = np.triu_indices(n, 1)
+    eye = np.eye(n)
+    T = np.vstack([eye[j] - eye[k], eye[j] + eye[k], eye, 2 * eye])
+    T.flags.writeable = False
+    return T
 
 
 def hermitian_eigen(M):

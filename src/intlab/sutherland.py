@@ -5,6 +5,13 @@ three-coupling trigonometric potential.  The dual side is a rational
 system of Ruijsenaars type whose positions fill the shifted chamber
 lam_a - lam_{a+1} > 2*mu, lam_n > nu; its angles are genuine angles.
 
+The direct potential is a weighted sum of sin^-2 over the fixed linear
+arguments q_j - q_k, q_j + q_k (j < k), q_j and 2 q_j: V = w . phi(T q)
+with T the constant stencil of `linalg._stencil`, phi = sin^-2 and
+w = (gamma per pair row, gamma1, gamma2).  Its gradient is the chain rule
+through the same matrix, grad V = T^T (w * phi'(T q)), and the
+first-order matrix lax_Y reads its pair entries off the same sines.
+
 Chart conventions for the dual side:
 
   * the local chart is (lam, theta) on the open chamber;
@@ -40,6 +47,7 @@ import numpy as np
 
 from .dynamics import HamiltonianSystem, _vec
 from .errors import ChartError, DomainError, RangeError
+from .linalg import _stencil
 
 
 def _pairs(x, diagonal=None):
@@ -50,14 +58,6 @@ def _pairs(x, diagonal=None):
         np.fill_diagonal(d, diagonal)
         np.fill_diagonal(s, diagonal)
     return d, s
-
-
-@lru_cache(maxsize=None)
-def _upper(n):
-    """Index pairs j < k; cached, as np.triu_indices costs more than the sums."""
-    j, k = np.triu_indices(n, 1)
-    j.flags.writeable = k.flags.writeable = False  # shared by every caller
-    return j, k
 
 
 def _power_sums(lam2):
@@ -210,23 +210,22 @@ def _require_chamber(lam, c):
 # direct side
 
 
-def _cos_over_sin3(x):
-    sn = np.sin(x)
-    return np.cos(x) / (sn * sn * sn)  # sn**3 takes numpy's slow general power
+def _weights(n, c):
+    """Weights w of the potential w . sin^-2(T q), T = _stencil(n).
+
+    gamma on the pair rows q_j -+ q_k, then gamma1 on q and gamma2 on 2q.
+    """
+    return np.repeat([c.gamma, c.gamma1, c.gamma2], [n * (n - 1), n, n])
 
 
-def _energy(q, p, c):
-    j, k = _upper(q.size)
-    pair = c.gamma / np.sin(q[j] - q[k]) ** 2 + c.gamma / np.sin(q[j] + q[k]) ** 2
-    value = 0.5 * float(p @ p) + float(pair.sum())
-    value += float((c.gamma1 / np.sin(q) ** 2).sum())
-    value += float((c.gamma2 / np.sin(2 * q) ** 2).sum())
-    return value
+def _energy(q, p, w):
+    s = np.sin(_stencil(q.size) @ q)
+    return 0.5 * float(p @ p) + float(w @ (1.0 / (s * s)))
 
 
 def sutherland_H(x, c):
     """Kinetic energy plus the three-coupling trigonometric potential."""
-    return _energy(x.q, x.p, c)
+    return _energy(x.q, x.p, _weights(x.n, c))
 
 
 def lax_Y(x, c):
@@ -240,36 +239,47 @@ def lax_Y(x, c):
     sutherland_H.
     """
     q, p, n = x.q, x.p, x.n
-    d, s = _pairs(q, np.pi / 2)  # diagonals are overwritten below
-    a = (-c.mu / np.sin(d)).astype(complex)
-    np.fill_diagonal(a, 1j * p)
-    b = c.mu / np.sin(s)
-    s2 = np.sin(2 * q)
+    T = _stencil(n)
+    m = n * (n - 1) // 2
+    s = np.sin(T @ q)
+    # scatter the pair rows r = (j, k) into n x n blocks: add^T diag(v) diff
+    # holds -v_r at (j, k) and v_r at (k, j), add^T diag(v) add holds v_r
+    # at both; each off-diagonal entry is one exact product, and the
+    # diagonals are overwritten
+    diff, add = T[:m], T[m : 2 * m]
+    a = (add.T * (c.mu / s[:m])) @ diff  # -mu / sin(q_j - q_k)
+    b = (add.T * (c.mu / s[m : 2 * m])) @ add  # mu / sin(q_j + q_k)
+    s2 = s[2 * m + n :]
     np.fill_diagonal(b, c.nu / s2 + c.kappa * np.cos(2 * q) / s2)
-    Y = np.block([[a, b], [-b, -a]])
-    eye = np.eye(n)
-    Y[:n, n:] -= 1j * c.kappa * eye
-    Y[n:, :n] -= 1j * c.kappa * eye
+    Y = np.empty((2 * n, 2 * n), complex)
+    Y[:n, :n], Y[:n, n:], Y[n:, :n], Y[n:, n:] = a, b, -b, -a
+    e = np.arange(n)
+    Y[e, e], Y[e + n, e + n] = 1j * p, -1j * p
+    Y[e, e + n] -= 1j * c.kappa
+    Y[e + n, e] -= 1j * c.kappa
     X = -1j * Y
     lam2 = np.linalg.eigvalsh(X @ X).reshape(n, 2).mean(axis=1)  # each lam_j^2 twice
     return Y, _power_sums(lam2)
 
 
 def make_system(n, c):
-    """HamiltonianSystem wrapper for the direct flow (analytic gradient)."""
+    """HamiltonianSystem wrapper for the direct flow (analytic gradient).
+
+    The potential is V = w . phi(T q) with T = _stencil(n), w = _weights(n, c)
+    and phi = sin^-2, so its gradient is the chain rule through the same
+    matrix, T^T (w * phi'(T q)) with phi' = -2 cos / sin^3.
+    """
+    T = _stencil(n)
+    w = _weights(n, c)
+    slope = -2.0 * w
 
     def H(point):
-        return _energy(point.q, point.p, c)
+        return _energy(point.q, point.p, w)
 
     def grad(point):
-        q = point.q
-        d, s = _pairs(q, np.pi / 2)
-        pair = _cos_over_sin3(d) + _cos_over_sin3(s)
-        np.fill_diagonal(pair, 0.0)  # cos(pi/2) is not exactly zero
-        dq = -2 * c.gamma * pair.sum(axis=1)
-        dq -= 2 * c.gamma1 * _cos_over_sin3(q)
-        dq -= 4 * c.gamma2 * _cos_over_sin3(2 * q)
-        return dq, np.array(point.p, dtype=float)
+        x = T @ point.q
+        s = np.sin(x)
+        return (slope * np.cos(x) / (s * s * s)) @ T, np.array(point.p, dtype=float)
 
     def margin(point):
         return float(_alcove_slack(point.q).min())

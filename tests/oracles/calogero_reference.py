@@ -1,13 +1,28 @@
-"""Reference spectrum for the 3-particle scattering configuration.
+"""Reference values for the rational Calogero-Moser module.
+
+Run manually:
+
+    python3 tests/oracles/calogero_reference.py
 
 Hand-built Lax matrix at q = (1, 0, -1), p = (1, -1, 1), g = 1; the
 eigenvalues are the asymptotic momenta the scattering tests compare
-against.
+against.  cm_gradient is the exact pair sum of the potential gradient,
+which tests/test_calogero.py evaluates at test time.
 """
 
 import mpmath as mp
 
 mp.mp.dps = 40
+
+
+def cm_gradient(q, g):
+    """dV/dq_j = sum_{k != j} -2 g^2 / (q_j - q_k)^3 of V = sum_{j<k} g^2 / (q_j - q_k)^2."""
+    n = len(q)
+    return [
+        mp.fsum(-2 * g**2 / (q[j] - q[k]) ** 3 for k in range(n) if k != j)
+        for j in range(n)
+    ]
+
 
 L = mp.matrix(3, 3)
 q = [1, 0, -1]
@@ -19,4 +34,6 @@ for j in range(3):
             L[j, k] = mp.mpc(0, 1) / (q[j] - q[k])
 
 E = mp.eighe(L, eigvals_only=True)
-print("spectrum:", [mp.nstr(e, 20) for e in E])
+
+if __name__ == "__main__":
+    print("spectrum:", [mp.nstr(e, 20) for e in E])

@@ -9,7 +9,8 @@ as direct as possible:
 
   * the Sutherland commuting values come from an explicitly assembled
     2n x 2n first-order matrix and its trace powers, cross-checked in situ
-    against the plain potential sum;
+    against the plain potential sum, and the direct gradient from mp.diff
+    of that sum;
   * the dual Hamiltonian comes from the explicit square-root product form,
     for any couplings, and its gradient from mp.diff of that form;
   * the local-chart dual matrix comes from its square-root vector f and
@@ -56,6 +57,22 @@ def sutherland_direct(q, p):
         h += gamma1 / mp.sin(q[j]) ** 2
         h += gamma2 / mp.sin(2 * q[j]) ** 2
     return h
+
+
+def sutherland_gradient(q, p):
+    """(dH/dq, dH/dp) of sutherland_direct, one mp.diff partial per coordinate."""
+    n = len(q)
+    point = list(q) + list(p)
+
+    def energy(*x):
+        return sutherland_direct(x[:n], x[n:])
+
+    grad = []
+    for i in range(2 * n):
+        order = [0] * (2 * n)
+        order[i] = 1
+        grad.append(mp.diff(energy, point, order))
+    return grad[:n], grad[n:]
 
 
 def first_order_matrix(q, p):

@@ -1,9 +1,11 @@
 """Tests for the rational Calogero-Moser module.
 
 The 3-particle scattering spectrum below is frozen from
-tests/oracles/calogero_reference.py (mpmath at 40 digits).
+tests/oracles/calogero_reference.py (mpmath at 40 digits); the gradient
+tests evaluate that module's exact pair sum at test time.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from intlab.dynamics import (
     poisson_bracket_fd,
 )
 from intlab.errors import DegeneracyError, DomainError
+from oracles import calogero_reference as cm_oracle
 
 # sorted spectrum of L at q=(1,0,-1), p=(1,-1,1), g=1
 SCATTER_SPECTRUM = np.array(
@@ -44,10 +47,14 @@ def random_point(rng, n, g, min_gap=0.35):
 
 
 @st.composite
-def cm_points(draw, max_n=12):
+def cm_points(draw, max_n=12, close=False):
+    # close=True mixes gaps down to 1e-3 in: draws near collisions
     n = draw(st.integers(1, max_n))
     g = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.2, 2.0))
-    gaps = draw(st.lists(st.floats(0.35, 2.0), min_size=n - 1, max_size=n - 1))
+    gap = st.floats(0.35, 2.0)
+    if close:
+        gap = st.one_of(st.floats(1e-3, 1e-2), gap)
+    gaps = draw(st.lists(gap, min_size=n - 1, max_size=n - 1))
     p = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
     return RatCMPoint(np.concatenate([[0.0], -np.cumsum(gaps)]), p, g)
 
@@ -302,6 +309,33 @@ class TestGradient:
             ) / (2 * step)
             assert dq[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
         np.testing.assert_allclose(dp, x.p)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 20])
+    def test_gradient_matches_exact_sum(self, n):
+        x = random_point(np.random.default_rng(40 + n), n, 1.3)
+        dq, dp = make_system(n, x.g).grad(x.as_phase())
+        want = cm_oracle.cm_gradient([mp.mpf(float(v)) for v in x.q], mp.mpf(x.g))
+        want = np.array([float(v) for v in want])
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(dq, want, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_array_equal(dp, x.p)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cm_points(max_n=20, close=True))
+    def test_gradient_matches_differences_near_collisions(self, x):
+        dq, dp = make_system(x.n, x.g).grad(x.as_phase())
+        step = 1e-4 * min(1.0, float(np.min(-np.diff(x.q), initial=1.0)))
+        fd = np.empty(x.n)
+        for j in range(x.n):
+            e = np.zeros(x.n)
+            e[j] = step
+            fd[j] = (
+                hamiltonian(RatCMPoint(x.q + e, x.p, x.g))
+                - hamiltonian(RatCMPoint(x.q - e, x.p, x.g))
+            ) / (2 * step)
+        scale = max(1.0, float(np.max(np.abs(fd))))
+        np.testing.assert_allclose(dq, fd, rtol=0, atol=1e-6 * scale)
+        np.testing.assert_array_equal(dp, x.p)
 
 
 class TestFlow:

@@ -35,6 +35,11 @@ class TestPhasePoint:
         np.testing.assert_allclose(y.q, x.q)
         np.testing.assert_allclose(y.p, x.p)
 
+    def test_odd_length_vector_rejected(self):
+        # the solver's own vectors skip the checks; public ones keep them
+        with pytest.raises(DomainError):
+            PhasePoint.from_vector(np.zeros(5))
+
 
 class TestIntegrateFlow:
     def test_free_motion_is_linear(self):

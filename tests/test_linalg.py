@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from intlab.errors import StructureError
-from intlab.linalg import char_poly, hermitian_eigen
+from intlab.linalg import _stencil, char_poly, hermitian_eigen
 
 
 def random_hermitian(rng, n):
@@ -109,3 +109,21 @@ class TestCharPoly:
             for m in range(N + 1):
                 assert abs(K[N - m] - K[m]) <= 1e-9 * max(1.0, abs(K[m]))
 
+
+class TestStencil:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+    def test_rows_are_exact(self, n):
+        # magnitudes over 16 decades: every row is one exact product per
+        # nonzero entry, so T @ q is the plain difference or sum, bit for bit
+        rng = np.random.default_rng(n)
+        q = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+        j, k = np.triu_indices(n, 1)
+        want = np.concatenate([q[j] - q[k], q[j] + q[k], q, 2 * q])
+        assert (_stencil(n) @ q).tobytes() == want.tobytes()
+
+    def test_cached_and_read_only(self):
+        T = _stencil(5)
+        assert T is _stencil(5)
+        assert not T.flags.writeable
+        with pytest.raises(ValueError):
+            T[0, 0] = 2.0

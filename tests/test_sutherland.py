@@ -76,8 +76,8 @@ def random_alcove_point(rng, n, min_gap=0.15):
 def grid_alcove_point(rng, n):
     # jittered equal spacing: works at any n, where random cuts with a
     # minimum gap stop fitting into the alcove
-    grid = (np.pi / 2) * np.arange(n, 0, -1) / (n + 1)
-    gap = grid[0] - grid[1]
+    gap = (np.pi / 2) / (n + 1)
+    grid = gap * np.arange(n, 0, -1)
     return SutherlandPoint(grid + rng.uniform(-0.2 * gap, 0.2 * gap, n), rng.normal(size=n))
 
 
@@ -91,6 +91,19 @@ def family_points(draw, max_n=6):
     gaps = draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n))
     theta = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     return 0.1 + np.cumsum(gaps)[::-1], np.array(theta)
+
+
+@st.composite
+def near_wall_points(draw):
+    # the n + 1 alcove slacks, each either tiny or moderate, scaled to fill
+    # pi/2: draws come within 1e-4 of every kind of wall
+    n = draw(st.integers(1, 20))
+    slack = np.array(draw(st.lists(
+        st.one_of(st.floats(1e-3, 1e-2), st.floats(0.1, 1.0)), min_size=n + 1, max_size=n + 1
+    )))
+    cuts = np.cumsum(slack[:n]) * (np.pi / 2) / slack.sum()
+    p = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return SutherlandPoint(cuts[::-1], p)
 
 
 def random_chamber_lam(rng, n, c):
@@ -189,7 +202,7 @@ class TestSutherlandH:
 
     def test_matches_mpmath_at_benchmark_sizes(self):
         rng = np.random.default_rng(30)
-        for n in (8, 20):
+        for n in (1, 3, 8, 20):
             x = grid_alcove_point(rng, n)
             want = float(oracle.sutherland_direct(mp_vector(x.q), mp_vector(x.p)))
             assert sutherland_H(x, COUP) == pytest.approx(want, rel=1e-12)
@@ -301,6 +314,33 @@ class TestDirectSystem:
                 ) / (2 * step)
                 assert dq[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
             np.testing.assert_allclose(dp, x.p)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 20])
+    def test_gradient_matches_mpmath(self, n):
+        x = grid_alcove_point(np.random.default_rng(50 + n), n)
+        dq, dp = make_system(n, COUP).grad(PhasePoint(x.q, x.p))
+        want_q, want_p = oracle.sutherland_gradient(mp_vector(x.q), mp_vector(x.p))
+        want = np.array([float(v) for v in want_q + want_p])
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(np.concatenate([dq, dp]), want, rtol=0, atol=1e-13 * scale)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(near_wall_points())
+    def test_gradient_matches_differences_near_walls(self, x):
+        sys = make_system(x.n, COUP)
+        dq, dp = sys.grad(PhasePoint(x.q, x.p))
+        step = 1e-4 * min(1.0, sys.boundary_margin(x))
+        fd = np.empty(x.n)
+        for j in range(x.n):
+            e = np.zeros(x.n)
+            e[j] = step
+            fd[j] = (
+                sutherland_H(SutherlandPoint(x.q + e, x.p), COUP)
+                - sutherland_H(SutherlandPoint(x.q - e, x.p), COUP)
+            ) / (2 * step)
+        scale = max(1.0, float(np.max(np.abs(fd))))
+        np.testing.assert_allclose(dq, fd, rtol=0, atol=1e-6 * scale)
+        np.testing.assert_array_equal(dp, x.p)
 
     def test_margin_and_domain(self):
         sys = make_system(2, COUP)
