@@ -23,14 +23,21 @@ Each domain's inequalities are written once, as a slack vector with one
 entry per inequality: a point is inside when every entry is positive,
 and the smallest entry is its boundary margin.
 
-One routine writes the unitary dual matrix.  It works in the global
-chart, which covers all of C^n, including z = 0, where the chamber
-inequalities saturate and the local chart dies; the local-chart matrix
-is its gauge by the diagonal unitary `chart_gauge` built from
-cumulative phases.  The commuting invariants of the direct side,
-transported to the dual side, are symmetric functions of lam(z) alone,
-so they only see the moduli |z_j|; the dual energy, by contrast, sees
-the phases as well.
+One routine writes the unitary dual matrix, in the global chart, which
+covers all of C^n, including z = 0, where the chamber inequalities
+saturate and the local chart dies; the local-chart matrix is its gauge
+by the diagonal unitary `chart_gauge`.  It is a Cauchy matrix, a
+rank-one numerator over X - 2*mu with X_ab = x_a - x_b the gaps of
+x = (lam, -lam), and the same gaps give its chart weights and the pair
+factors of the product-form energy.  Three sets of entries are written
+in place: those beside the diagonal of the square blocks, 0/0 where a
+gap saturates; the corner, 0/0 at lam_n = mu; and the diagonals of the
+off-diagonal blocks, which carry the (mu - nu) boundary terms.  The
+0/0 denominators are masked to inf before the division, so a saturated
+gap divides nothing by zero.  The commuting invariants of the direct
+side, transported to the dual side, are symmetric functions of lam(z)
+alone, so they only see the moduli |z_j|; the dual energy, by
+contrast, sees the phases as well.
 
 The last third of the module treats a *rational* deformed family on the
 plain positive chamber (no 2*mu gaps): subset-sum Hamiltonians with
@@ -50,14 +57,25 @@ from .errors import ChartError, DomainError, RangeError
 from .linalg import _stencil
 
 
-def _pairs(x, diagonal=None):
-    """Pair matrices x_j - x_k and x_j + x_k, diagonals set to `diagonal` if given."""
-    d = x[:, None] - x[None, :]
-    s = x[:, None] + x[None, :]
-    if diagonal is not None:
-        np.fill_diagonal(d, diagonal)
-        np.fill_diagonal(s, diagonal)
-    return d, s
+def _cauchy_gaps(lam, rows=None):
+    """x_a - x_b for x = (lam, -lam), its top `rows` rows only if given; one rounding each."""
+    x = np.concatenate([lam, -lam])
+    return x[:rows, None] - x
+
+
+@lru_cache(maxsize=None)
+def _cauchy_masks(n):
+    """Flat indices into 2n x 2n matrices; cached per n, so read-only.
+
+    selves: the block diagonals (a, a), (a, n+a), (n+a, n+a), (n+a, a); the
+    first 2n lie in the top rows and index an n x 2n slice too.  gaps:
+    (a, a+1) and (n+a+1, n+a), a < n - 1, where X - 2*mu is the a-th slack.
+    """
+    a, e, m = np.arange(n), np.arange(n - 1), 2 * n
+    selves = np.concatenate([a * (m + 1), a * (m + 1) + n, (a + n) * (m + 1), (a + n) * m + a])
+    gaps = np.concatenate([e * (m + 1) + 1, (e + n + 1) * m + n + e])
+    selves.flags.writeable = gaps.flags.writeable = False
+    return selves, gaps
 
 
 def _power_sums(lam2):
@@ -320,9 +338,10 @@ def dual_h_matrix(lam, kappa):
     if np.any(lam <= 0) or np.any(disc.real < 0):
         raise DomainError("need lam_j > 0 and Re(lam_j^2 - kappa^2) >= 0 for the rotation")
     root = np.sqrt(lam + np.sqrt(disc))
-    alpha = np.diag(root / np.sqrt(2 * lam))
-    beta = np.diag(kappa / (np.sqrt(2 * lam) * root))
-    return np.block([[alpha, beta], [-beta, alpha]])
+    alpha, beta = root / np.sqrt(2 * lam), kappa / (np.sqrt(2 * lam) * root)
+    h = np.zeros((2 * n, 2 * n), np.result_type(alpha, beta))
+    h.flat[_cauchy_masks(n)[0]] = np.concatenate([alpha, beta, alpha, -beta])  # selves order
+    return h
 
 
 def _root(value):
@@ -333,16 +352,18 @@ def _root(value):
 
 
 def _root_terms(lam, mu2, nu2, kap2):
-    """Square-root product terms V_j of the product form, and the pair matrices.
+    """Square-root product terms V_j of the product form, and the pair matrix.
 
     V_j = sqrt((1 - nu2/lam_j^2)(1 - kap2/lam_j^2))
     prod_{k != j} sqrt((1 - mu2/(lam_j - lam_k)^2)(1 - mu2/(lam_j + lam_k)^2)).
-    Returns (V, lam_j - lam_k, lam_j + lam_k), the pair diagonals set to inf.
+    Returns (V, x), x the top rows of the Cauchy gaps with self entries inf.
     """
-    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
-    pair = _root(1 - mu2 / minus**2) * _root(1 - mu2 / plus**2)
+    n = lam.size
+    x = _cauchy_gaps(lam, n)
+    x.flat[_cauchy_masks(n)[0][: 2 * n]] = np.inf
+    pair = _root(1 - mu2 / x**2)
     lead = _root(1 - nu2 / lam**2) * _root(1 - kap2 / lam**2)
-    return lead * pair.prod(axis=1), minus, plus
+    return lead * (pair[:, :n] * pair[:, n:]).prod(axis=1), x
 
 
 def _product_energy(lam, wave, mu2, nu2, kap2, nu_kap):
@@ -355,7 +376,7 @@ def _product_energy(lam, wave, mu2, nu2, kap2, nu_kap):
     cosh theta), under which const turns from nu*kappa/(4 mu^2) into
     -nu*kappa/mu^2.
     """
-    terms, _, _ = _root_terms(lam, mu2, nu2, kap2)
+    terms, _ = _root_terms(lam, mu2, nu2, kap2)
     total = float((wave * terms).sum())
     const = nu_kap / mu2
     return total - const * float((1 - mu2 / lam**2).prod()) + const
@@ -385,7 +406,7 @@ def _dual_grad(lam, theta, c):
     sqrt(1 - a/x^2) contributes its log-slope a/(x(x^2 - a)) at x = lam_j,
     lam_j - lam_k or lam_j + lam_k.  For the pair matrices D and S of these
     slopes at the differences and sums (zero diagonals), D odd and S
-    symmetric,
+    symmetric, both read off the top rows of the Cauchy gaps in one call,
       dH/dlam = T (slope_nu + slope_kappa + rowsum(D + S)) + (D + S) T
                 - (nu kappa / 4 mu^2) prod_{k != j} (1 - 4 mu^2/lam_k^2) 8 mu^2/lam_j^3,
       dH/dtheta = -sin(theta) V.
@@ -394,13 +415,14 @@ def _dual_grad(lam, theta, c):
     nu < 2 mu.
     """
     _require_chamber(lam, c)
-    mu2, nu2, kap2 = 4 * c.mu**2, c.nu**2, c.kappa**2
-    terms, minus, plus = _root_terms(lam, mu2, nu2, kap2)
+    n, mu2, nu2, kap2 = lam.size, 4 * c.mu**2, c.nu**2, c.kappa**2
+    terms, x = _root_terms(lam, mu2, nu2, kap2)
     t = np.cos(theta) * terms
-    slope = _log_slope(minus, mu2) + _log_slope(plus, mu2)  # D + S
+    pair = _log_slope(x, mu2)
+    slope = pair[:, :n] + pair[:, n:]  # D + S
     lead = _log_slope(lam, nu2) + _log_slope(lam, kap2)
     dlam = t * (lead + slope.sum(axis=1)) + slope @ t
-    others = np.tile(1 - mu2 / lam**2, (lam.size, 1))
+    others = np.tile(1 - mu2 / lam**2, (n, 1))
     np.fill_diagonal(others, 1.0)
     dlam -= c.nu * c.kappa * 2 * others.prod(axis=1) / lam**3
     return dlam, -np.sin(theta) * terms
@@ -423,24 +445,23 @@ def lambda_of_z(z, c):
     return c.nu + 2 * c.mu * (n - 1 - np.arange(n)) + tails
 
 
-def _chart_g(lam, c):
+def _chart_g(X, lam, c):
     """The 2n positive square-root combinations smooth on the closed chamber.
 
-    Each is a square-root product of chamber factors, with the single gap
-    factor that vanishes on the boundary divided out.
+    Each is a square-root product of chamber factors 1 - 2*mu/X over a row
+    of the Cauchy gaps X, low weights from the top rows and high from the
+    bottom.  The self entries, and the one gap factor per row that vanishes
+    on the boundary and is divided out, are masked to factor 1.
     """
-    mu, nu = c.mu, c.nu
-    d, s = _pairs(lam, np.inf)  # diagonal factors are 1
-    low, high = 1 - 2 * mu / d, 1 + 2 * mu / d
-    e = np.arange(lam.size - 1)
-    low[e, e + 1] = high[e + 1, e] = 1.0  # the gap factor divided out
-    gaps = -np.diff(lam)
-    lead_low = np.concatenate([(1 - nu / lam[:-1]) / gaps, [1.0 / lam[-1]]])
-    lead_high = np.concatenate([[1 + nu / lam[0]], (1 + nu / lam[1:]) / gaps])
-    return np.sqrt(np.concatenate([
-        lead_low * (low * (1 - 2 * mu / s)).prod(axis=1),
-        lead_high * (high * (1 + 2 * mu / s)).prod(axis=1),
-    ]))
+    n, nu = lam.size, c.nu
+    masked = X.copy()
+    masked.flat[np.concatenate(_cauchy_masks(n))] = np.inf
+    f = 1 - 2 * c.mu / masked
+    gaps = lam[:-1] - lam[1:]
+    lead = np.concatenate([  # low, then high
+        (1 - nu / lam[:-1]) / gaps, [1.0 / lam[-1], 1 + nu / lam[0]], (1 + nu / lam[1:]) / gaps
+    ])
+    return np.sqrt(lead * (f[:, :n] * f[:, n:]).prod(axis=1))
 
 
 def _cancelled_corner(lam, mu, nu):
@@ -450,10 +471,10 @@ def _cancelled_corner(lam, mu, nu):
     the crossing; expanding |z_n g_n|^2 factor by factor telescopes it
     into the series below, regular through lam_n = mu.
     """
-    x = lam[-1]
+    *rest, x = lam.tolist()  # Python floats: numpy scalar arithmetic is slower
     acc = 0.0
     run = 1.0
-    for la in lam[:-1]:
+    for la in rest:
         acc += run / (x**2 - la**2)
         run *= ((x - 2 * mu) ** 2 - la**2) / (x**2 - la**2)
     return (4 * mu**2 * (x - nu) * acc - nu) / x
@@ -462,31 +483,32 @@ def _cancelled_corner(lam, mu, nu):
 def _dual_matrix(lam, z, c):
     """The unitary dual matrix at global-chart z, with lam = lambda_of_z(z).
 
-    The entries adjacent to the diagonal of the two square blocks, and
-    the corner entry of the off-diagonal block, are evaluated by their
-    cancelled forms at every lam, so the matrix stays smooth where chamber
-    gaps saturate and exact through lam_n = mu, where the raw quotients are 0/0.
+    A = -2*mu (u v^T) / (X - 2*mu) on the Cauchy gaps X, u = (lo, conj hi) and
+    v = (hi, conj lo), with three sets of entries written in place: (a, a+1)
+    and (n+a+1, n+a), where X - 2*mu = |z_a|^2 cancels to -2*mu*g_a*g_(n+a+1);
+    the diagonals of the off-diagonal blocks, which gain (mu - nu)/(lam - mu)
+    top right and -(mu - nu)/(lam + mu) bottom left; and the corner (n, 2n),
+    by its cancelled form.  The quotients of the first and last set are 0/0
+    where a gap saturates or lam_n = mu, so their denominators are set to inf
+    before the division.
     """
     n = z.size
     mu, nu = c.mu, c.nu
-    g = _chart_g(lam, c)
+    selves, gaps = _cauchy_masks(n)
+    X = _cauchy_gaps(lam)
+    g = _chart_g(X, lam, c)
     lo = np.conj(z) * g[:n]
     hi = np.concatenate([[1.0], z[:-1]]) * g[n:]  # z_(a-1) * g_(n+a), z_(-1) = 1
-    d, s = _pairs(lam)
-    # b = a + 1 (top left) and b = a - 1 (bottom right) are 0/0 where a
-    # chamber gap saturates; |z_a|^2 cancels and the entry is -2*mu*g*g.
-    e = np.arange(n - 1)
-    tl_den, br_den = d - 2 * mu, d + 2 * mu
-    tl_den[e, e + 1] = br_den[e + 1, e] = np.inf
-    tl = -2 * mu * np.outer(lo, hi) / tl_den
-    br = 2 * mu * np.outer(np.conj(hi), np.conj(lo)) / br_den
-    tl[e, e + 1] = br[e + 1, e] = -2 * mu * g[e] * g[n + e + 1]
-    tr_den, shift = s - 2 * mu, lam - mu
-    tr_den[-1, -1] = shift[-1] = np.inf  # the corner is written below
-    tr = -2 * mu * np.outer(lo, np.conj(lo)) / tr_den + np.diag((mu - nu) / shift)
-    tr[-1, -1] = _cancelled_corner(lam, mu, nu)
-    bl = 2 * mu * np.outer(np.conj(hi), hi) / (s + 2 * mu) - np.diag((mu - nu) / (lam + mu))
-    return np.block([[tl, tr], [bl, br]])
+    u, v = np.concatenate([lo, np.conj(hi)]), np.concatenate([hi, np.conj(lo)])
+    den, corner = X - 2 * mu, selves[2 * n - 1]
+    den.flat[gaps] = den.flat[corner] = np.inf
+    A = -2 * mu * (u[:, None] * v) / den
+    cancelled = -2 * mu * g[: n - 1] * g[n + 1 :]
+    A.flat[gaps] = np.concatenate([cancelled, cancelled])
+    A.flat[selves[n : 2 * n - 1]] += (mu - nu) / (lam[:-1] - mu)
+    A.flat[selves[3 * n :]] -= (mu - nu) / (lam + mu)
+    A.flat[corner] = _cancelled_corner(lam, mu, nu)
+    return A
 
 
 @dataclass(frozen=True)
@@ -560,9 +582,8 @@ def dual_lax_local(d, c):
     z = np.sqrt(_require_chamber(lam, c)) * phase
     gauge = np.concatenate([phase, phase])  # G = diag(conj(gauge))
     A = gauge[:, None] * _dual_matrix(lam, z, c) * np.conj(gauge)[None, :]
-    diag = A.diagonal()
-    cross = A.diagonal(-n) - A.diagonal(n)
-    trace = (np.sqrt(lam**2 - c.kappa**2) * (diag[:n] + diag[n:]) + c.kappa * cross) / lam
+    tl, tr, br, bl = A.flat[_cauchy_masks(n)[0]].reshape(4, n)  # the block diagonals
+    trace = (np.sqrt(lam**2 - c.kappa**2) * (tl + br) + c.kappa * (bl - tr)) / lam
     return A, 0.5 * float(trace.sum().real)
 
 
@@ -636,15 +657,16 @@ def family_lax(lam, theta, c):
 def _family_lax(lam, theta, c):
     n = lam.size
     mu, nu = c.mu, c.nu
-    minus, plus = _pairs(lam, np.inf)  # diagonal factors are 1
+    X = _cauchy_gaps(lam)
+    den = 1j * mu + X
+    X.flat[_cauchy_masks(n)[0][: 2 * n]] = np.inf  # self factors are 1
+    minus, plus = X[:n, :n], X[:n, n:]
     z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
-    F = np.zeros(2 * n, dtype=complex)
-    F[:n] = np.exp(-theta / 2) * np.sqrt(np.abs(z))
-    F[n:] = np.conj(z) / F[:n]
-    big = np.concatenate([lam, -lam])
+    f = np.exp(-theta / 2) * np.sqrt(np.abs(z))
+    F = np.concatenate([f, np.conj(z) / f])
     half_swap = np.eye(2 * n, k=n) + np.eye(2 * n, k=-n)
-    num = 1j * mu * np.outer(F, np.conj(F)) + 1j * (mu - 2 * nu) * half_swap
-    A = num / (1j * mu + big[:, None] - big[None, :])
+    num = 1j * mu * (F[:, None] * np.conj(F)) + 1j * (mu - 2 * nu) * half_swap
+    A = num / den
     hinv = dual_h_matrix(lam, -1j * c.kappa)  # C h C
     return hinv @ A @ hinv
 

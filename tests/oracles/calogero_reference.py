@@ -12,9 +12,10 @@ which tests/test_calogero.py evaluates at test time.
 
 import mpmath as mp
 
-mp.mp.dps = 40
+DPS = 40
 
 
+@mp.workdps(DPS)
 def cm_gradient(q, g):
     """dV/dq_j = sum_{k != j} -2 g^2 / (q_j - q_k)^3 of V = sum_{j<k} g^2 / (q_j - q_k)^2."""
     n = len(q)
@@ -24,16 +25,18 @@ def cm_gradient(q, g):
     ]
 
 
-L = mp.matrix(3, 3)
-q = [1, 0, -1]
-p = [1, -1, 1]
-for j in range(3):
-    L[j, j] = p[j]
-    for k in range(3):
-        if j != k:
-            L[j, k] = mp.mpc(0, 1) / (q[j] - q[k])
+with mp.workdps(DPS):
+    L = mp.matrix(3, 3)
+    q = [1, 0, -1]
+    p = [1, -1, 1]
+    for j in range(3):
+        L[j, j] = p[j]
+        for k in range(3):
+            if j != k:
+                L[j, k] = mp.mpc(0, 1) / (q[j] - q[k])
 
-E = mp.eighe(L, eigvals_only=True)
+    E = mp.eighe(L, eigvals_only=True)
 
 if __name__ == "__main__":
+    mp.mp.dps = DPS
     print("spectrum:", [mp.nstr(e, 20) for e in E])

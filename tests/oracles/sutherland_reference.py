@@ -4,8 +4,10 @@ Run manually:
 
     python3 tests/oracles/sutherland_reference.py
 
-Everything here is computed with mpmath at 50 digits, via routes that are
-as direct as possible:
+Everything here is computed with mpmath at DPS = 50 digits, via routes
+that are as direct as possible.  Each function runs at no less than that
+precision (`pinned`), and importing the module leaves the global
+precision alone:
 
   * the Sutherland commuting values come from an explicitly assembled
     2n x 2n first-order matrix and its trace powers, cross-checked in situ
@@ -25,24 +27,44 @@ imports family_hamiltonian, rational_lax and char_coeffs to check the
 rational family at larger n.
 """
 
+from functools import wraps
 from itertools import combinations, product
 
 import mpmath as mp
 
-mp.mp.dps = 50
+DPS = 50
 
-MU = mp.mpf("0.8")
-NU = mp.mpf("0.7")
-KAPPA = mp.mpf("0.25")
+
+def pinned(f):
+    """Run f at DPS digits, or at the caller's precision where that is higher.
+
+    mp.diff raises the precision to difference the energies below, and
+    must keep it inside them.
+    """
+
+    @wraps(f)
+    def run(*args, **kwargs):
+        with mp.workdps(max(DPS, mp.mp.dps)):
+            return f(*args, **kwargs)
+
+    return run
+
+
+with mp.workdps(DPS):
+    MU = mp.mpf("0.8")
+    NU = mp.mpf("0.7")
+    KAPPA = mp.mpf("0.25")
 
 
 # ---------------------------------------------------------------------------
 # Sutherland side: n = 2 point.
 
-Q = [mp.mpf("0.9"), mp.mpf("0.4")]
-P = [mp.mpf("0.3"), mp.mpf("-0.5")]
+with mp.workdps(DPS):
+    Q = [mp.mpf("0.9"), mp.mpf("0.4")]
+    P = [mp.mpf("0.3"), mp.mpf("-0.5")]
 
 
+@pinned
 def sutherland_direct(q, p):
     gamma = MU**2
     gamma1 = NU * KAPPA / 2
@@ -59,6 +81,7 @@ def sutherland_direct(q, p):
     return h
 
 
+@pinned
 def sutherland_gradient(q, p):
     """(dH/dq, dH/dp) of sutherland_direct, one mp.diff partial per coordinate."""
     n = len(q)
@@ -75,6 +98,7 @@ def sutherland_gradient(q, p):
     return grad[:n], grad[n:]
 
 
+@pinned
 def first_order_matrix(q, p):
     n = len(q)
     a = mp.zeros(n)
@@ -99,27 +123,31 @@ def first_order_matrix(q, p):
     return y
 
 
+@pinned
 def trace(m):
     return mp.fsum(m[i, i] for i in range(m.rows))
 
 
-Y = first_order_matrix(Q, P)
-M = mp.mpc(0, -1) * Y
-H1 = trace(M * M) / 4
-H2 = trace(M * M * M * M) / 8
-assert abs(mp.im(H1)) < mp.mpf("1e-40")
-assert abs(H1 - sutherland_direct(Q, P)) < mp.mpf("1e-40")
-EIGS = sorted(mp.eighe(M, eigvals_only=True))
-assert abs(EIGS[0] + EIGS[3]) < mp.mpf("1e-40")  # spectrum symmetric about 0
+with mp.workdps(DPS):
+    Y = first_order_matrix(Q, P)
+    M = mp.mpc(0, -1) * Y
+    H1 = trace(M * M) / 4
+    H2 = trace(M * M * M * M) / 8
+    assert abs(mp.im(H1)) < mp.mpf("1e-40")
+    assert abs(H1 - sutherland_direct(Q, P)) < mp.mpf("1e-40")
+    EIGS = sorted(mp.eighe(M, eigvals_only=True))
+    assert abs(EIGS[0] + EIGS[3]) < mp.mpf("1e-40")  # spectrum symmetric about 0
 
 
 # ---------------------------------------------------------------------------
 # Dual side: n = 2 point, explicit product form of the dual Hamiltonian.
 
-LAM = [mp.mpf("3.3"), mp.mpf("1.1")]
-THETA = [mp.mpf("0.35"), mp.mpf("-0.6")]
+with mp.workdps(DPS):
+    LAM = [mp.mpf("3.3"), mp.mpf("1.1")]
+    THETA = [mp.mpf("0.35"), mp.mpf("-0.6")]
 
 
+@pinned
 def dual_direct(lam, theta, mu=MU, nu=NU, kappa=KAPPA):
     n = len(lam)
     total = mp.mpf(0)
@@ -139,25 +167,32 @@ def dual_direct(lam, theta, mu=MU, nu=NU, kappa=KAPPA):
     return total - c * prod + c
 
 
-def dual_gradient(lam, theta, mu=MU, nu=NU, kappa=KAPPA):
-    """(dH/dlam, dH/dtheta) of dual_direct, one mp.diff partial per coordinate."""
+@pinned
+def dual_partial(lam, theta, i, mu=MU, nu=NU, kappa=KAPPA):
+    """mp.diff partial of dual_direct by coordinate i of (lam, theta)."""
     n = len(lam)
-    point = list(lam) + list(theta)
+    order = [0] * (2 * n)
+    order[i] = 1
 
     def energy(*x):
         return dual_direct(x[:n], x[n:], mu, nu, kappa)
 
-    grad = []
-    for i in range(2 * n):
-        order = [0] * (2 * n)
-        order[i] = 1
-        grad.append(mp.diff(energy, point, order))
+    return mp.diff(energy, list(lam) + list(theta), order)
+
+
+@pinned
+def dual_gradient(lam, theta, mu=MU, nu=NU, kappa=KAPPA):
+    """(dH/dlam, dH/dtheta) of dual_direct, one dual_partial per coordinate."""
+    n = len(lam)
+    grad = [dual_partial(lam, theta, i, mu, nu, kappa) for i in range(2 * n)]
     return grad[:n], grad[n:]
 
 
-H_DUAL = dual_direct(LAM, THETA)
+with mp.workdps(DPS):
+    H_DUAL = dual_direct(LAM, THETA)
 
 
+@pinned
 def dual_chamber_products(lam, sign):
     """prod_{b != a} (1 + 2 sign mu/(lam_a - lam_b))(1 + 2 sign mu/(lam_a + lam_b)), per a."""
     n = len(lam)
@@ -172,6 +207,7 @@ def dual_chamber_products(lam, sign):
     return out
 
 
+@pinned
 def dual_f(lam, theta):
     """Square-root vector of the local chart; each factor is rooted on its own."""
     n = len(lam)
@@ -187,6 +223,7 @@ def dual_f(lam, theta):
     return f
 
 
+@pinned
 def dual_local_matrix(lam, theta):
     """Unitary local-chart dual matrix; the (n, 2n) quotient is 0/0 at lam_n = mu."""
     n = len(lam)
@@ -203,6 +240,7 @@ def dual_local_matrix(lam, theta):
     return amat
 
 
+@pinned
 def dual_rotation(lam):
     """Block rotation [[alpha, beta], [-beta, alpha]] of the kappa coupling."""
     n = len(lam)
@@ -216,6 +254,7 @@ def dual_rotation(lam):
     return h
 
 
+@pinned
 def check_dual_branches(lam, theta):
     """Branch identities of f: with the weights w = 1 / dual_chamber_products,
     |f|^2 = cf+, the branches cf+ and cf- sum to +2n and -2n, and both solve
@@ -240,33 +279,38 @@ def check_dual_branches(lam, theta):
             assert abs(linear) < mp.mpf("1e-40") and abs(quad) < mp.mpf("1e-40")
 
 
-check_dual_branches(LAM, THETA)
-check_dual_branches(
-    [mp.mpf("6.1"), mp.mpf("3.9"), mp.mpf("1.3")], [mp.mpf("0.7"), mp.mpf("-1.9"), mp.mpf("2.6")]
-)
+with mp.workdps(DPS):
+    check_dual_branches(LAM, THETA)
+    check_dual_branches(
+        [mp.mpf("6.1"), mp.mpf("3.9"), mp.mpf("1.3")], [mp.mpf("0.7"), mp.mpf("-1.9"), mp.mpf("2.6")]
+    )
 
-# The local matrix is unitary and Re tr(h A h) / 2 is the dual Hamiltonian.
-A_DUAL = dual_local_matrix(LAM, THETA)
-assert mp.mnorm(A_DUAL * A_DUAL.H - mp.eye(4), 1) < mp.mpf("1e-40")
-H_ROT = dual_rotation(LAM)
-assert abs(mp.re(trace(H_ROT * A_DUAL * H_ROT)) / 2 - H_DUAL) < mp.mpf("1e-40")
+    # The local matrix is unitary and Re tr(h A h) / 2 is the dual Hamiltonian.
+    A_DUAL = dual_local_matrix(LAM, THETA)
+    assert mp.mnorm(A_DUAL * A_DUAL.H - mp.eye(4), 1) < mp.mpf("1e-40")
+    H_ROT = dual_rotation(LAM)
+    assert abs(mp.re(trace(H_ROT * A_DUAL * H_ROT)) / 2 - H_DUAL) < mp.mpf("1e-40")
 
 
 # ---------------------------------------------------------------------------
 # Rational family: n = 2 point in the open positive chamber.
 
-FLAM = [mp.mpf("2.1"), mp.mpf("0.9")]
-FTH = [mp.mpf("0.55"), mp.mpf("-0.35")]
+with mp.workdps(DPS):
+    FLAM = [mp.mpf("2.1"), mp.mpf("0.9")]
+    FTH = [mp.mpf("0.55"), mp.mpf("-0.35")]
 
 
+@pinned
 def v_pot(x):
     return (x + mp.mpc(0, 1) * MU) / x
 
 
+@pinned
 def w_pot(x):
     return ((x + mp.mpc(0, 1) * NU) / x) * ((x + mp.mpc(0, 1) * KAPPA) / x)
 
 
+@pinned
 def u_sum(rest, p, lam):
     if p == 0:
         return mp.mpf(1)
@@ -289,6 +333,7 @@ def u_sum(rest, p, lam):
     return (-1) ** p * mp.re(total)
 
 
+@pinned
 def family_hamiltonian(el, lam, theta):
     n = len(lam)
     total = mp.mpf(0)
@@ -310,6 +355,7 @@ def family_hamiltonian(el, lam, theta):
     return total
 
 
+@pinned
 def pusztai_hamiltonian(lam, theta):
     n = len(lam)
     total = mp.mpf(0)
@@ -328,6 +374,7 @@ def pusztai_hamiltonian(lam, theta):
     return total + NU * KAPPA / MU**2 * prod - NU * KAPPA / MU**2
 
 
+@pinned
 def rational_lax(lam, theta):
     n = len(lam)
     z = []
@@ -366,6 +413,7 @@ def rational_lax(lam, theta):
     return hinv * amat * hinv
 
 
+@pinned
 def char_coeffs(eigs):
     # coefficients of prod (x - e_i), leading first
     coeffs = [mp.mpf(1)]
@@ -378,18 +426,19 @@ def char_coeffs(eigs):
     return coeffs
 
 
-LAX = rational_lax(FLAM, FTH)
-herm = max(abs(LAX[i, j] - mp.conj(LAX[j, i])) for i in range(4) for j in range(4))
-assert herm < mp.mpf("1e-40")
-FEIGS = mp.eighe(LAX, eigvals_only=True)
-KCOEF = char_coeffs(FEIGS)  # det(L - x) = sum_m K_m x^(2n-m) with K_0 = 1
-H_PU = pusztai_hamiltonian(FLAM, FTH)
-H1_VD = family_hamiltonian(1, FLAM, FTH)
-H2_VD = family_hamiltonian(2, FLAM, FTH)
-assert abs(KCOEF[1] + 2 * H_PU) < mp.mpf("1e-38")
-assert abs(H1_VD - 2 * (H_PU - 2)) < mp.mpf("1e-38")
-assert abs(KCOEF[0] - 1) < mp.mpf("1e-40") and abs(KCOEF[4] - 1) < mp.mpf("1e-38")
-assert abs(KCOEF[3] - KCOEF[1]) < mp.mpf("1e-38")  # palindromic
+with mp.workdps(DPS):
+    LAX = rational_lax(FLAM, FTH)
+    herm = max(abs(LAX[i, j] - mp.conj(LAX[j, i])) for i in range(4) for j in range(4))
+    assert herm < mp.mpf("1e-40")
+    FEIGS = mp.eighe(LAX, eigvals_only=True)
+    KCOEF = char_coeffs(FEIGS)  # det(L - x) = sum_m K_m x^(2n-m) with K_0 = 1
+    H_PU = pusztai_hamiltonian(FLAM, FTH)
+    H1_VD = family_hamiltonian(1, FLAM, FTH)
+    H2_VD = family_hamiltonian(2, FLAM, FTH)
+    assert abs(KCOEF[1] + 2 * H_PU) < mp.mpf("1e-38")
+    assert abs(H1_VD - 2 * (H_PU - 2)) < mp.mpf("1e-38")
+    assert abs(KCOEF[0] - 1) < mp.mpf("1e-40") and abs(KCOEF[4] - 1) < mp.mpf("1e-38")
+    assert abs(KCOEF[3] - KCOEF[1]) < mp.mpf("1e-38")  # palindromic
 
 
 def report(label, value):
@@ -397,6 +446,7 @@ def report(label, value):
 
 
 if __name__ == "__main__":
+    mp.mp.dps = DPS
     print("# couplings mu=0.8 nu=0.7 kappa=0.25")
     print("# Sutherland n=2 point q=(0.9,0.4) p=(0.3,-0.5)")
     report("H1", H1)

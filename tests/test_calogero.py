@@ -320,6 +320,14 @@ class TestGradient:
         np.testing.assert_allclose(dq, want, rtol=0, atol=1e-13 * scale)
         np.testing.assert_array_equal(dp, x.p)
 
+    def test_oracle_pins_its_precision(self, monkeypatch):
+        # the oracle runs at its own 40 digits whatever the caller's precision
+        seen, fsum = [], mp.fsum
+        monkeypatch.setattr(mp, "fsum", lambda terms: seen.append(mp.mp.dps) or fsum(terms))
+        with mp.workdps(15):
+            cm_oracle.cm_gradient([mp.mpf(1), mp.mpf(0), mp.mpf(-1)], mp.mpf(1))
+        assert seen == [cm_oracle.DPS] * 3
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(cm_points(max_n=20, close=True))
     def test_gradient_matches_differences_near_collisions(self, x):

@@ -2,11 +2,12 @@
 
 Frozen reference numbers come from tests/oracles/sutherland_reference.py
 (mpmath at 50 digits) at couplings mu=0.8, nu=0.7, kappa=0.25.  The
-local dual-matrix checks at n up to 12 and the rational-family checks at
+local dual-matrix checks at n up to 40 and the rational-family checks at
 n = 3, 4, 5, 8 and 20 import that module and evaluate its matrices, subset
 sums, energies and characteristic coefficients at test time.
 """
 
+import warnings
 from itertools import combinations, product
 
 import mpmath as mp
@@ -40,7 +41,7 @@ from intlab.sutherland import (
     sutherland_H,
     transported_family,
 )
-from intlab.sutherland import _dual_grad, _root
+from intlab.sutherland import _cauchy_masks, _dual_grad, _root
 from oracles import sutherland_reference as oracle
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
@@ -249,13 +250,14 @@ class TestLaxY:
 
     def test_trace_family_matches_mpmath_at_n8(self):
         x = grid_alcove_point(np.random.default_rng(31), 8)
-        M = mp.mpc(0, -1) * oracle.first_order_matrix(mp_vector(x.q), mp_vector(x.p))
-        M2 = M * M
-        power = M2
         want = []
-        for k in range(1, 9):
-            want.append(float(mp.re(oracle.trace(power))) / (4 * k))
-            power = power * M2
+        with mp.workdps(oracle.DPS):
+            M = mp.mpc(0, -1) * oracle.first_order_matrix(mp_vector(x.q), mp_vector(x.p))
+            M2 = M * M
+            power = M2
+            for k in range(1, 9):
+                want.append(float(mp.re(oracle.trace(power))) / (4 * k))
+                power = power * M2
         _, fam = lax_Y(x, COUP)
         np.testing.assert_allclose(fam, want, rtol=1e-12)
 
@@ -387,6 +389,16 @@ class TestDualHamiltonian:
         want = float(oracle.dual_direct(mp_vector(lam), mp_vector(theta)))
         assert dual_hamiltonian(DualPoint(lam, theta), COUP) == pytest.approx(want, rel=1e-12)
 
+    def test_oracle_pins_its_precision(self, monkeypatch):
+        # the oracle runs at its own 50 digits whatever the caller's precision,
+        # so it gives the value it computed at import bit for bit
+        seen, sqrt = [], mp.sqrt
+        monkeypatch.setattr(mp, "sqrt", lambda x: seen.append(mp.mp.dps) or sqrt(x))
+        with mp.workdps(15):
+            value = oracle.dual_direct(oracle.LAM, oracle.THETA)
+        assert seen and set(seen) == {oracle.DPS}
+        assert value == oracle.H_DUAL
+
     def test_root_checks_each_factor(self):
         # two negative factors multiply to a positive number; each must
         # be rejected on its own
@@ -422,13 +434,13 @@ class TestDualLaxLocal:
         # the oracle builds the matrix from the square-root vector f of
         # the local chart, independently of the global-chart route
         rng = np.random.default_rng(16)
-        for n in (1, 2, 6, 12):
+        for n in (1, 2, 6, 12, 20, 40):
             lam = random_chamber_lam(rng, n, COUP)
             theta = rng.uniform(-np.pi, np.pi, n)
             A, _ = dual_lax_local(DualPoint(lam, theta), COUP)
             want = oracle.dual_local_matrix(mp_vector(lam), mp_vector(theta))
             want = np.array(want.tolist(), dtype=complex)
-            np.testing.assert_allclose(A, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(A, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_frozen_value(self):
         d = DualPoint([3.3, 1.1], [0.35, -0.6])
@@ -526,6 +538,30 @@ class TestDualLaxGlobal:
             np.testing.assert_allclose(
                 glob.lax @ glob.lax.conj().T, np.eye(6), atol=1e-10
             )
+
+    @pytest.mark.parametrize("zeros", [None, (1, -1)])
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_unitary_where_gaps_saturate(self, n, zeros):
+        # z = 0 saturates every chamber inequality, zeros = (1, -1) the gap
+        # after lam_2 and lam_n = nu.  Couplings, moduli and phases are exact
+        # in binary, so those gaps are exactly 2*mu and their raw quotients
+        # 0/0; masked before the division, they raise no RuntimeWarning
+        c = BCnCouplings(mu=1.0, nu=0.5, kappa=0.25)
+        rng = np.random.default_rng(n)
+        z = np.zeros(n, complex)
+        if zeros is not None:
+            z = rng.choice([0.5, 0.75, 1.0], n) * rng.choice([1, -1, 1j, -1j], n)
+            z[list(zeros)] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            A = dual_lax_global(z, c).lax
+        assert np.all(np.isfinite(A))
+        np.testing.assert_allclose(A @ A.conj().T, np.eye(2 * n), rtol=0, atol=1e-13)
+
+    def test_cached_masks_read_only(self):
+        for idx in _cauchy_masks(5):
+            with pytest.raises(ValueError):
+                idx[0] = 0
 
     def test_chart_consistency(self):
         rng = np.random.default_rng(13)
@@ -709,10 +745,10 @@ class TestFamilyEval:
     def test_char_poly_matches_mpmath_at_n8(self):
         lam = ["7.3", "6.1", "5.2", "4.0", "3.1", "2.2", "1.4", "0.6"]
         theta = ["0.4", "-0.3", "0.15", "-0.6", "0.25", "0.5", "-0.45", "0.1"]
-        L = oracle.rational_lax([mp.mpf(v) for v in lam], [mp.mpf(v) for v in theta])
-        want = np.array(
-            [float(mp.re(k)) for k in oracle.char_coeffs(mp.eighe(L, eigvals_only=True))]
-        )
+        with mp.workdps(oracle.DPS):
+            L = oracle.rational_lax([mp.mpf(v) for v in lam], [mp.mpf(v) for v in theta])
+            eigs = mp.eighe(L, eigvals_only=True)
+        want = np.array([float(mp.re(k)) for k in oracle.char_coeffs(eigs)])
         K = char_poly(family_lax(np.array(lam, float), np.array(theta, float), COUP))
         err = np.max(np.abs(K.coefficients - want))
         assert err <= 1e-12 * np.max(np.abs(want))
@@ -878,6 +914,20 @@ class TestDualGradient:
         rng = np.random.default_rng(n)
         lam = random_chamber_lam(rng, n, c)
         self.assert_matches_oracle(lam, rng.uniform(-np.pi, np.pi, n), c)
+
+    def test_matches_mpmath_at_n40(self):
+        # each 50-digit partial costs about 0.15 s at n = 40, so take those
+        # of the first, middle and last two particles, in lam and in theta
+        n = 40
+        rng = np.random.default_rng(n)
+        lam = random_chamber_lam(rng, n, COUP)
+        theta = rng.uniform(-np.pi, np.pi, n)
+        coords = [i + shift for shift in (0, n) for i in (0, 1, n // 2, n - 2, n - 1)]
+        want = np.array([
+            float(oracle.dual_partial(mp_vector(lam), mp_vector(theta), i)) for i in coords
+        ])
+        got = np.concatenate(_dual_grad(lam, theta, COUP))[coords]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
 
     def test_finite_where_a_product_factor_vanishes(self):
         # 1 - 4 mu^2 / lam_n^2 = 0 at lam_n = 2 mu, inside the chamber as nu < 2 mu
