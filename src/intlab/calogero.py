@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianSystem, PhasePoint, _vec
+from .dynamics import PhasePoint, _vec, pair_energy, pair_system
 from .errors import DegeneracyError, DomainError
 from .linalg import _DEGENERACY_GAP, _stencil, hermitian_eigen
 
@@ -133,44 +133,14 @@ def _differences(n):
     return _stencil(n)[: n * (n - 1) // 2]
 
 
-def _energy(q, p, g):
-    d = _differences(q.size) @ q
-    return float(0.5 * (p @ p) + g**2 * (1.0 / (d * d)).sum())
-
-
 def hamiltonian(x):
     """H = p^2/2 + sum of pair potentials g^2 / (q_j - q_k)^2."""
-    return _energy(x.q, x.p, x.g)
+    T = _differences(x.n)
+    return pair_energy(x.q, x.p, T, np.full(T.shape[0], x.g**2))
 
 
 def make_system(n, g):
-    """HamiltonianSystem wrapper for the dynamics module.
-
-    The potential is V = w . phi(T q) with T the pair-difference rows of
-    the stencil, w = g^2 on every row and phi = x^-2, so its gradient is
-    T^T (w * phi'(T q)) with phi' = -2 x^-3.
-    """
+    """`pair_system` on the pair-difference rows of the stencil, with w = g^2
+    on every row and f the identity."""
     T = _differences(n)
-    slope = -2.0 * g**2
-
-    def H(point):
-        return _energy(point.q, point.p, g)
-
-    def grad(point):
-        d = T @ point.q
-        return (slope / (d * d * d)) @ T, point.p.copy()
-
-    def margin(point):
-        return _order_margin(point.q)
-
-    def inside(point):
-        return margin(point) > 0
-
-    return HamiltonianSystem(
-        dim=n,
-        hamiltonian=H,
-        grad=grad,
-        domain_check=inside,
-        boundary_margin=margin,
-        name=f"ratcm(n={n}, g={g})",
-    )
+    return pair_system(T, np.full(T.shape[0], g**2), _order_margin, f"ratcm(n={n}, g={g})")

@@ -82,10 +82,13 @@ class HamiltonianSystem:
 
     grad must return the analytic (dH/dq, dH/dp): every system supplies
     one, and the central-difference stencil serves only
-    poisson_bracket_fd.  domain_check marks the open set the flow must
-    not leave.  boundary_margin, when given, returns a smooth
-    distance-like quantity that is positive inside the domain; it drives
-    event-based truncation near the boundary.
+    poisson_bracket_fd.  boundary_margin, when given, returns a smooth
+    distance-like quantity that is positive exactly inside the open
+    domain the flow must not leave; it drives event-based truncation
+    near the boundary, and contains reads membership off it.
+    domain_check, when given, overrides that membership test.  No
+    system of the package sets it; it stays because the benchmark's
+    tracer wraps it by field name.
     """
 
     dim: int
@@ -96,13 +99,52 @@ class HamiltonianSystem:
     name: str = "system"
 
     def contains(self, x):
-        return True if self.domain_check is None else bool(self.domain_check(x))
+        if self.domain_check is not None:
+            return bool(self.domain_check(x))
+        return self.boundary_margin is None or bool(self.boundary_margin(x) > 0)
 
     def energy(self, x):
         value = float(self.hamiltonian(x))
         if not np.isfinite(value):
             raise DomainError(f"{self.name}: Hamiltonian not finite at {x}")
         return value
+
+
+def pair_energy(q, p, T, w, f=None):
+    """|p|^2 / 2 + sum_r w_r / f(x_r)^2 at x = T q; f = None is the identity."""
+    x = T @ q
+    s = x if f is None else f(x)
+    return 0.5 * float(p @ p) + float(w @ (1.0 / (s * s)))
+
+
+def pair_system(T, w, margin, name, f=None, df=None):
+    """HamiltonianSystem of an inverse-square pair potential.
+
+    H = |p|^2 / 2 + V(q) with V = sum_r w_r / f(x_r)^2 over the linear
+    arguments x = T q; f = None is the identity, so V is rational, and
+    otherwise df is the derivative of f.  The gradient is the chain rule
+    through the same matrix, grad V = T^T (-2 w * f'(x) / f(x)^3), with
+    -2 w folded once here.  margin(q) is the configuration domain's
+    boundary margin, positive exactly inside it.
+    """
+    slope = -2.0 * w
+
+    def H(point):
+        return pair_energy(point.q, point.p, T, w, f)
+
+    def grad(point):
+        x = T @ point.q
+        s = x if f is None else f(x)
+        top = slope if df is None else slope * df(x)
+        return (top / (s * s * s)) @ T, np.array(point.p, dtype=float)
+
+    return HamiltonianSystem(
+        dim=T.shape[1],
+        hamiltonian=H,
+        grad=grad,
+        boundary_margin=lambda point: margin(point.q),
+        name=name,
+    )
 
 
 @dataclass(frozen=True)
@@ -164,9 +206,9 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     stores increasing times.  invariant_family is a dict of named
     observables sampled along the way; the energy is always included.
     Leaving the domain truncates the trajectory and sets status
-    'truncated' instead of raising.  tol must be finite and positive,
-    both ends of t_span finite and distinct, and n_samples an integer of
-    at least 2.
+    'truncated' instead of raising.  x0 must have the system's
+    dimension, tol must be finite and positive, both ends of t_span
+    finite and distinct, and n_samples an integer of at least 2.
     """
     if not 0 < tol < np.inf:
         raise DomainError("tol must be finite and positive")
@@ -179,6 +221,8 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
         raise DomainError("n_samples must be an integer") from None
     if n_samples < 2:
         raise DomainError("n_samples must be at least 2")
+    if x0.dim != sys.dim:
+        raise DomainError(f"{sys.name}: initial point has dimension {x0.dim}, not {sys.dim}")
     if not sys.contains(x0):
         raise DomainError(f"{sys.name}: initial point outside domain")
     sys.energy(x0)

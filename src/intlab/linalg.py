@@ -39,10 +39,6 @@ class HermitianSpectrum:
     basis: np.ndarray
     near_degenerate: bool
 
-    def reconstruct(self):
-        U = self.basis
-        return (U * self.eigenvalues) @ U.conj().T
-
 
 @dataclass(frozen=True)
 class CharPoly:
@@ -65,8 +61,9 @@ def _stencil(n):
     T @ q stacks q_j - q_k and then q_j + q_k over the pairs j < k (in
     np.triu_indices order), then q, then 2q; each row has at most two
     nonzero entries, +-1 or a single 2, so every entry of T @ q is exact
-    up to one rounding.  A potential V = w . phi(T q) has the gradient
-    T^T (w * phi'(T q)).  Cached and read-only, as every caller shares it.
+    up to one rounding.  `dynamics.pair_system` builds the pair
+    potentials and their gradients on it.  Cached and read-only, as every
+    caller shares it.
     """
     j, k = np.triu_indices(n, 1)
     eye = np.eye(n)

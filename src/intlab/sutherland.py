@@ -6,10 +6,10 @@ system of Ruijsenaars type whose positions fill the shifted chamber
 lam_a - lam_{a+1} > 2*mu, lam_n > nu; its angles are genuine angles.
 
 The direct potential is a weighted sum of sin^-2 over the fixed linear
-arguments q_j - q_k, q_j + q_k (j < k), q_j and 2 q_j: V = w . phi(T q)
-with T the constant stencil of `linalg._stencil`, phi = sin^-2 and
-w = (gamma per pair row, gamma1, gamma2).  Its gradient is the chain rule
-through the same matrix, grad V = T^T (w * phi'(T q)), and the
+arguments q_j - q_k, q_j + q_k (j < k), q_j and 2 q_j: the rows of the
+constant stencil T of `linalg._stencil`, with weights
+w = (gamma per pair row, gamma1, gamma2).  `dynamics.pair_system` builds
+its flow and states the gradient's chain rule through T, and the
 first-order matrix lax_Y reads its pair entries off the same sines.
 
 Chart conventions for the dual side:
@@ -52,7 +52,7 @@ from math import comb
 
 import numpy as np
 
-from .dynamics import HamiltonianSystem, _vec
+from .dynamics import HamiltonianSystem, _vec, pair_energy, pair_system
 from .errors import ChartError, DomainError, RangeError
 from .linalg import _stencil
 
@@ -104,9 +104,9 @@ def _chamber_slack(x, gap, floor):
     return np.concatenate([x[:-1] - x[1:] - gap, [x[-1] - floor]])
 
 
-def _alcove_slack(q):
-    """Slack of the alcove pi/2 > q_1 > ... > q_n > 0."""
-    return np.concatenate([[np.pi / 2 - q[0]], _chamber_slack(q, 0.0, 0.0)])
+def _alcove_margin(q):
+    """Smallest slack of the alcove pi/2 > q_1 > ... > q_n > 0."""
+    return float(np.concatenate([[np.pi / 2 - q[0]], _chamber_slack(q, 0.0, 0.0)]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ class SutherlandPoint:
         p = _vec(self.p, "p")
         if q.shape != p.shape:
             raise DomainError("q and p must have matching shapes")
-        if not _alcove_slack(q).min() > 0:
+        if not _alcove_margin(q) > 0:
             raise DomainError("q must satisfy pi/2 > q_1 > ... > q_n > 0")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
@@ -236,14 +236,9 @@ def _weights(n, c):
     return np.repeat([c.gamma, c.gamma1, c.gamma2], [n * (n - 1), n, n])
 
 
-def _energy(q, p, w):
-    s = np.sin(_stencil(q.size) @ q)
-    return 0.5 * float(p @ p) + float(w @ (1.0 / (s * s)))
-
-
 def sutherland_H(x, c):
     """Kinetic energy plus the three-coupling trigonometric potential."""
-    return _energy(x.q, x.p, _weights(x.n, c))
+    return pair_energy(x.q, x.p, _stencil(x.n), _weights(x.n, c), np.sin)
 
 
 def lax_Y(x, c):
@@ -281,38 +276,9 @@ def lax_Y(x, c):
 
 
 def make_system(n, c):
-    """HamiltonianSystem wrapper for the direct flow (analytic gradient).
-
-    The potential is V = w . phi(T q) with T = _stencil(n), w = _weights(n, c)
-    and phi = sin^-2, so its gradient is the chain rule through the same
-    matrix, T^T (w * phi'(T q)) with phi' = -2 cos / sin^3.
-    """
+    """`pair_system` with f = sin on the whole stencil and w = _weights(n, c)."""
     T = _stencil(n)
-    w = _weights(n, c)
-    slope = -2.0 * w
-
-    def H(point):
-        return _energy(point.q, point.p, w)
-
-    def grad(point):
-        x = T @ point.q
-        s = np.sin(x)
-        return (slope * np.cos(x) / (s * s * s)) @ T, np.array(point.p, dtype=float)
-
-    def margin(point):
-        return float(_alcove_slack(point.q).min())
-
-    def inside(point):
-        return margin(point) > 0
-
-    return HamiltonianSystem(
-        dim=n,
-        hamiltonian=H,
-        grad=grad,
-        domain_check=inside,
-        boundary_margin=margin,
-        name=f"sutherland-bc(n={n})",
-    )
+    return pair_system(T, _weights(n, c), _alcove_margin, f"sutherland-bc(n={n})", np.sin, np.cos)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +556,9 @@ def dual_lax_local(d, c):
 def make_dual_system(n, c):
     """HamiltonianSystem for the dual flow on (lam, theta) coordinates.
 
-    Positions are lam, momenta the angles theta.  Like every system, it
-    supplies its analytic gradient (`_dual_grad`); the difference stencil
-    of dynamics serves only poisson_bracket_fd.  The boundary margin is
-    the smallest chamber slack, min |z_j|^2 in the global chart.
+    Positions are lam, momenta the angles theta, the gradient is
+    `_dual_grad`, and the boundary margin is the smallest chamber slack,
+    min |z_j|^2 in the global chart.
     """
     gap = 2 * c.mu
 
@@ -606,14 +571,10 @@ def make_dual_system(n, c):
     def margin(point):
         return float(_chamber_slack(point.q, gap, c.nu).min())
 
-    def inside(point):
-        return margin(point) > 0
-
     return HamiltonianSystem(
         dim=n,
         hamiltonian=H,
         grad=grad,
-        domain_check=inside,
         boundary_margin=margin,
         name=f"sutherland-bc-dual(n={n})",
     )
@@ -632,7 +593,7 @@ def dual_action_jacobian(q):
     vanishes on the open alcove; tests pin the closed form.
     """
     q = _vec(q, "q")
-    if not _alcove_slack(q).min() > 0:
+    if not _alcove_margin(q) > 0:
         raise DomainError("q must lie in the open alcove")
     n = q.size
     rows = np.arange(1, n + 1)[:, None]

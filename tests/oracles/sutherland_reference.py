@@ -82,19 +82,23 @@ def sutherland_direct(q, p):
 
 
 @pinned
-def sutherland_gradient(q, p):
-    """(dH/dq, dH/dp) of sutherland_direct, one mp.diff partial per coordinate."""
+def sutherland_partial(q, p, i):
+    """mp.diff partial of sutherland_direct by coordinate i of (q, p)."""
     n = len(q)
-    point = list(q) + list(p)
+    order = [0] * (2 * n)
+    order[i] = 1
 
     def energy(*x):
         return sutherland_direct(x[:n], x[n:])
 
-    grad = []
-    for i in range(2 * n):
-        order = [0] * (2 * n)
-        order[i] = 1
-        grad.append(mp.diff(energy, point, order))
+    return mp.diff(energy, list(q) + list(p), order)
+
+
+@pinned
+def sutherland_gradient(q, p):
+    """(dH/dq, dH/dp) of sutherland_direct, one sutherland_partial per coordinate."""
+    n = len(q)
+    grad = [sutherland_partial(q, p, i) for i in range(2 * n)]
     return grad[:n], grad[n:]
 
 

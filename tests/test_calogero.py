@@ -310,7 +310,7 @@ class TestGradient:
             assert dq[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
         np.testing.assert_allclose(dp, x.p)
 
-    @pytest.mark.parametrize("n", [1, 3, 8, 20])
+    @pytest.mark.parametrize("n", [1, 3, 8, 20, 40])
     def test_gradient_matches_exact_sum(self, n):
         x = random_point(np.random.default_rng(40 + n), n, 1.3)
         dq, dp = make_system(n, x.g).grad(x.as_phase())

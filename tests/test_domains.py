@@ -96,6 +96,11 @@ def check_system(sys, x, ref):
     assert margin == ref[1]
 
 
+def test_builders_read_membership_off_the_margin():
+    for sys in (make_system(3, COUP), make_dual_system(3, COUP), cm_system(3, 1.0)):
+        assert sys.domain_check is None and sys.boundary_margin is not None
+
+
 @PROPERTY
 @given(alcove_q)
 def test_alcove(q):

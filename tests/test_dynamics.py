@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intlab import calogero, sutherland
 from intlab.dynamics import (
     HamiltonianSystem,
     PhasePoint,
@@ -116,6 +119,20 @@ class TestIntegrateFlow:
         traj = integrate_flow(free_system(1), x0, (0, 1), tol=1e-9, n_samples=np.int64(3))
         assert len(traj.times) == 3
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rejects_a_point_of_another_dimension(self, n):
+        # at n = 2 the dual system used to integrate the short point and
+        # report "completed"; the others failed inside numpy
+        c = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
+        cases = [
+            (sutherland.make_system(3, c), np.linspace(1.2, 0.3, n)),
+            (sutherland.make_dual_system(3, c), 5.0 + 2.5 * np.arange(n, 0, -1)),
+            (calogero.make_system(3, 1.0), np.arange(n, 0.0, -1.0)),
+        ]
+        for sys, q in cases:
+            with pytest.raises(DomainError, match="dimension"):
+                integrate_flow(sys, PhasePoint(q, np.zeros(n)), (0.0, 0.1), tol=1e-9)
+
     def test_self_convergence(self):
         # halving the tolerance should at least halve the endpoint error
         from intlab.calogero import make_system
@@ -130,6 +147,34 @@ class TestIntegrateFlow:
             return np.max(np.abs(traj.final.to_vector() - end_ref))
 
         assert endpoint_error(1e-7) >= 2.0 * endpoint_error(5e-8)
+
+
+class TestContains:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_margin_decides_membership(self, q):
+        sys = HamiltonianSystem(
+            dim=1,
+            hamiltonian=lambda x: 0.0,
+            grad=lambda x: (np.zeros(1), x.p.copy()),
+            boundary_margin=lambda x: float(x.q[0]),
+        )
+        assert sys.contains(PhasePoint([q], [0.0])) is bool(q > 0)
+
+    def test_no_domain_contains_every_point(self):
+        for q in ([0.0, 0.0], [-1e300, 1e300], [np.inf, np.nan]):
+            assert free_system(2).contains(PhasePoint(q, [0.0, 0.0]))
+
+    def test_domain_check_overrides_margin(self):
+        sys = HamiltonianSystem(
+            dim=1,
+            hamiltonian=lambda x: 0.0,
+            grad=lambda x: (np.zeros(1), x.p.copy()),
+            domain_check=lambda x: x.q[0] < 0,
+            boundary_margin=lambda x: float(x.q[0]),
+        )
+        assert not sys.contains(PhasePoint([1.0], [0.0]))
+        assert sys.contains(PhasePoint([-1.0], [0.0]))
 
 
 class TestPoissonBracketFd:

@@ -326,6 +326,18 @@ class TestDirectSystem:
         scale = max(1.0, float(np.max(np.abs(want))))
         np.testing.assert_allclose(np.concatenate([dq, dp]), want, rtol=0, atol=1e-13 * scale)
 
+    def test_gradient_matches_mpmath_at_n40(self):
+        # each 50-digit partial costs about 0.17 s at n = 40, so take those
+        # of the first, middle and last positions and two momenta
+        n = 40
+        x = grid_alcove_point(np.random.default_rng(50 + n), n)
+        coords = [0, 1, n // 2, n - 1, n, 2 * n - 1]
+        want = np.array([
+            float(oracle.sutherland_partial(mp_vector(x.q), mp_vector(x.p), i)) for i in coords
+        ])
+        got = np.concatenate(make_system(n, COUP).grad(PhasePoint(x.q, x.p)))[coords]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(near_wall_points())
     def test_gradient_matches_differences_near_walls(self, x):
