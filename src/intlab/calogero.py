@@ -20,7 +20,7 @@ def _order_margin(q):
 
     q lies on the open domain q_1 > ... > q_n exactly when it is positive.
     """
-    return float(np.min(q[:-1] - q[1:])) if q.size > 1 else 1.0
+    return float((q[:-1] - q[1:]).min()) if q.size > 1 else 1.0
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Hamiltonian flows on canonical coordinates, plus the audit tooling.
 
-The integrator is a plain adaptive Runge-Kutta pair (scipy's RK45); no
-symplectic structure is imposed.  Conservation is checked after the
-fact: every trajectory carries its invariant samples, and callers are
-expected to look at the drift numbers rather than trust the scheme.
+The integrator is a plain adaptive Runge-Kutta pair: scipy's RK45
+(Dormand-Prince 5(4)) reproduced step for step by `_dopri`, which differs
+only in running without scipy's initial-value driver and its per-step
+wrappers.  No symplectic structure is imposed.  Conservation is checked
+after the fact: every trajectory carries its invariant samples, and
+callers are expected to look at the drift numbers rather than trust the
+scheme.
 Every system supplies its analytic gradient; the central-difference
 stencil serves only poisson_bracket_fd.
 
@@ -16,15 +19,19 @@ Conventions used throughout the package:
     theta^- in increasing order, which pairs them up componentwise.
 """
 
+import bisect
+import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
+from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, StiffnessError
 
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_EPS = float(np.finfo(float).eps)
+_FD_STEP = _EPS ** (1.0 / 3.0)
 
 # Residual above which a scattering fit is rejected as not yet free.
 _FIT_RESIDUAL_LIMIT = 1e-2
@@ -149,10 +156,15 @@ def pair_system(T, w, margin, name, f=None, df=None):
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Samples of a flow at increasing times.  integrate_flow's diagnostics:
+    nfev, accepted and rejected steps, t_stop (where the flow stopped) and
+    stop_margin (the boundary margin there, None without one)."""
+
     times: np.ndarray
     states: tuple
     invariants: dict = field(default_factory=dict)
     status: str = "completed"
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, float))
@@ -199,16 +211,111 @@ def _fd_gradient(f, x, step):
     return dq, dp
 
 
+def _dense(Q, y_old, t_old, h, t):
+    """scipy's RkDenseOutput on the step of size h from (t_old, y_old):
+    the state at a float t, or one column per entry of a 1-D array t."""
+    x = (np.asarray(t) - t_old) / h
+    p = np.cumprod(np.tile(x, (Q.shape[1], 1) if x.ndim else Q.shape[1]), axis=0)
+    return h * np.dot(Q, p) + (y_old[:, None] if x.ndim else y_old)
+
+
+def _rms(x):
+    """scipy's error norm, np.linalg.norm(x) / sqrt(x.size), bit for bit."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _dopri(rhs, y, t, t1, tol, samples, margin, name):
+    """scipy's RK45 from (t, y) to t1, step for step: the Dormand-Prince
+    5(4) pair (J. Comput. Appl. Math. 6, 1980) with the step control of
+    Hairer-Norsett-Wanner, Solving ODEs I, II.4.
+
+    Same tableau, atol = tol and rtol = max(tol, 100 eps), initial step,
+    error norm, step control, and StiffnessError below ten float spacings;
+    rhs(y) is autonomous, so the nodes RK45.C never enter.  When margin(y)
+    falls to _BOUNDARY_MARGIN within a step, brentq finds the crossing on
+    the dense output as scipy's terminal events do, and the samples
+    stop there.  Returns the sample times, the states as columns, whether
+    the margin stopped the flow, and the diagnostics.
+    """
+    rtol, atol, direction = max(tol, 100 * _EPS), tol, 1.0 if t1 > t else -1.0
+    exponent, span, f = -1 / (RK45.error_estimator_order + 1), abs(t1 - t), rhs(y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((rhs(y + h0 * direction * f) - f) / scale) / h0
+    tiny = d1 <= 1e-15 and d2 <= 1e-15
+    h1 = max(1e-6, h0 * 1e-3) if tiny else (0.01 / max(d1, d2)) ** -exponent
+    h_abs = min(100 * h0, h1, span)
+
+    K = np.empty((RK45.n_stages + 1, y.size))
+    stages = [(K[:s].T, RK45.A[s, :s]) for s in range(1, RK45.n_stages)]
+    KB, KE = K[:-1].T, K.T
+    # samples up to and including t, in the direction of time, as bisect keys
+    keys, i, times, states = (direction * samples).tolist(), 0, [], []
+    accepted = rejected = 0
+    g, hit = margin(y) if margin else None, False
+    while not hit and t != t1:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs, retried = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(f"{name}: step size fell below the float spacing at t = {t}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, (Ks, a) in enumerate(stages, start=1):
+                K[s] = rhs(y + np.dot(Ks, a) * h)
+            y_new = y + h * np.dot(KB, RK45.B)
+            K[-1] = f_new = rhs(y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(KE, RK45.E) * h / scale)
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error**exponent)
+                h_abs *= min(1, factor) if retried else factor
+                break
+            h_abs *= max(0.2, 0.9 * error**exponent)
+            rejected, retried = rejected + 1, True
+        accepted += 1
+        t_old, y_old, t, y, f, Q = t, y, t_new, y_new, f_new, None
+        if margin:
+            g_new = margin(y)
+            if g >= _BOUNDARY_MARGIN >= g_new:
+                Q, seen = KE.dot(RK45.P), {}
+
+                def excess(s):
+                    seen[s] = margin(_dense(Q, y_old, t_old, h, s))
+                    return seen[s] - _BOUNDARY_MARGIN
+
+                t = brentq(excess, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                g_new, hit = seen[t], True
+            g = g_new
+        j = bisect.bisect_right(keys, direction * t, i)
+        if j > i:
+            Q = KE.dot(RK45.P) if Q is None else Q
+            times.append(samples[i:j])
+            states.append(_dense(Q, y_old, t_old, h, samples[i:j]))
+            i = j
+    nfev = 2 + 6 * (accepted + rejected)
+    diagnostics = dict(nfev=nfev, accepted=accepted, rejected=rejected, t_stop=t, stop_margin=g)
+    return np.hstack(times), np.hstack(states), hit, diagnostics
+
+
 def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     """Integrate Hamilton's equations q' = dH/dp, p' = -dH/dq.
 
+    The steps are scipy's RK45 at rtol = atol = tol, reproduced bit for
+    bit by `_dopri`, without scipy's initial-value driver; diagnostics
+    carry its statistics.
     t_span may run backward (t1 < t0); the returned trajectory always
     stores increasing times.  invariant_family is a dict of named
     observables sampled along the way; the energy is always included.
     Leaving the domain truncates the trajectory and sets status
-    'truncated' instead of raising.  x0 must have the system's
-    dimension, tol must be finite and positive, both ends of t_span
-    finite and distinct, and n_samples an integer of at least 2.
+    'truncated' instead of raising.  x0 must be a PhasePoint of the
+    system's dimension, tol must be finite and positive, both ends of
+    t_span finite and distinct, and n_samples an integer of at least 2.
     """
     if not 0 < tol < np.inf:
         raise DomainError("tol must be finite and positive")
@@ -221,6 +328,8 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
         raise DomainError("n_samples must be an integer") from None
     if n_samples < 2:
         raise DomainError("n_samples must be at least 2")
+    if not isinstance(x0, PhasePoint):
+        raise DomainError(f"{sys.name}: x0 must be a PhasePoint, not {type(x0).__name__}")
     if x0.dim != sys.dim:
         raise DomainError(f"{sys.name}: initial point has dimension {x0.dim}, not {sys.dim}")
     if not sys.contains(x0):
@@ -229,39 +338,20 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
 
     n = x0.dim
 
-    def rhs(t, y):
+    def rhs(y):
         dq, dp = sys.grad(PhasePoint._view(y, n))
         return np.concatenate([dp, -np.asarray(dq, float)])
 
-    events = None
+    margin = None
     if sys.boundary_margin is not None:
-        def boundary_event(t, y):
-            return float(sys.boundary_margin(PhasePoint._view(y, n))) - _BOUNDARY_MARGIN
+        def margin(y):
+            return float(sys.boundary_margin(PhasePoint._view(y, n)))
 
-        boundary_event.terminal = True
-        boundary_event.direction = -1
-        events = [boundary_event]
-
-    t_eval = np.linspace(t0, t1, n_samples)
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        x0.to_vector(),
-        method="RK45",
-        rtol=tol,
-        atol=tol,
-        t_eval=t_eval,
-        events=events,
-        dense_output=False,
+    times, ys, hit, diagnostics = _dopri(
+        rhs, x0.to_vector(), t0, t1, tol, np.linspace(t0, t1, n_samples), margin, sys.name
     )
-    if sol.status == -1:
-        raise StiffnessError(f"{sys.name}: integrator failed: {sol.message}")
-
-    times = sol.t
-    states = [PhasePoint.from_vector(sol.y[:, k]) for k in range(sol.y.shape[1])]
-    status = "completed"
-    if sol.status == 1:  # boundary event fired
-        status = "truncated"
+    states = [PhasePoint.from_vector(ys[:, k]) for k in range(ys.shape[1])]
+    status = "truncated" if hit else "completed"
 
     # drop any samples that slipped outside the open domain
     keep = len(states)
@@ -287,6 +377,7 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
         states=tuple(states),
         invariants=invariants,
         status=status,
+        diagnostics=diagnostics,
     )
 
 

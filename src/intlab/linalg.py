@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 
 # Gap below which a Hermitian spectrum is flagged as near-degenerate.
 # Downstream code decides what to do with the flag.
@@ -63,8 +63,10 @@ def _stencil(n):
     nonzero entries, +-1 or a single 2, so every entry of T @ q is exact
     up to one rounding.  `dynamics.pair_system` builds the pair
     potentials and their gradients on it.  Cached and read-only, as every
-    caller shares it.
+    caller shares it.  DomainError unless n >= 1.
     """
+    if n < 1:
+        raise DomainError("need n >= 1")
     j, k = np.triu_indices(n, 1)
     eye = np.eye(n)
     T = np.vstack([eye[j] - eye[k], eye[j] + eye[k], eye, 2 * eye])

@@ -105,8 +105,8 @@ def _chamber_slack(x, gap, floor):
 
 
 def _alcove_margin(q):
-    """Smallest slack of the alcove pi/2 > q_1 > ... > q_n > 0."""
-    return float(np.concatenate([[np.pi / 2 - q[0]], _chamber_slack(q, 0.0, 0.0)]).min())
+    """Smallest slack of the alcove pi/2 > q_1 > ... > q_n > 0; nan if q has one."""
+    return float((q[:-1] - q[1:]).min(initial=min(np.pi / 2 - q[0], q[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +558,10 @@ def make_dual_system(n, c):
 
     Positions are lam, momenta the angles theta, the gradient is
     `_dual_grad`, and the boundary margin is the smallest chamber slack,
-    min |z_j|^2 in the global chart.
+    min |z_j|^2 in the global chart.  DomainError unless n >= 1.
     """
+    if n < 1:
+        raise DomainError("need n >= 1")
     gap = 2 * c.mu
 
     def H(point):

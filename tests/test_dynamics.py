@@ -302,3 +302,34 @@ def test_system_requires_gradient():
     # the flows have no difference fallback; the stencil serves only brackets
     with pytest.raises(TypeError, match="grad"):
         HamiltonianSystem(dim=1, hamiltonian=lambda x: 0.0)
+
+
+@pytest.mark.parametrize(
+    "sys, x0",
+    [
+        (
+            sutherland.make_system(2, sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)),
+            sutherland.SutherlandPoint([1.0, 0.4], [0.1, 0.2]),
+        ),
+        (calogero.make_system(2, 1.0), calogero.RatCMPoint([1.0, 0.0], [0.1, 0.2], 1.0)),
+    ],
+    ids=["sutherland", "ratcm"],
+)
+def test_domain_point_is_not_a_phase_point(sys, x0):
+    # the domain points carry n, not dim; this used to fail with AttributeError
+    with pytest.raises(DomainError, match="PhasePoint"):
+        integrate_flow(sys, x0, (0.0, 0.1), tol=1e-9)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_builders_reject_fewer_than_one_particle(n):
+    # at n = 0 the direct and dual builders made dimension-0 systems and the
+    # CM one a system that completed a 0-particle flow
+    c = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
+    for build in (
+        lambda: sutherland.make_system(n, c),
+        lambda: sutherland.make_dual_system(n, c),
+        lambda: calogero.make_system(n, 1.0),
+    ):
+        with pytest.raises(DomainError, match="n >= 1"):
+            build()
