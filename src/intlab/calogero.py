@@ -23,6 +23,13 @@ def _order_margin(q):
     return float((q[:-1] - q[1:]).min()) if q.size > 1 else 1.0
 
 
+def _coupling(g):
+    """g itself, or DomainError unless it is finite."""
+    if not np.isfinite(g):
+        raise DomainError("g must be finite")
+    return g
+
+
 @dataclass(frozen=True)
 class RatCMPoint:
     """Phase-space point (q, p) with coupling g; q strictly decreasing."""
@@ -38,6 +45,7 @@ class RatCMPoint:
             raise DomainError("q and p must have equal length")
         if not _order_margin(self.q) > 0:
             raise DomainError("configuration must satisfy q_1 > ... > q_n")
+        _coupling(self.g)
 
     @property
     def n(self):
@@ -142,5 +150,5 @@ def hamiltonian(x):
 def make_system(n, g):
     """`pair_system` on the pair-difference rows of the stencil, with w = g^2
     on every row and f the identity."""
-    T = _differences(n)
+    T, g = _differences(n), _coupling(g)
     return pair_system(T, np.full(T.shape[0], g**2), _order_margin, f"ratcm(n={n}, g={g})")

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .dynamics import _count
+from .errors import StructureError
 
 # Gap below which a Hermitian spectrum is flagged as near-degenerate.
 # Downstream code decides what to do with the flag.
@@ -20,9 +21,12 @@ _DEGENERACY_GAP = 1e-9
 
 
 def _as_square(M):
+    """M as a finite square complex matrix, or StructureError."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise StructureError(f"expected a square matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise StructureError("matrix has non-finite entries")
     return M
 
 
@@ -63,10 +67,9 @@ def _stencil(n):
     nonzero entries, +-1 or a single 2, so every entry of T @ q is exact
     up to one rounding.  `dynamics.pair_system` builds the pair
     potentials and their gradients on it.  Cached and read-only, as every
-    caller shares it.  DomainError unless n >= 1.
+    caller shares it.  DomainError unless n is an integer >= 1.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    n = _count(n, "n", 1)
     j, k = np.triu_indices(n, 1)
     eye = np.eye(n)
     T = np.vstack([eye[j] - eye[k], eye[j] + eye[k], eye, 2 * eye])
@@ -77,8 +80,6 @@ def _stencil(n):
 def hermitian_eigen(M):
     """Eigendecomposition with the package-wide sorting convention."""
     M = _as_square(M)
-    if not np.all(np.isfinite(M)):
-        raise StructureError("matrix has non-finite entries")
     scale = max(1.0, np.linalg.norm(M))
     dev = np.linalg.norm(M - M.conj().T)
     if dev > 1e-12 * scale:

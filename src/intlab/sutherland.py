@@ -10,7 +10,8 @@ arguments q_j - q_k, q_j + q_k (j < k), q_j and 2 q_j: the rows of the
 constant stencil T of `linalg._stencil`, with weights
 w = (gamma per pair row, gamma1, gamma2).  `dynamics.pair_system` builds
 its flow and states the gradient's chain rule through T, and the
-first-order matrix lax_Y reads its pair entries off the same sines.
+first-order matrix lax_Y reads its pair entries off the Cauchy gaps of
+(q, -q), on the layout that every 2n x 2n matrix here shares.
 
 Chart conventions for the dual side:
 
@@ -52,7 +53,7 @@ from math import comb
 
 import numpy as np
 
-from .dynamics import HamiltonianSystem, _vec, pair_energy, pair_system
+from .dynamics import HamiltonianSystem, _count, _vec, pair_energy, pair_system
 from .errors import ChartError, DomainError, RangeError
 from .linalg import _stencil
 
@@ -65,7 +66,7 @@ def _cauchy_gaps(lam, rows=None):
 
 @lru_cache(maxsize=None)
 def _cauchy_masks(n):
-    """Flat indices into 2n x 2n matrices; cached per n, so read-only.
+    """Flat indices into every 2n x 2n matrix here; cached per n, so read-only.
 
     selves: the block diagonals (a, a), (a, n+a), (n+a, n+a), (n+a, a); the
     first 2n lie in the top rows and index an n x 2n slice too.  gaps:
@@ -79,9 +80,13 @@ def _cauchy_masks(n):
 
 
 def _power_sums(lam2):
-    """Trace family sum_j lam2_j^k / (2k), k = 1..n, of squared dual positions."""
+    """Trace family sum_j lam2_j^k / (2k), k = 1..n, of lam2 = lam^2; RangeError on overflow."""
     k = np.arange(1, lam2.size + 1)
-    return (lam2[None, :] ** k[:, None]).sum(axis=1) / (2 * k)
+    with np.errstate(over="ignore"):
+        sums = (lam2[None, :] ** k[:, None]).sum(axis=1) / (2 * k)
+    if not np.isfinite(sums).all():
+        raise RangeError("power sums of lam^2 overflow double precision")
+    return sums
 
 
 def _zvec(z):
@@ -252,24 +257,15 @@ def lax_Y(x, c):
     sutherland_H.
     """
     q, p, n = x.q, x.p, x.n
-    T = _stencil(n)
-    m = n * (n - 1) // 2
-    s = np.sin(T @ q)
-    # scatter the pair rows r = (j, k) into n x n blocks: add^T diag(v) diff
-    # holds -v_r at (j, k) and v_r at (k, j), add^T diag(v) add holds v_r
-    # at both; each off-diagonal entry is one exact product, and the
-    # diagonals are overwritten
-    diff, add = T[:m], T[m : 2 * m]
-    a = (add.T * (c.mu / s[:m])) @ diff  # -mu / sin(q_j - q_k)
-    b = (add.T * (c.mu / s[m : 2 * m])) @ add  # mu / sin(q_j + q_k)
-    s2 = s[2 * m + n :]
-    np.fill_diagonal(b, c.nu / s2 + c.kappa * np.cos(2 * q) / s2)
+    selves = _cauchy_masks(n)[0]
+    s = np.sin(_cauchy_gaps(q, n))  # sin(q_j - q_k) | sin(q_j + q_k)
+    s2 = s.flat[selves[n : 2 * n]]  # sin 2q_j
+    s.flat[selves[: 2 * n]] = np.inf  # the block diagonals are written below
     Y = np.empty((2 * n, 2 * n), complex)
+    a, b = -c.mu / s[:, :n], c.mu / s[:, n:]
     Y[:n, :n], Y[:n, n:], Y[n:, :n], Y[n:, n:] = a, b, -b, -a
-    e = np.arange(n)
-    Y[e, e], Y[e + n, e + n] = 1j * p, -1j * p
-    Y[e, e + n] -= 1j * c.kappa
-    Y[e + n, e] -= 1j * c.kappa
+    v = c.nu / s2 + c.kappa * np.cos(2 * q) / s2
+    Y.flat[selves] = np.concatenate([1j * p, v - 1j * c.kappa, -1j * p, -v - 1j * c.kappa])
     X = -1j * Y
     lam2 = np.linalg.eigvalsh(X @ X).reshape(n, 2).mean(axis=1)  # each lam_j^2 twice
     return Y, _power_sums(lam2)
@@ -299,12 +295,13 @@ def dual_h_matrix(lam, kappa):
     lam = _vec(lam, "lam")
     n = lam.size
     if kappa == 0:
-        return np.eye(2 * n)
-    disc = lam**2 - kappa**2
-    if np.any(lam <= 0) or np.any(disc.real < 0):
-        raise DomainError("need lam_j > 0 and Re(lam_j^2 - kappa^2) >= 0 for the rotation")
-    root = np.sqrt(lam + np.sqrt(disc))
-    alpha, beta = root / np.sqrt(2 * lam), kappa / (np.sqrt(2 * lam) * root)
+        alpha, beta = np.ones(n), np.zeros(n)
+    else:
+        disc = lam**2 - kappa**2
+        if np.any(lam <= 0) or np.any(disc.real < 0):
+            raise DomainError("need lam_j > 0 and Re(lam_j^2 - kappa^2) >= 0 for the rotation")
+        root = np.sqrt(lam + np.sqrt(disc))
+        alpha, beta = root / np.sqrt(2 * lam), kappa / (np.sqrt(2 * lam) * root)
     h = np.zeros((2 * n, 2 * n), np.result_type(alpha, beta))
     h.flat[_cauchy_masks(n)[0]] = np.concatenate([alpha, beta, alpha, -beta])  # selves order
     return h
@@ -558,10 +555,9 @@ def make_dual_system(n, c):
 
     Positions are lam, momenta the angles theta, the gradient is
     `_dual_grad`, and the boundary margin is the smallest chamber slack,
-    min |z_j|^2 in the global chart.  DomainError unless n >= 1.
+    min |z_j|^2 in the global chart.  DomainError unless n is an integer >= 1.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    n = _count(n, "n", 1)
     gap = 2 * c.mu
 
     def H(point):
@@ -627,8 +623,8 @@ def _family_lax(lam, theta, c):
     z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
     f = np.exp(-theta / 2) * np.sqrt(np.abs(z))
     F = np.concatenate([f, np.conj(z) / f])
-    half_swap = np.eye(2 * n, k=n) + np.eye(2 * n, k=-n)
-    num = 1j * mu * (F[:, None] * np.conj(F)) + 1j * (mu - 2 * nu) * half_swap
+    num = 1j * mu * (F[:, None] * np.conj(F))
+    num.flat[_cauchy_masks(n)[0].reshape(4, n)[1::2]] += 1j * (mu - 2 * nu)  # the half swap
     A = num / den
     hinv = dual_h_matrix(lam, -1j * c.kappa)  # C h C
     return hinv @ A @ hinv
@@ -688,8 +684,7 @@ class FamilyMatrices:
 @lru_cache(maxsize=None)
 def family_matrices(n):
     """The maps for n particles; cached per n, so the arrays are read-only."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    n = _count(n, "n", 1)
     # the largest entry is char_from_subset[n, 0] = C(2n, n)
     limit = np.iinfo(np.int64).max
     if comb(2 * n, n) > limit:

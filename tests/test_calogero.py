@@ -100,6 +100,14 @@ class TestRatCMPoint:
             with pytest.raises(DomainError):
                 RatCMPoint(q, p, 1.0)
 
+    def test_non_finite_coupling_rejected(self):
+        # a nan g gave nan Lax entries, an infinite one an infinite energy
+        for g in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="g must be finite"):
+                RatCMPoint([1.0, 0.0], [0.1, 0.2], g)
+            with pytest.raises(DomainError, match="g must be finite"):
+                make_system(2, g)
+
     def test_free_coupling_allowed(self):
         x = RatCMPoint([1.0, 0.0], [0.0, 0.0], 0.0)
         L, _, _ = lax_LQ(x)

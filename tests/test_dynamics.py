@@ -321,6 +321,21 @@ def test_domain_point_is_not_a_phase_point(sys, x0):
         integrate_flow(sys, x0, (0.0, 0.1), tol=1e-9)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+def test_builders_reject_a_non_integer_particle_count(n):
+    # make_dual_system(2.5, c) built a system of dimension 2.5, and the
+    # stencil builders failed with an untyped TypeError
+    c = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
+    for build in (
+        lambda: sutherland.make_system(n, c),
+        lambda: sutherland.make_dual_system(n, c),
+        lambda: calogero.make_system(n, 1.0),
+        lambda: sutherland.family_matrices(n),
+    ):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            build()
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_builders_reject_fewer_than_one_particle(n):
     # at n = 0 the direct and dual builders made dimension-0 systems and the

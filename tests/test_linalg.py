@@ -60,6 +60,12 @@ class TestHermitianEigen:
 
 
 class TestCharPoly:
+    def test_rejects_non_finite(self):
+        # numpy's eigvals raised its own LinAlgError here
+        for bad in (np.nan, np.inf):
+            with pytest.raises(StructureError, match="non-finite"):
+                char_poly(np.array([[bad, 1.0], [1.0, 0.0]]))
+
     def test_identity_2(self):
         cp = char_poly(np.eye(2))
         np.testing.assert_allclose(cp.coefficients, [1, -2, 1], atol=1e-14)

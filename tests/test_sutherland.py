@@ -248,6 +248,14 @@ class TestLaxY:
         ev = np.sort(np.linalg.eigvalsh(-1j * Y))[::-1]
         np.testing.assert_allclose(ev[:2], FROZEN_LAM, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 8, 20, 40])
+    def test_matrix_matches_mpmath_entrywise(self, n):
+        x = grid_alcove_point(np.random.default_rng(33), n)
+        Y, _ = lax_Y(x, COUP)
+        want = oracle.first_order_matrix(mp_vector(x.q), mp_vector(x.p))
+        want = np.array(want.tolist(), dtype=complex)
+        assert np.max(np.abs(Y - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_trace_family_matches_mpmath_at_n8(self):
         x = grid_alcove_point(np.random.default_rng(31), 8)
         want = []
@@ -600,6 +608,12 @@ class TestDualLaxGlobal:
         for _ in range(100):
             lam = random_chamber_lam(rng, 3, COUP)
             assert 0.5 * np.sum(lam**2) > floor
+
+    def test_transported_family_overflow_raises(self):
+        # lam_1 is about 3.6e4 here, and lam_1^(2k) overflows from k = 34 on;
+        # those entries came back as inf with only a RuntimeWarning
+        with pytest.raises(RangeError, match="overflow"):
+            transported_family(np.full(40, 30 + 0j), COUP)
 
     def test_transported_family_ignores_phases(self):
         rng = np.random.default_rng(15)
