@@ -55,7 +55,7 @@ def _vec(x, name):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must be a non-empty 1-D real vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     return arr
 
@@ -123,7 +123,7 @@ class HamiltonianSystem:
 
     def energy(self, x):
         value = float(self.hamiltonian(x))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DomainError(f"{self.name}: Hamiltonian not finite at {x}")
         return value
 
@@ -142,8 +142,8 @@ def pair_system(T, w, margin, name, f=None, df=None):
     arguments x = T q; f = None is the identity, so V is rational, and
     otherwise df is the derivative of f.  The gradient is the chain rule
     through the same matrix, grad V = T^T (-2 w * f'(x) / f(x)^3), with
-    -2 w folded once here.  margin(q) is the configuration domain's
-    boundary margin, positive exactly inside it.
+    -2 w folded once here; dp is point.p itself, not a copy.  margin(q) is
+    the configuration domain's boundary margin, positive exactly inside it.
     """
     slope = -2.0 * w
 
@@ -154,7 +154,7 @@ def pair_system(T, w, margin, name, f=None, df=None):
         x = T @ point.q
         s = x if f is None else f(x)
         top = slope if df is None else slope * df(x)
-        return (top / (s * s * s)) @ T, np.array(point.p, dtype=float)
+        return (top / (s * s * s)) @ T, point.p
 
     return HamiltonianSystem(
         dim=T.shape[1],
@@ -354,7 +354,7 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     times, ys, hit, diagnostics = _dopri(
         rhs, x0.to_vector(), t0, t1, tol, np.linspace(t0, t1, n_samples), margin, sys.name
     )
-    states = [PhasePoint.from_vector(ys[:, k]) for k in range(ys.shape[1])]
+    states = [PhasePoint._view(ys[:, k], n) for k in range(ys.shape[1])]
     status = "truncated" if hit else "completed"
 
     # drop any samples that slipped outside the open domain

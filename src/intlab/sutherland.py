@@ -47,6 +47,7 @@ characteristic polynomial is palindromic, and the integer triangular
 maps that translate between the asymptotic forms of the two families.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -64,6 +65,9 @@ def _cauchy_gaps(lam, rows=None):
     return x[:rows, None] - x
 
 
+_Layout = namedtuple("_Layout", "selves gaps chart ends eye")
+
+
 @lru_cache(maxsize=None)
 def _cauchy_masks(n):
     """Flat indices into every 2n x 2n matrix here; cached per n, so read-only.
@@ -71,12 +75,18 @@ def _cauchy_masks(n):
     selves: the block diagonals (a, a), (a, n+a), (n+a, n+a), (n+a, a); the
     first 2n lie in the top rows and index an n x 2n slice too.  gaps:
     (a, a+1) and (n+a+1, n+a), a < n - 1, where X - 2*mu is the a-th slack.
+    chart: selves then gaps, the factors _chart_g leaves out.  ends: the
+    (mu - nu) entries of the dual matrix, selves[n:2n-1] then selves[3n:].
+    eye: the n x n boolean identity.
     """
     a, e, m = np.arange(n), np.arange(n - 1), 2 * n
     selves = np.concatenate([a * (m + 1), a * (m + 1) + n, (a + n) * (m + 1), (a + n) * m + a])
     gaps = np.concatenate([e * (m + 1) + 1, (e + n + 1) * m + n + e])
-    selves.flags.writeable = gaps.flags.writeable = False
-    return selves, gaps
+    ends = np.concatenate([selves[n : 2 * n - 1], selves[3 * n :]])
+    layout = _Layout(selves, gaps, np.concatenate([selves, gaps]), ends, np.eye(n, dtype=bool))
+    for idx in layout:
+        idx.flags.writeable = False
+    return layout
 
 
 def _power_sums(lam2):
@@ -94,7 +104,7 @@ def _zvec(z):
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1 or z.size == 0:
         raise DomainError("z must be a non-empty 1-D complex vector")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DomainError("z must be finite")
     return z
 
@@ -104,9 +114,14 @@ def _chamber_slack(x, gap, floor):
 
     The dual chamber is (gap, floor) = (2*mu, nu), and there the slack is
     |z|^2 of the global chart; lambda_of_z is its inverse.  The plain
-    positive chamber of the rational family is (0, 0).
+    positive chamber of the rational family is (0, 0).  Written in place,
+    it rounds as [x[:-1] - x[1:] - gap, x[-1] - floor]; a nan stays a nan.
     """
-    return np.concatenate([x[:-1] - x[1:] - gap, [x[-1] - floor]])
+    slack = np.empty(x.size)
+    head = np.subtract(x[:-1], x[1:], out=slack[:-1])
+    np.subtract(head, gap, out=head)
+    slack[-1] = x[-1] - floor
+    return slack
 
 
 def _alcove_margin(q):
@@ -214,9 +229,9 @@ class DualPoint:
     def from_global(cls, z, c):
         """Lift a global-chart point; requires every component nonzero."""
         z = _zvec(z)
-        if np.any(np.abs(z) == 0.0):
+        if not np.abs(z).all():
             raise ChartError("the angle chart needs all z components nonzero")
-        return cls(lambda_of_z(z, c), np.diff(np.angle(z), prepend=0.0))
+        return cls(_lam_of_z(z, c), np.diff(np.angle(z), prepend=0.0))
 
 
 def _require_chamber(lam, c):
@@ -257,7 +272,7 @@ def lax_Y(x, c):
     sutherland_H.
     """
     q, p, n = x.q, x.p, x.n
-    selves = _cauchy_masks(n)[0]
+    selves = _cauchy_masks(n).selves
     s = np.sin(_cauchy_gaps(q, n))  # sin(q_j - q_k) | sin(q_j + q_k)
     s2 = s.flat[selves[n : 2 * n]]  # sin 2q_j
     s.flat[selves[: 2 * n]] = np.inf  # the block diagonals are written below
@@ -294,66 +309,63 @@ def dual_h_matrix(lam, kappa):
     """
     lam = _vec(lam, "lam")
     n = lam.size
+    disc = lam**2 - kappa**2
+    if np.any(lam <= 0) or np.any(disc.real < 0):
+        raise DomainError("need lam_j > 0 and Re(lam_j^2 - kappa^2) >= 0 for the rotation")
     if kappa == 0:
         alpha, beta = np.ones(n), np.zeros(n)
     else:
-        disc = lam**2 - kappa**2
-        if np.any(lam <= 0) or np.any(disc.real < 0):
-            raise DomainError("need lam_j > 0 and Re(lam_j^2 - kappa^2) >= 0 for the rotation")
         root = np.sqrt(lam + np.sqrt(disc))
         alpha, beta = root / np.sqrt(2 * lam), kappa / (np.sqrt(2 * lam) * root)
     h = np.zeros((2 * n, 2 * n), np.result_type(alpha, beta))
-    h.flat[_cauchy_masks(n)[0]] = np.concatenate([alpha, beta, alpha, -beta])  # selves order
+    h.flat[_cauchy_masks(n).selves] = np.concatenate([alpha, beta, alpha, -beta])  # selves order
     return h
 
 
 def _root(value):
     """Elementwise square root; every factor must be positive on its own."""
-    if (value <= 0).any():
+    if value.min() <= 0:  # nan-free: 1 - a/x^2 over finite lam, or x = inf
         raise DomainError("square-root factor lost positivity: lam left the chamber")
     return np.sqrt(value)
 
 
-def _root_terms(lam, mu2, nu2, kap2):
-    """Square-root product terms V_j of the product form, and the pair matrix.
+def _root_terms(lam, mu2, lead2):
+    """Square-root product terms V_j of the product form, and the squares behind them.
 
     V_j = sqrt((1 - nu2/lam_j^2)(1 - kap2/lam_j^2))
-    prod_{k != j} sqrt((1 - mu2/(lam_j - lam_k)^2)(1 - mu2/(lam_j + lam_k)^2)).
-    Returns (V, x), x the top rows of the Cauchy gaps with self entries inf.
+    prod_{k != j} sqrt((1 - mu2/(lam_j - lam_k)^2)(1 - mu2/(lam_j + lam_k)^2)),
+    with lead2 the column [[nu2], [kap2]], rooted as one 2 x n stack.
+    Returns (V, x, x^2, lam^2), x the top Cauchy-gap rows, self entries inf.
     """
     n = lam.size
     x = _cauchy_gaps(lam, n)
-    x.flat[_cauchy_masks(n)[0][: 2 * n]] = np.inf
-    pair = _root(1 - mu2 / x**2)
-    lead = _root(1 - nu2 / lam**2) * _root(1 - kap2 / lam**2)
-    return lead * (pair[:, :n] * pair[:, n:]).prod(axis=1), x
+    x.put(_cauchy_masks(n).selves[: 2 * n], np.inf)
+    x2, lam2 = x * x, lam * lam
+    pair = _root(1 - mu2 / x2)
+    root_nu, root_kap = _root(1 - lead2 / lam2)
+    return root_nu * root_kap * (pair[:, :n] * pair[:, n:]).prod(axis=1), x, x2, lam2
 
 
-def _product_energy(lam, wave, mu2, nu2, kap2, nu_kap):
+def _product_energy(lam, wave, mu2, lead2, nu_kap):
     """Square-root product form shared by the dual energy and the rational family.
 
     sum_j wave_j V_j with V_j the terms of `_root_terms`, plus
     const * (1 - prod_j (1 - mu2/lam_j^2)) with const = nu_kap/mu2.
-    The dual energy takes (mu2, nu2, kap2, wave) = (4 mu^2, nu^2, kappa^2,
-    cos theta); the rational family takes (-mu^2, -nu^2, -kappa^2,
+    The dual energy takes (mu2, lead2, wave) = (4 mu^2, [[nu^2], [kappa^2]],
+    cos theta); the rational family takes (-mu^2, [[-nu^2], [-kappa^2]],
     cosh theta), under which const turns from nu*kappa/(4 mu^2) into
     -nu*kappa/mu^2.
     """
-    terms, _ = _root_terms(lam, mu2, nu2, kap2)
+    terms, _, _, lam2 = _root_terms(lam, mu2, lead2)
     total = float((wave * terms).sum())
     const = nu_kap / mu2
-    return total - const * float((1 - mu2 / lam**2).prod()) + const
-
-
-def _log_slope(x, a):
-    """d/dx log sqrt(1 - a/x^2) = a / (x (x^2 - a)); 0 at x = inf."""
-    return a / (x * (x * x - a))
+    return total - const * float((1 - mu2 / lam2).prod()) + const
 
 
 def _dual_energy(lam, theta, c):
     _require_chamber(lam, c)
     return _product_energy(
-        lam, np.cos(theta), 4 * c.mu**2, c.nu**2, c.kappa**2, c.nu * c.kappa
+        lam, np.cos(theta), 4 * c.mu**2, np.array([[c.nu**2], [c.kappa**2]]), c.nu * c.kappa
     )
 
 
@@ -375,18 +387,17 @@ def _dual_grad(lam, theta, c):
       dH/dtheta = -sin(theta) V.
     The last product leaves out lam_j's own factor instead of dividing it
     out, as that factor vanishes at lam_j = 2 mu, inside the chamber when
-    nu < 2 mu.
+    nu < 2 mu; row j of the leave-one-out matrix holds 1 on its diagonal.
     """
     _require_chamber(lam, c)
-    n, mu2, nu2, kap2 = lam.size, 4 * c.mu**2, c.nu**2, c.kappa**2
-    terms, x = _root_terms(lam, mu2, nu2, kap2)
+    n, mu2, lead2 = lam.size, 4 * c.mu**2, np.array([[c.nu**2], [c.kappa**2]])
+    terms, x, x2, lam2 = _root_terms(lam, mu2, lead2)
     t = np.cos(theta) * terms
-    pair = _log_slope(x, mu2)
+    pair = mu2 / (x * (x2 - mu2))  # 0 at x = inf
     slope = pair[:, :n] + pair[:, n:]  # D + S
-    lead = _log_slope(lam, nu2) + _log_slope(lam, kap2)
-    dlam = t * (lead + slope.sum(axis=1)) + slope @ t
-    others = np.tile(1 - mu2 / lam**2, (n, 1))
-    np.fill_diagonal(others, 1.0)
+    slope_nu, slope_kap = lead2 / (lam * (lam2 - lead2))
+    dlam = t * (slope_nu + slope_kap + slope.sum(axis=1)) + slope @ t
+    others = np.where(_cauchy_masks(n).eye, 1.0, 1 - mu2 / lam2)
     dlam -= c.nu * c.kappa * 2 * others.prod(axis=1) / lam**3
     return dlam, -np.sin(theta) * terms
 
@@ -401,11 +412,14 @@ def lambda_of_z(z, c):
     The inverse of the dual-chamber slack: _chamber_slack(lam, 2*mu, nu)
     gives back |z|^2, up to rounding.
     """
-    z = _zvec(z)
+    return _lam_of_z(_zvec(z), c)
+
+
+def _lam_of_z(z, c):
+    """lambda_of_z of a z that _zvec has already checked."""
     mods = np.abs(z) ** 2
-    n = z.size
     tails = np.cumsum(mods[::-1])[::-1]
-    return c.nu + 2 * c.mu * (n - 1 - np.arange(n)) + tails
+    return c.nu + 2 * c.mu * np.arange(z.size - 1, -1, -1.0) + tails
 
 
 def _chart_g(X, lam, c):
@@ -414,17 +428,20 @@ def _chart_g(X, lam, c):
     Each is a square-root product of chamber factors 1 - 2*mu/X over a row
     of the Cauchy gaps X, low weights from the top rows and high from the
     bottom.  The self entries, and the one gap factor per row that vanishes
-    on the boundary and is divided out, are masked to factor 1.
+    on the boundary and is divided out, are masked to factor 1.  The
+    factors overwrite X.
     """
-    n, nu = lam.size, c.nu
-    masked = X.copy()
-    masked.flat[np.concatenate(_cauchy_masks(n))] = np.inf
-    f = 1 - 2 * c.mu / masked
+    n = lam.size
     gaps = lam[:-1] - lam[1:]
-    lead = np.concatenate([  # low, then high
-        (1 - nu / lam[:-1]) / gaps, [1.0 / lam[-1], 1 + nu / lam[0]], (1 + nu / lam[1:]) / gaps
-    ])
-    return np.sqrt(lead * (f[:, :n] * f[:, n:]).prod(axis=1))
+    X.put(_cauchy_masks(n).chart, np.inf)
+    f = np.subtract(1.0, np.divide(2 * c.mu, X, out=X), out=X)
+    ratio = c.nu / lam
+    lead = np.concatenate([1.0 - ratio, 1.0 + ratio])  # low, then high; 2n - 2 over gaps
+    np.divide(lead[: n - 1], gaps, out=lead[: n - 1])
+    np.divide(lead[n + 1 :], gaps, out=lead[n + 1 :])
+    lead[n - 1] = 1.0 / lam[-1]
+    lead *= (f[:, :n] * f[:, n:]).prod(axis=1)
+    return np.sqrt(lead, out=lead)
 
 
 def _cancelled_corner(lam, mu, nu):
@@ -453,24 +470,28 @@ def _dual_matrix(lam, z, c):
     top right and -(mu - nu)/(lam + mu) bottom left; and the corner (n, 2n),
     by its cancelled form.  The quotients of the first and last set are 0/0
     where a gap saturates or lam_n = mu, so their denominators are set to inf
-    before the division.
+    before the division.  On the second set X - 2*mu is exactly 2*(lam - mu)
+    and -2*(lam + mu), and its terms, negated, are subtracted, so that the
+    imaginary parts keep their signed zeros.
     """
     n = z.size
     mu, nu = c.mu, c.nu
-    selves, gaps = _cauchy_masks(n)
+    layout = _cauchy_masks(n)
     X = _cauchy_gaps(lam)
+    den = X - 2 * mu
+    den.put(layout.gaps, np.inf)
+    den[n - 1, -1] = np.inf  # the corner
     g = _chart_g(X, lam, c)
-    lo = np.conj(z) * g[:n]
-    hi = np.concatenate([[1.0], z[:-1]]) * g[n:]  # z_(a-1) * g_(n+a), z_(-1) = 1
-    u, v = np.concatenate([lo, np.conj(hi)]), np.concatenate([hi, np.conj(lo)])
-    den, corner = X - 2 * mu, selves[2 * n - 1]
-    den.flat[gaps] = den.flat[corner] = np.inf
-    A = -2 * mu * (u[:, None] * v) / den
-    cancelled = -2 * mu * g[: n - 1] * g[n + 1 :]
-    A.flat[gaps] = np.concatenate([cancelled, cancelled])
-    A.flat[selves[n : 2 * n - 1]] += (mu - nu) / (lam[:-1] - mu)
-    A.flat[selves[3 * n :]] -= (mu - nu) / (lam + mu)
-    A.flat[corner] = _cancelled_corner(lam, mu, nu)
+    uv = np.empty((2, 2 * n), complex)  # rows u = (lo, conj hi) and v = (hi, conj lo)
+    lohi = uv[:, :n]
+    np.conjugate(z, out=lohi[0])
+    lohi[1, 0], lohi[1, 1:] = 1.0, z[:-1]  # z_(a-1) * g_(n+a), z_(-1) = 1
+    np.multiply(lohi, g.reshape(2, n), out=lohi)
+    np.conjugate(lohi[::-1], out=uv[:, n:])
+    A = -2 * mu * (uv[0, :, None] * uv[1]) / den
+    A.put(layout.gaps, -2 * mu * g[: n - 1] * g[n + 1 :])  # put repeats it for both sets
+    A.put(layout.ends, A.take(layout.ends) - 2 * (nu - mu) / den.take(layout.ends))
+    A[n - 1, -1] = _cancelled_corner(lam, mu, nu)
     return A
 
 
@@ -490,7 +511,7 @@ def dual_lax_global(z, c):
     positions off its spectrum.
     """
     z = _zvec(z)
-    lam = lambda_of_z(z, c)
+    lam = _lam_of_z(z, c)
     return DualGlobal(lam=lam, lax=_dual_matrix(lam, z, c))
 
 
@@ -521,10 +542,12 @@ def transported_family(z, c):
 def chart_gauge(z):
     """Diagonal unitary gluing the two dual charts on nonvanishing z."""
     z = _zvec(z)
-    if np.any(np.abs(z) == 0.0):
+    mods = np.abs(z)
+    if not mods.all():
         raise ChartError("gauge between charts needs all z components nonzero")
-    half = np.conj(z) / np.abs(z)
-    return np.diag(np.concatenate([half, half]))
+    G = np.zeros((2 * z.size, 2 * z.size), complex)
+    G.flat[:: 2 * z.size + 1] = np.conj(z) / mods  # flat assignment repeats it: (half, half)
+    return G
 
 
 def dual_lax_local(d, c):
@@ -543,9 +566,11 @@ def dual_lax_local(d, c):
     lam, n = d.lam, d.n
     phase = np.exp(1j * np.cumsum(d.theta))
     z = np.sqrt(_require_chamber(lam, c)) * phase
-    gauge = np.concatenate([phase, phase])  # G = diag(conj(gauge))
-    A = gauge[:, None] * _dual_matrix(lam, z, c) * np.conj(gauge)[None, :]
-    tl, tr, br, bl = A.flat[_cauchy_masks(n)[0]].reshape(4, n)  # the block diagonals
+    A = _dual_matrix(lam, z, c)
+    blocks = A.reshape(2, n, 2, n)  # G* A G in place: rows by the phases, columns by their conjugates
+    np.multiply(phase[:, None, None], blocks, out=blocks)
+    np.multiply(blocks, np.conj(phase), out=blocks)
+    tl, tr, br, bl = A.take(_cauchy_masks(n).selves).reshape(4, n)  # the block diagonals
     trace = (np.sqrt(lam**2 - c.kappa**2) * (tl + br) + c.kappa * (bl - tr)) / lam
     return A, 0.5 * float(trace.sum().real)
 
@@ -618,13 +643,13 @@ def _family_lax(lam, theta, c):
     mu, nu = c.mu, c.nu
     X = _cauchy_gaps(lam)
     den = 1j * mu + X
-    X.flat[_cauchy_masks(n)[0][: 2 * n]] = np.inf  # self factors are 1
+    X.flat[_cauchy_masks(n).selves[: 2 * n]] = np.inf  # self factors are 1
     minus, plus = X[:n, :n], X[:n, n:]
     z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
     f = np.exp(-theta / 2) * np.sqrt(np.abs(z))
     F = np.concatenate([f, np.conj(z) / f])
     num = 1j * mu * (F[:, None] * np.conj(F))
-    num.flat[_cauchy_masks(n)[0].reshape(4, n)[1::2]] += 1j * (mu - 2 * nu)  # the half swap
+    num.flat[_cauchy_masks(n).selves.reshape(4, n)[1::2]] += 1j * (mu - 2 * nu)  # the half swap
     A = num / den
     hinv = dual_h_matrix(lam, -1j * c.kappa)  # C h C
     return hinv @ A @ hinv
@@ -656,7 +681,7 @@ def family_eval(lam, theta, c):
     subset = np.poly(-((y - 1) ** 2) / y)
     coeffs = np.poly(np.concatenate([y, 1 / y]))
     energy = _product_energy(
-        lam, np.cosh(theta), -c.mu**2, -c.nu**2, -c.kappa**2, c.nu * c.kappa
+        lam, np.cosh(theta), -c.mu**2, np.array([[-c.nu**2], [-c.kappa**2]]), c.nu * c.kappa
     )
     return FamilyTable(subset_values=subset, energy=energy, char_coefficients=coeffs)
 

@@ -7,7 +7,9 @@ every workload (seed 0, the generator perfbench/run.py builds) through the
 untraced Api and through the traced one, and requires every gated residual
 to pass.  The traced Api wraps the HamiltonianSystem callbacks (grad,
 domain_check, boundary_margin) with dataclasses.replace, so a change to
-those fields breaks only the traced run.
+those fields breaks only the traced run.  The traced flows must also call
+the wrapped gradient once per right-hand side: a flow routed around the
+grad field would zero the benchmark's dynamics.rhs_evals without failing.
 """
 
 import sys
@@ -45,3 +47,15 @@ def test_slot_zero_passes_its_checks(name, make_api):
             assert err <= tol, (label, err, tol)
     if isinstance(api, Tracer):
         assert api.spans and None not in api.spans  # every span was closed
+
+
+@pytest.mark.parametrize("name", ["direct-flow", "dual-flow"])
+def test_traced_flow_counts_every_gradient(name):
+    workload = WORKLOADS[name]
+    rng = np.random.default_rng([0, sorted(WORKLOADS).index(name)])
+    api = traced_api()
+    ctx = workload.context(api)
+    traj = workload.run(ctx, workload.make_inputs(rng)[0])
+    grad = api.names.index("sutherland.grad")
+    spans = sum(1 for span in api.spans if span[0] == grad)
+    assert spans == traj.diagnostics["nfev"] > 0

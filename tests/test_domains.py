@@ -27,6 +27,7 @@ from intlab.sutherland import (
     make_dual_system,
     make_system,
 )
+from intlab.sutherland import _chamber_slack
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
 GAP = 2 * COUP.mu
@@ -144,3 +145,21 @@ def test_margin_is_smallest_modulus_squared(z):
     lam = lambda_of_z(z, COUP)
     margin = make_dual_system(z.size, COUP).boundary_margin(PhasePoint(lam, np.zeros(z.size)))
     assert margin == pytest.approx(np.min(np.abs(z) ** 2), rel=0, abs=1e-13 * lam[0])
+
+
+@PROPERTY
+@given(chamber_lam, st.sampled_from(((GAP, COUP.nu), (0.0, 0.0))), st.booleans())
+def test_chamber_slack_is_the_concatenated_form(lam, gap_floor, poison):
+    # the slack is written in place; it must keep the rounding, and the
+    # signed zeros, of the concatenated form, and a nan must stay a nan,
+    # so that no chamber contains the point
+    gap, floor = gap_floor
+    if poison:
+        lam = lam.copy()
+        lam[lam.size // 2] = np.nan
+    slack = _chamber_slack(lam, gap, floor)
+    ref = np.concatenate([lam[:-1] - lam[1:] - gap, [lam[-1] - floor]])
+    assert slack.dtype == ref.dtype and slack.tobytes() == ref.tobytes()
+    assert np.isnan(slack).any() == poison
+    if poison:
+        assert not make_dual_system(lam.size, COUP).contains(PhasePoint(lam, np.zeros(lam.size)))

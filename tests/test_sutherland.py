@@ -395,7 +395,9 @@ class TestDualH:
         np.testing.assert_allclose(h @ h.T, np.eye(8), atol=1e-12)
 
     def test_rejects_small_lambda(self):
-        for lam, kappa in (([0.2, 0.1], 0.3), ([-1.0, -2.0], 0.3), ([1.0, -0.5], -0.3j)):
+        # kappa = 0 skips the rotation, not the lam_j > 0 check
+        cases = (([0.2, 0.1], 0.3), ([-1.0, -2.0], 0.3), ([1.0, -0.5], -0.3j), ([-1.0, -2.0], 0.0))
+        for lam, kappa in cases:
             with pytest.raises(DomainError):
                 dual_h_matrix(lam, kappa)
 
@@ -579,20 +581,29 @@ class TestDualLaxGlobal:
         np.testing.assert_allclose(A @ A.conj().T, np.eye(2 * n), rtol=0, atol=1e-13)
 
     def test_cached_masks_read_only(self):
+        # every cached layout array is shared by all callers at that n
+        assert _cauchy_masks(5)._fields == ("selves", "gaps", "chart", "ends", "eye")
+        for n in (1, 5):
+            for idx in _cauchy_masks(n):
+                assert not idx.flags.writeable
         for idx in _cauchy_masks(5):
             with pytest.raises(ValueError):
                 idx[0] = 0
 
     def test_chart_consistency(self):
+        # n = 1 has no gap entries and only the corner off the diagonal
         rng = np.random.default_rng(13)
-        for _ in range(3):
-            z = rng.uniform(0.5, 1.2, 3) * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
-            glob = dual_lax_global(z, COUP)
-            local, _ = dual_lax_local(DualPoint.from_global(z, COUP), COUP)
-            m = chart_gauge(z)
-            np.testing.assert_allclose(
-                glob.lax, m @ local @ np.linalg.inv(m), atol=1e-10
-            )
+        for n, kappa in product((1, 2, 6, 20, 40), (0.0, 0.25, -0.25)):
+            c = couplings_with(kappa)
+            for _ in range(3):
+                z = rng.uniform(0.5, 1.2, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+                glob = dual_lax_global(z, c)
+                local, _ = dual_lax_local(DualPoint.from_global(z, c), c)
+                m = chart_gauge(z)
+                # the matrices are unitary, so their entries are O(1)
+                np.testing.assert_allclose(
+                    glob.lax, m @ local @ m.conj().T, rtol=0, atol=1e-13, err_msg=f"n={n}"
+                )
 
     def test_equilibrium_positions_critical(self):
         for c in (BCnCouplings(mu=1.0, nu=0.5, kappa=0.0), COUP):
