@@ -33,8 +33,8 @@ from .errors import ConvergenceError, DomainError, StiffnessError
 _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS ** (1.0 / 3.0)
 
-# Residual above which a scattering fit is rejected as not yet free.
-_FIT_RESIDUAL_LIMIT = 1e-2
+# Distance from the free line above which a flow is not yet free.
+_FREE_LINE_LIMIT = 1e-2
 
 _BOUNDARY_MARGIN = 1e-8
 
@@ -194,6 +194,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ScatteringData:
+    """extract_scattering's theta_plus (decreasing) and lambda_plus, off the forward
+    flow's last sample, and theta_minus (increasing), off the backward flow's first."""
+
     theta_plus: np.ndarray
     theta_minus: np.ndarray
     lambda_plus: np.ndarray
@@ -404,45 +407,35 @@ def poisson_bracket_fd(f, g, x):
     raise DomainError("observable not evaluable near the requested point")
 
 
-def _fit_asymptote(traj, at_end):
-    m = len(traj.times)
-    count = max(m // 4, 2)
-    window = slice(m - count, m) if at_end else slice(0, count)
-    ts = traj.times[window]
-    qs = np.array([x.q for x in traj.states[window]])
-    design = np.vstack([ts, np.ones_like(ts)]).T
-    coef, *_ = np.linalg.lstsq(design, qs, rcond=None)
-    slopes, intercepts = coef[0], coef[1]
-    resid = float(np.max(np.abs(design @ coef - qs)))
-    scale = max(1.0, float(np.max(np.abs(qs))))
-    if resid > _FIT_RESIDUAL_LIMIT * scale:
+def _asymptote(traj, at_end):
+    """(p, q - p t) of the outermost sample, after extract_scattering's checks."""
+    count = max(len(traj.times) // 4, 2)
+    k, window = (-1, slice(-count, None)) if at_end else (0, slice(0, count))
+    edge = traj.states[k]
+    intercepts = edge.q - edge.p * traj.times[k]
+    qs, ps = np.array([(x.q, x.p) for x in traj.states[window]]).transpose(1, 0, 2)
+    drift = float(np.max(np.abs(qs - intercepts - traj.times[window, None] * edge.p)))
+    kick = float(np.max(np.abs(ps - edge.p)))
+    if drift > _FREE_LINE_LIMIT * max(1.0, float(np.max(np.abs(qs)))) or kick > 1e-3:
         raise ConvergenceError(
-            f"trajectory not asymptotically free yet (fit residual {resid:.2e})"
+            f"trajectory not asymptotically free yet: {drift:.2e} off the free line, "
+            f"momenta moved by {kick:.2e}"
         )
-    return slopes, intercepts
+    return edge.p, intercepts
 
 
 def extract_scattering(traj_fwd, traj_bwd):
-    """Read asymptotic momenta from a forward and a backward trajectory.
+    """Asymptotic momenta and intercepts read off a flow's outermost samples.
 
-    Positions are fit as q_a(t) ~ theta_a * t + intercept_a over a fixed
-    window: the last quarter of the samples of traj_fwd and the first
-    quarter of traj_bwd (at least two samples each).  The fitted slopes
-    are cross-checked against the momentum coordinates at the window
-    edge and must agree to 1e-3.
+    theta^+ and lambda^+ are the momenta p and the intercepts q - p t of the
+    last sample of traj_fwd, theta^- the momenta of the first sample of
+    traj_bwd.  Over the outer quarter of each trajectory (at least two
+    samples) the flow must already be free, or ConvergenceError: positions
+    within _FREE_LINE_LIMIT * max(1, max |q|) of the free line through
+    the outermost sample, momenta within 1e-3 of its momenta.
     """
-    th_plus, lam_plus = _fit_asymptote(traj_fwd, at_end=True)
-    th_minus, _ = _fit_asymptote(traj_bwd, at_end=False)
-
-    edge_plus = traj_fwd.final.p
-    edge_minus = traj_bwd.initial.p
-    for fitted, edge, tag in ((th_plus, edge_plus, "+"), (th_minus, edge_minus, "-")):
-        dev = float(np.max(np.abs(np.sort(fitted) - np.sort(edge))))
-        if dev > 1e-3:
-            raise ConvergenceError(
-                f"theta^{tag} fit disagrees with momentum coordinates by {dev:.2e}"
-            )
-
+    th_plus, lam_plus = _asymptote(traj_fwd, at_end=True)
+    th_minus, _ = _asymptote(traj_bwd, at_end=False)
     order = np.argsort(th_plus)[::-1]
     return ScatteringData(
         theta_plus=th_plus[order],

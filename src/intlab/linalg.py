@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import _count
-from .errors import StructureError
+from .errors import RangeError, StructureError
 
 # Gap below which a Hermitian spectrum is flagged as near-degenerate.
 # Downstream code decides what to do with the flag.
@@ -92,7 +92,9 @@ def hermitian_eigen(M):
 
 
 def char_poly(M):
-    """Characteristic coefficients from the eigenvalues of M."""
-    M = _as_square(M)
-    return CharPoly(coefficients=np.poly(np.linalg.eigvals(M)).astype(complex))
+    """Characteristic coefficients from the eigenvalues of M; RangeError on overflow."""
+    coefficients = np.poly(np.linalg.eigvals(_as_square(M))).astype(complex)
+    if not np.isfinite(coefficients).all():
+        raise RangeError("characteristic coefficients overflow double precision")
+    return CharPoly(coefficients=coefficients)
 

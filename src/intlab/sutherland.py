@@ -269,20 +269,24 @@ def lax_Y(x, c):
     holds each squared dual position lam_j^2 twice, so H is the power sum
     of transported_family; squaring before the power halves the rounding
     it amplifies.  Odd trace powers of -iY vanish, and H[0] reproduces
-    sutherland_H.
+    sutherland_H.  RangeError where (-iY)^2 overflows.
     """
     q, p, n = x.q, x.p, x.n
     selves = _cauchy_masks(n).selves
     s = np.sin(_cauchy_gaps(q, n))  # sin(q_j - q_k) | sin(q_j + q_k)
-    s2 = s.flat[selves[n : 2 * n]]  # sin 2q_j
-    s.flat[selves[: 2 * n]] = np.inf  # the block diagonals are written below
+    s2 = s.take(selves[n : 2 * n])  # sin 2q_j
+    s.put(selves[: 2 * n], np.inf)  # the block diagonals are written below
     Y = np.empty((2 * n, 2 * n), complex)
-    a, b = -c.mu / s[:, :n], c.mu / s[:, n:]
-    Y[:n, :n], Y[:n, n:], Y[n:, :n], Y[n:, n:] = a, b, -b, -a
-    v = c.nu / s2 + c.kappa * np.cos(2 * q) / s2
-    Y.flat[selves] = np.concatenate([1j * p, v - 1j * c.kappa, -1j * p, -v - 1j * c.kappa])
-    X = -1j * Y
-    lam2 = np.linalg.eigvalsh(X @ X).reshape(n, 2).mean(axis=1)  # each lam_j^2 twice
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal sine overflows too
+        a, b = -c.mu / s[:, :n], c.mu / s[:, n:]
+        Y[:n, :n], Y[:n, n:], Y[n:, :n], Y[n:, n:] = a, b, -b, -a
+        v = c.nu / s2 + c.kappa * np.cos(2 * q) / s2
+        Y.put(selves, np.concatenate([1j * p, v - 1j * c.kappa, -1j * p, -v - 1j * c.kappa]))
+        X = -1j * Y
+        X2 = X @ X
+    if not np.isfinite(X2).all():
+        raise RangeError("(-iY)^2 overflows double precision")
+    lam2 = np.linalg.eigvalsh(X2).reshape(n, 2).mean(axis=1)  # each lam_j^2 twice
     return Y, _power_sums(lam2)
 
 
@@ -318,7 +322,7 @@ def dual_h_matrix(lam, kappa):
         root = np.sqrt(lam + np.sqrt(disc))
         alpha, beta = root / np.sqrt(2 * lam), kappa / (np.sqrt(2 * lam) * root)
     h = np.zeros((2 * n, 2 * n), np.result_type(alpha, beta))
-    h.flat[_cauchy_masks(n).selves] = np.concatenate([alpha, beta, alpha, -beta])  # selves order
+    h.put(_cauchy_masks(n).selves, np.concatenate([alpha, beta, alpha, -beta]))  # selves order
     return h
 
 
@@ -639,20 +643,26 @@ def family_lax(lam, theta, c):
 
 
 def _family_lax(lam, theta, c):
+    """family_lax of a checked (lam, theta); RangeError where an entry overflows."""
     n = lam.size
     mu, nu = c.mu, c.nu
+    selves = _cauchy_masks(n).selves
     X = _cauchy_gaps(lam)
     den = 1j * mu + X
-    X.flat[_cauchy_masks(n).selves[: 2 * n]] = np.inf  # self factors are 1
+    X.put(selves[: 2 * n], np.inf)  # self factors are 1
     minus, plus = X[:n, :n], X[:n, n:]
     z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
-    f = np.exp(-theta / 2) * np.sqrt(np.abs(z))
-    F = np.concatenate([f, np.conj(z) / f])
-    num = 1j * mu * (F[:, None] * np.conj(F))
-    num.flat[_cauchy_masks(n).selves.reshape(4, n)[1::2]] += 1j * (mu - 2 * nu)  # the half swap
-    A = num / den
     hinv = dual_h_matrix(lam, -1j * c.kappa)  # C h C
-    return hinv @ A @ hinv
+    swap = selves.reshape(4, n)[1::2]  # the half swap
+    with np.errstate(all="ignore"):  # e^(-theta/2) and its inverse scale F
+        f = np.exp(-theta / 2) * np.sqrt(np.abs(z))
+        F = np.concatenate([f, np.conj(z) / f])
+        num = 1j * mu * (F[:, None] * np.conj(F))
+        num.put(swap, num.take(swap) + 1j * (mu - 2 * nu))
+        L = hinv @ (num / den) @ hinv
+    if not np.isfinite(L).all():
+        raise RangeError("family matrix overflows double precision")
+    return L
 
 
 @dataclass(frozen=True)
@@ -673,16 +683,20 @@ def family_eval(lam, theta, c):
     symmetric polynomials e_l((y - 1)^2 / y) of these nonnegative numbers,
     so nothing cancels at any n; the characteristic coefficients are
     those of prod (x - y)(x - 1/y), palindromic by construction.
+    RangeError where the matrix or a value overflows.
     """
     d = DualPoint(lam, theta)
     lam, theta, n = d.lam, d.theta, d.n
     y = np.linalg.eigvalsh(_family_lax(lam, theta, c))[n:]
-    # np.poly of the negated values lists e_0..e_n
-    subset = np.poly(-((y - 1) ** 2) / y)
-    coeffs = np.poly(np.concatenate([y, 1 / y]))
-    energy = _product_energy(
-        lam, np.cosh(theta), -c.mu**2, np.array([[-c.nu**2], [-c.kappa**2]]), c.nu * c.kappa
-    )
+    with np.errstate(all="ignore"):
+        # np.poly of the negated values lists e_0..e_n
+        subset = np.poly(-((y - 1) ** 2) / y)
+        coeffs = np.poly(np.concatenate([y, 1 / y]))
+        energy = _product_energy(
+            lam, np.cosh(theta), -c.mu**2, np.array([[-c.nu**2], [-c.kappa**2]]), c.nu * c.kappa
+        )
+    if not (np.isfinite(subset).all() and np.isfinite(coeffs).all() and np.isfinite(energy)):
+        raise RangeError("family values overflow double precision")
     return FamilyTable(subset_values=subset, energy=energy, char_coefficients=coeffs)
 
 
@@ -760,26 +774,30 @@ def family_relation(q):
     residual_direct measures the subset family against the integer map of
     the char family, residual_inverse the other direction, and
     residual_symmetric the subset family against the scaled elementary
-    symmetric polynomials in sinh^2(q/2).
+    symmetric polynomials in sinh^2(q/2).  RangeError where a value overflows.
     """
     q = _vec(q, "q")
     n = q.size
     mats = family_matrices(n)
     orders = np.arange(n + 1)
-    # the cosh sum over k-subsets and signs is 2^k e_k(cosh q), and np.poly
-    # of the negated values lists e_0..e_n
-    cosh_vals = 2.0**orders * np.poly(-np.cosh(q))
-    subset_vals = mats.to_subset @ cosh_vals
-    char_vals = mats.to_char @ cosh_vals
     signs = (-1.0) ** orders
-    residual_direct = float(
-        np.max(np.abs(signs * subset_vals - mats.subset_from_char @ char_vals))
-    )
-    residual_inverse = float(
-        np.max(np.abs(signs * char_vals - mats.char_from_subset @ subset_vals))
-    )
-    elem = 4.0**orders * np.poly(-np.sinh(q / 2) ** 2)
-    residual_symmetric = float(np.max(np.abs(subset_vals - elem)))
+    with np.errstate(all="ignore"):
+        # the cosh sum over k-subsets and signs is 2^k e_k(cosh q), and np.poly
+        # of the negated values lists e_0..e_n
+        cosh_vals = 2.0**orders * np.poly(-np.cosh(q))
+        subset_vals = mats.to_subset @ cosh_vals
+        char_vals = mats.to_char @ cosh_vals
+        residual_direct = float(
+            np.max(np.abs(signs * subset_vals - mats.subset_from_char @ char_vals))
+        )
+        residual_inverse = float(
+            np.max(np.abs(signs * char_vals - mats.char_from_subset @ subset_vals))
+        )
+        elem = 4.0**orders * np.poly(-np.sinh(q / 2) ** 2)
+        residual_symmetric = float(np.max(np.abs(subset_vals - elem)))
+    # every value enters a residual, and inf or nan anywhere leaves one non-finite
+    if not np.isfinite([residual_direct, residual_inverse, residual_symmetric]).all():
+        raise RangeError("family values overflow double precision")
     return FamilyRelation(
         subset_values=subset_vals,
         char_values=char_vals,

@@ -27,7 +27,7 @@ from intlab.dynamics import (
     invariant_drift,
     poisson_bracket_fd,
 )
-from intlab.errors import DegeneracyError, DomainError
+from intlab.errors import ConvergenceError, DegeneracyError, DomainError
 from oracles import calogero_reference as cm_oracle
 
 # sorted spectrum of L at q=(1,0,-1), p=(1,-1,1), g=1
@@ -394,3 +394,50 @@ class TestFlow:
         x = RatCMPoint([1.0, 0.0, -1.0], [1.0, -1.0, 1.0], 1.0)
         want = 1.5 + 1.0 + 1.0 + 0.25
         assert hamiltonian(x) == pytest.approx(want, abs=1e-14)
+
+
+class TestScattering:
+    """theta^+- are the eigenvalues of L, and the forward intercepts approach
+    the weights d_k = u_k^* diag(q) u_k of its eigenvectors."""
+
+    @staticmethod
+    def lax_data(x):
+        diff = x.q[:, None] - x.q
+        np.fill_diagonal(diff, 1.0)
+        L = 1j * x.g / diff  # built here, not by lax_LQ
+        np.fill_diagonal(L, x.p)
+        lam, U = np.linalg.eigh(L)
+        return lam, x.q @ np.abs(U) ** 2
+
+    @staticmethod
+    def flows(x0, g, T):
+        sys = make_system(x0.dim, g)
+        fwd = integrate_flow(sys, x0, (0.0, T), tol=1e-10)
+        bwd = integrate_flow(sys, x0, (0.0, -T), tol=1e-10)
+        return fwd, bwd
+
+    @pytest.mark.parametrize("n, seed", [(4, 31), (8, 32), (8, 33)])
+    def test_errors_fall_with_the_span(self, n, seed):
+        # the benchmark's points and span; the momenta converge as 1/T^2
+        # (ratio (120/500)^2 = 0.058) and the intercepts as 1/T (0.24)
+        x = random_point(np.random.default_rng(seed), n, 1.0)
+        lam, d = self.lax_data(x)
+        errors = []
+        for T in (120.0, 500.0):
+            data = extract_scattering(*self.flows(x.as_phase(), x.g, T))
+            theta = max(
+                np.max(np.abs(data.theta_plus - lam[::-1])),
+                np.max(np.abs(data.theta_minus - lam)),
+            )
+            errors.append((theta, np.max(np.abs(data.lambda_plus - d[::-1]))))
+        (theta_120, d_120), (theta_500, d_500) = errors
+        assert theta_500 <= 0.1 * theta_120
+        assert d_500 <= 0.3 * d_120
+        assert theta_500 <= 1e-4 * np.max(np.abs(lam))
+
+    def test_short_flow_rejected(self):
+        # at T = 5 the positions stay within 1.9e-3 of the free line, inside
+        # its bound, but the momenta still move by 3.5e-3
+        fwd, bwd = self.flows(PhasePoint([0.5, -0.5], [0.1, -0.1]), 1.0, 5.0)
+        with pytest.raises(ConvergenceError, match="momenta moved by 3.5"):
+            extract_scattering(fwd, bwd)

@@ -255,6 +255,34 @@ class TestExtractScattering:
         with pytest.raises(ConvergenceError):
             extract_scattering(fwd, bwd)
 
+    def test_slow_oscillator_rejected(self):
+        # omega = 0.003: over the last quarter of t in [0, 400] the momenta move
+        # by only 4.4e-4, under the 1e-3 bound, but the positions leave the
+        # free line through the last sample by 1.95e-2
+        w2 = 0.003**2
+        sys = HamiltonianSystem(
+            dim=1,
+            hamiltonian=lambda x: 0.5 * (x.p[0] ** 2 + w2 * x.q[0] ** 2),
+            grad=lambda x: (w2 * x.q, x.p),
+            name="slow oscillator",
+        )
+        x0 = PhasePoint([1.0], [0.0])
+        fwd = integrate_flow(sys, x0, (0.0, 400.0), tol=1e-10)
+        bwd = integrate_flow(sys, x0, (0.0, -400.0), tol=1e-10)
+        with pytest.raises(ConvergenceError, match="off the free line"):
+            extract_scattering(fwd, bwd)
+
+    def test_read_off_the_outermost_samples(self):
+        sys = free_system(3)
+        x0 = PhasePoint([1.0, 0.0, -1.0], [0.5, -0.3, 1.2])
+        fwd = integrate_flow(sys, x0, (0.0, 40.0), tol=1e-12)
+        bwd = integrate_flow(sys, x0, (0.0, -40.0), tol=1e-12)
+        data = extract_scattering(fwd, bwd)
+        order = np.argsort(fwd.final.p)[::-1]
+        assert np.array_equal(data.theta_plus, fwd.final.p[order])
+        assert np.array_equal(data.lambda_plus, (fwd.final.q - fwd.final.p * 40.0)[order])
+        assert np.array_equal(data.theta_minus, np.sort(bwd.initial.p))
+
 
 class TestInvariantDrift:
     def test_constant_family(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from intlab.errors import StructureError
+from intlab.errors import RangeError, StructureError
 from intlab.linalg import _stencil, char_poly, hermitian_eigen
 
 
@@ -65,6 +65,11 @@ class TestCharPoly:
         for bad in (np.nan, np.inf):
             with pytest.raises(StructureError, match="non-finite"):
                 char_poly(np.array([[bad, 1.0], [1.0, 0.0]]))
+
+    def test_coefficient_overflow_raises(self):
+        # e_2 = 3e320 overflows; the coefficients came back [1, -3e160, nan, nan]
+        with pytest.raises(RangeError, match="overflow"):
+            char_poly(np.diag([1e160] * 3))
 
     def test_identity_2(self):
         cp = char_poly(np.eye(2))

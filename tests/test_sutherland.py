@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 from intlab.dynamics import PhasePoint, integrate_flow, poisson_bracket_fd
 from intlab.errors import ChartError, DomainError, RangeError
@@ -41,7 +42,7 @@ from intlab.sutherland import (
     sutherland_H,
     transported_family,
 )
-from intlab.sutherland import _cauchy_masks, _dual_grad, _root
+from intlab.sutherland import _cauchy_gaps, _cauchy_masks, _dual_grad, _family_lax, _root
 from oracles import sutherland_reference as oracle
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
@@ -105,6 +106,37 @@ def near_wall_points(draw):
     cuts = np.cumsum(slack[:n]) * (np.pi / 2) / slack.sum()
     p = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     return SutherlandPoint(cuts[::-1], p)
+
+
+def flat_lax_Y(x, c):
+    """lax_Y's Y written with .flat fancy indexing: the reference for take/put."""
+    q, p, n = x.q, x.p, x.n
+    selves = _cauchy_masks(n).selves
+    s = np.sin(_cauchy_gaps(q, n))
+    s2 = s.flat[selves[n : 2 * n]]
+    s.flat[selves[: 2 * n]] = np.inf
+    Y = np.empty((2 * n, 2 * n), complex)
+    a, b = -c.mu / s[:, :n], c.mu / s[:, n:]
+    Y[:n, :n], Y[:n, n:], Y[n:, :n], Y[n:, n:] = a, b, -b, -a
+    v = c.nu / s2 + c.kappa * np.cos(2 * q) / s2
+    Y.flat[selves] = np.concatenate([1j * p, v - 1j * c.kappa, -1j * p, -v - 1j * c.kappa])
+    return Y
+
+
+def flat_family_lax(lam, theta, c):
+    """_family_lax written with .flat fancy indexing: the reference for take/put."""
+    n, mu, nu = lam.size, c.mu, c.nu
+    X = _cauchy_gaps(lam)
+    den = 1j * mu + X
+    X.flat[_cauchy_masks(n).selves[: 2 * n]] = np.inf
+    minus, plus = X[:n, :n], X[:n, n:]
+    z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
+    f = np.exp(-theta / 2) * np.sqrt(np.abs(z))
+    F = np.concatenate([f, np.conj(z) / f])
+    num = 1j * mu * (F[:, None] * np.conj(F))
+    num.flat[_cauchy_masks(n).selves.reshape(4, n)[1::2]] += 1j * (mu - 2 * nu)
+    hinv = dual_h_matrix(lam, -1j * c.kappa)
+    return hinv @ (num / den) @ hinv
 
 
 def random_chamber_lam(rng, n, c):
@@ -247,6 +279,23 @@ class TestLaxY:
         Y, _ = lax_Y(x, COUP)
         ev = np.sort(np.linalg.eigvalsh(-1j * Y))[::-1]
         np.testing.assert_allclose(ev[:2], FROZEN_LAM, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 20])
+    def test_layout_writes_match_flat_indexing(self, n):
+        # take/put on the Cauchy layout give the bits .flat indexing gave
+        rng = np.random.default_rng(40 + n)
+        for c in (COUP, BCnCouplings(mu=1.1, nu=0.9, kappa=0.0)):
+            x = grid_alcove_point(rng, n)
+            assert np.array_equal(lax_Y(x, c)[0], flat_lax_Y(x, c))
+            lam = 0.1 + np.cumsum(rng.uniform(0.3, 1.2, n))[::-1]
+            theta = rng.uniform(-2.0, 2.0, n)
+            assert np.array_equal(_family_lax(lam, theta, c), flat_family_lax(lam, theta, c))
+
+    def test_square_overflow_raises(self):
+        # a valid alcove point: sin 2q_2 = 2e-160 puts 4e159 on the diagonal,
+        # and (-iY)^2 overflowed into numpy's LinAlgError inside eigvalsh
+        with pytest.raises(RangeError, match="overflow"):
+            lax_Y(SutherlandPoint([1.0, 1e-160], [0.0, 0.0]), COUP)
 
     @pytest.mark.parametrize("n", [3, 8, 20, 40])
     def test_matrix_matches_mpmath_entrywise(self, n):
@@ -620,6 +669,27 @@ class TestDualLaxGlobal:
             lam = random_chamber_lam(rng, 3, COUP)
             assert 0.5 * np.sum(lam**2) > floor
 
+    JACOBI_COUPLINGS = [(0.6, 1.1, 0.0), (0.6, 1.1, 0.25), (1.0, 2.5, -0.7), (0.5, 0.9, 0.3)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
+    @pytest.mark.parametrize("mu, nu, kappa", JACOBI_COUPLINGS)
+    def test_equilibrium_is_jacobi_zeros(self, n, mu, nu, kappa):
+        # cos 2q at the equilibrium are the zeros of P_n^(a, b) with
+        # a = (nu + kappa)/(2 mu) - 1 and b = (nu - kappa)/(2 mu) - 1
+        c = BCnCouplings(mu, nu, kappa)
+        x, _ = roots_jacobi(n, (nu + kappa) / (2 * mu) - 1, (nu - kappa) / (2 * mu) - 1)
+        q = alcove_q(np.zeros(n), c)
+        assert np.max(np.abs(q - np.arccos(x) / 2)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
+    @pytest.mark.parametrize("mu, nu, kappa", JACOBI_COUPLINGS)
+    def test_equilibrium_cosine_sum(self, n, mu, nu, kappa):
+        # sum_j cos 2q_j = -n kappa / lam_1 at z = 0, lam_1 = nu + 2 mu (n - 1)
+        c = BCnCouplings(mu, nu, kappa)
+        lam_1 = lambda_of_z(np.zeros(n), c)[0]
+        total = np.cos(2 * alcove_q(np.zeros(n), c)).sum()
+        assert abs(total + n * kappa / lam_1) <= 2e-15 * n
+
     def test_transported_family_overflow_raises(self):
         # lam_1 is about 3.6e4 here, and lam_1^(2k) overflows from k = 34 on;
         # those entries came back as inf with only a RuntimeWarning
@@ -803,6 +873,21 @@ class TestFamilyEval:
         with pytest.raises(DomainError):
             family_eval([1.0, 2.0], [0.0, 0.0], COUP)
 
+    @pytest.mark.parametrize("theta", [600.0, -600.0, 700.0, -700.0])
+    def test_value_overflow_raises(self, theta):
+        # the matrix is finite, but (y - 1)^2 / y overflows: the subset values
+        # came back [1, inf, inf] with only a RuntimeWarning
+        with pytest.raises(RangeError, match="values overflow"):
+            family_eval([3.0, 1.0], [theta, 0.0], COUP)
+
+    @pytest.mark.parametrize("theta", [720.0, -720.0])
+    def test_matrix_overflow_raises(self, theta):
+        # e^(|theta|/2) squared overflows in the matrix; eigvalsh raised
+        # numpy's LinAlgError
+        for call in (family_eval, family_lax):
+            with pytest.raises(RangeError, match="matrix overflows"):
+                call([3.0, 1.0], [theta, 0.0], COUP)
+
 
 class TestFamilyRelation:
     def test_two_particle_first_order_both_routes(self):
@@ -846,6 +931,11 @@ class TestFamilyRelation:
             for M in (mats.to_subset, mats.to_char, mats.subset_from_char, mats.char_from_subset):
                 with pytest.raises(ValueError):
                     M[0, 0] = 7
+
+    def test_overflow_raises(self):
+        # cosh 710 = 1.1e308: the values and the residuals came back nan
+        with pytest.raises(RangeError, match="overflow"):
+            family_relation([710.0, 1.0])
 
     def test_int64_limit_raises_range_error(self):
         family_matrices(33)  # C(66, 33) still fits
