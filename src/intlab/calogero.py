@@ -23,11 +23,11 @@ def _order_margin(q):
     return float((q[:-1] - q[1:]).min()) if q.size > 1 else 1.0
 
 
-def _coupling(g):
-    """g itself, or DomainError unless it is finite."""
-    if not np.isfinite(g):
-        raise DomainError("g must be finite")
-    return g
+def _finite(value, name):
+    """value itself, or DomainError naming it unless it is finite."""
+    if not np.isfinite(value):
+        raise DomainError(f"{name} must be finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class RatCMPoint:
             raise DomainError("q and p must have equal length")
         if not _order_margin(self.q) > 0:
             raise DomainError("configuration must satisfy q_1 > ... > q_n")
-        _coupling(self.g)
+        _finite(self.g, "g")
 
     @property
     def n(self):
@@ -111,10 +111,10 @@ def acd_functions(x, z):
 
     C and D trace the adjugate of (zI - L) against Q, with and without
     the rank-one projector onto the all-ones vector.  The adjugate is
-    sum_k prod_{l != k} (z - lam_l) u_k u_k^*, valid for every z.
+    sum_k prod_{l != k} (z - lam_l) u_k u_k^*, valid for every finite z.
     """
     spec, c, d = _lax_weights(x)
-    diffs = z - spec.eigenvalues
+    diffs = _finite(z, "z") - spec.eigenvalues
     cof = np.prod(np.where(np.eye(x.n, dtype=bool), 1.0, diffs), axis=1)
     return complex(np.prod(diffs)), complex(cof @ c), complex(cof @ d)
 
@@ -150,5 +150,5 @@ def hamiltonian(x):
 def make_system(n, g):
     """`pair_system` on the pair-difference rows of the stencil, with w = g^2
     on every row and f the identity."""
-    T, g = _differences(n), _coupling(g)
+    T, g = _differences(n), _finite(g, "g")
     return pair_system(T, np.full(T.shape[0], g**2), _order_margin, f"ratcm(n={n}, g={g})")

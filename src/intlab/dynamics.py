@@ -50,11 +50,11 @@ def _count(value, name, least):
     return value
 
 
-def _vec(x, name):
-    """A non-empty, finite 1-D float array, or DomainError naming the input."""
-    arr = np.asarray(x, dtype=float)
+def _vec(x, name, dtype=float):
+    """A non-empty, finite 1-D array of dtype, or DomainError naming the input."""
+    arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{name} must be a non-empty 1-D real vector")
+        raise DomainError(f"{name} must be a non-empty 1-D vector")
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     return arr

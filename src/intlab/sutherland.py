@@ -99,16 +99,6 @@ def _power_sums(lam2):
     return sums
 
 
-def _zvec(z):
-    """Complex twin of dynamics._vec for global-chart points."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 1 or z.size == 0:
-        raise DomainError("z must be a non-empty 1-D complex vector")
-    if not np.isfinite(z).all():
-        raise DomainError("z must be finite")
-    return z
-
-
 def _chamber_slack(x, gap, floor):
     """Slack of the chamber x_j - x_(j+1) > gap (j < n), x_n > floor.
 
@@ -225,14 +215,6 @@ class DualPoint:
     def n(self):
         return self.lam.size
 
-    @classmethod
-    def from_global(cls, z, c):
-        """Lift a global-chart point; requires every component nonzero."""
-        z = _zvec(z)
-        if not np.abs(z).all():
-            raise ChartError("the angle chart needs all z components nonzero")
-        return cls(_lam_of_z(z, c), np.diff(np.angle(z), prepend=0.0))
-
 
 def _require_chamber(lam, c):
     """Dual-chamber slack of lam; DomainError unless every entry is positive."""
@@ -314,8 +296,8 @@ def dual_h_matrix(lam, kappa):
     lam = _vec(lam, "lam")
     n = lam.size
     disc = lam**2 - kappa**2
-    if np.any(lam <= 0) or np.any(disc.real < 0):
-        raise DomainError("need lam_j > 0 and Re(lam_j^2 - kappa^2) >= 0 for the rotation")
+    if np.any(lam <= 0) or not (disc.real >= 0).all():  # a nan kappa fails the second
+        raise DomainError("need lam_j > 0, finite kappa and Re(lam_j^2 - kappa^2) >= 0")
     if kappa == 0:
         alpha, beta = np.ones(n), np.zeros(n)
     else:
@@ -416,13 +398,15 @@ def lambda_of_z(z, c):
     The inverse of the dual-chamber slack: _chamber_slack(lam, 2*mu, nu)
     gives back |z|^2, up to rounding.
     """
-    return _lam_of_z(_zvec(z), c)
+    return _lam_of_z(_vec(z, "z", complex), c)
 
 
 def _lam_of_z(z, c):
-    """lambda_of_z of a z that _zvec has already checked."""
-    mods = np.abs(z) ** 2
-    tails = np.cumsum(mods[::-1])[::-1]
+    """lambda_of_z of a z that _vec has already checked; RangeError on overflow."""
+    with np.errstate(over="ignore"):
+        tails = np.cumsum((np.abs(z) ** 2)[::-1])[::-1]
+    if tails[0] == np.inf:  # the largest tail; z is finite, so none is nan
+        raise RangeError("|z|^2 overflows double precision")
     return c.nu + 2 * c.mu * np.arange(z.size - 1, -1, -1.0) + tails
 
 
@@ -458,9 +442,12 @@ def _cancelled_corner(lam, mu, nu):
     *rest, x = lam.tolist()  # Python floats: numpy scalar arithmetic is slower
     acc = 0.0
     run = 1.0
-    for la in rest:
-        acc += run / (x**2 - la**2)
-        run *= ((x - 2 * mu) ** 2 - la**2) / (x**2 - la**2)
+    try:  # a Python float square raises OverflowError instead of returning inf
+        for la in rest:
+            acc += run / (x**2 - la**2)
+            run *= ((x - 2 * mu) ** 2 - la**2) / (x**2 - la**2)
+    except OverflowError:
+        raise RangeError("corner series of the dual matrix overflows double precision") from None
     return (4 * mu**2 * (x - nu) * acc - nu) / x
 
 
@@ -514,7 +501,7 @@ def dual_lax_global(z, c):
     of dual_lax_local is its gauge, and alcove_q reads the direct-side
     positions off its spectrum.
     """
-    z = _zvec(z)
+    z = _vec(z, "z", complex)
     lam = _lam_of_z(z, c)
     return DualGlobal(lam=lam, lax=_dual_matrix(lam, z, c))
 
@@ -540,12 +527,14 @@ def transported_family(z, c):
     invariant of the direct flow.  Only the moduli |z_j| enter, so the
     whole family is blind to the phases that the dual energy sees.
     """
-    return _power_sums(lambda_of_z(z, c) ** 2)
+    lam = lambda_of_z(z, c)
+    with np.errstate(over="ignore"):  # _power_sums raises RangeError on an inf square
+        return _power_sums(lam**2)
 
 
 def chart_gauge(z):
     """Diagonal unitary gluing the two dual charts on nonvanishing z."""
-    z = _zvec(z)
+    z = _vec(z, "z", complex)
     mods = np.abs(z)
     if not mods.all():
         raise ChartError("gauge between charts needs all z components nonzero")
@@ -605,27 +594,6 @@ def make_dual_system(n, c):
         boundary_margin=margin,
         name=f"sutherland-bc-dual(n={n})",
     )
-
-
-# ---------------------------------------------------------------------------
-# direct-side equilibrium and the position part of the duality map
-
-
-def dual_action_jacobian(q):
-    """Sine matrix of the alcove-position map and its determinant.
-
-    With rows a and columns b both indexed from 1,
-    X_{a,b} = (-1)^(a+1) * 2 * sin(2*a*q_b).  The determinant factors into
-    sin(2 q_b) terms and pairwise cos(2 q) differences, hence never
-    vanishes on the open alcove; tests pin the closed form.
-    """
-    q = _vec(q, "q")
-    if not _alcove_margin(q) > 0:
-        raise DomainError("q must lie in the open alcove")
-    n = q.size
-    rows = np.arange(1, n + 1)[:, None]
-    X = (-1.0) ** (rows + 1) * 2.0 * np.sin(2.0 * rows * q[None, :])
-    return X, float(np.linalg.det(X))
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +739,13 @@ class FamilyRelation:
 def family_relation(q):
     """Position-only forms of both families and the residuals of their links.
 
-    residual_direct measures the subset family against the integer map of
-    the char family, residual_inverse the other direction, and
-    residual_symmetric the subset family against the scaled elementary
-    symmetric polynomials in sinh^2(q/2).  RangeError where a value overflows.
+    The subset values are 4^l e_l(sinh^2(q/2)), sums of positive terms, so
+    they keep full relative accuracy at any n.  residual_direct measures
+    them against the integer map of the char family, residual_inverse the
+    other direction, and residual_symmetric against their expansion
+    to_subset @ cosh_values over the subset-cosh sums.  The residuals
+    measure the cancellation of the alternating integer maps, which grows
+    with n.  RangeError where a value overflows.
     """
     q = _vec(q, "q")
     n = q.size
@@ -785,7 +756,7 @@ def family_relation(q):
         # the cosh sum over k-subsets and signs is 2^k e_k(cosh q), and np.poly
         # of the negated values lists e_0..e_n
         cosh_vals = 2.0**orders * np.poly(-np.cosh(q))
-        subset_vals = mats.to_subset @ cosh_vals
+        subset_vals = 4.0**orders * np.poly(-np.sinh(q / 2) ** 2)
         char_vals = mats.to_char @ cosh_vals
         residual_direct = float(
             np.max(np.abs(signs * subset_vals - mats.subset_from_char @ char_vals))
@@ -793,8 +764,7 @@ def family_relation(q):
         residual_inverse = float(
             np.max(np.abs(signs * char_vals - mats.char_from_subset @ subset_vals))
         )
-        elem = 4.0**orders * np.poly(-np.sinh(q / 2) ** 2)
-        residual_symmetric = float(np.max(np.abs(subset_vals - elem)))
+        residual_symmetric = float(np.max(np.abs(mats.to_subset @ cosh_vals - subset_vals)))
     # every value enters a residual, and inf or nan anywhere leaves one non-finite
     if not np.isfinite([residual_direct, residual_inverse, residual_symmetric]).all():
         raise RangeError("family values overflow double precision")

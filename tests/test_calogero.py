@@ -218,6 +218,13 @@ class TestAcdFunctions:
         scale = (1.0 + np.max(np.abs(x.q))) * np.prod(1.0 + np.abs(z - lam))
         assert abs(C - D - 0.5j * x.g * App) <= 1e-12 * scale
 
+    def test_rejects_non_finite_z(self):
+        # a nan z came back as nan for A, C and D
+        x = RatCMPoint([0.9, -0.2], [0.4, 0.1], 1.0)
+        for z in (np.nan, np.inf, complex(1.0, np.nan)):
+            with pytest.raises(DomainError, match="z must be finite"):
+                acd_functions(x, z)
+
     def test_diagonal_gauge_quotient_gives_angles(self):
         # with L diagonal the D/A' quotient at lambda_k returns the
         # conjugate coordinate phi_k directly

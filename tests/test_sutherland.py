@@ -19,14 +19,13 @@ from scipy.special import roots_jacobi
 
 from intlab.dynamics import PhasePoint, integrate_flow, poisson_bracket_fd
 from intlab.errors import ChartError, DomainError, RangeError
-from intlab.linalg import char_poly
+from intlab.linalg import _stencil, char_poly
 from intlab.sutherland import (
     BCnCouplings,
     DualPoint,
     SutherlandPoint,
     alcove_q,
     chart_gauge,
-    dual_action_jacobian,
     dual_h_matrix,
     dual_hamiltonian,
     dual_lax_global,
@@ -42,7 +41,14 @@ from intlab.sutherland import (
     sutherland_H,
     transported_family,
 )
-from intlab.sutherland import _cauchy_gaps, _cauchy_masks, _dual_grad, _family_lax, _root
+from intlab.sutherland import (
+    _cauchy_gaps,
+    _cauchy_masks,
+    _dual_grad,
+    _family_lax,
+    _root,
+    _weights,
+)
 from oracles import sutherland_reference as oracle
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
@@ -193,20 +199,6 @@ class TestPoints:
             DualPoint([1.0, 2.0], [0.0, 0.0])
         with pytest.raises(DomainError):
             DualPoint([2.0, -1.0], [0.0, 0.0])
-
-    def test_from_global_round_trip(self):
-        rng = np.random.default_rng(5)
-        z = rng.uniform(0.5, 1.2, 3) * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
-        d = DualPoint.from_global(z, COUP)
-        np.testing.assert_allclose(d.lam, lambda_of_z(z, COUP), atol=1e-14)
-        # angles accumulate into the phases of z
-        np.testing.assert_allclose(
-            np.exp(1j * np.cumsum(d.theta)), z / np.abs(z), atol=1e-13
-        )
-
-    def test_from_global_needs_nonzero_components(self):
-        with pytest.raises(ChartError):
-            DualPoint.from_global([0.5 + 0.1j, 0.0, 0.3j], COUP)
 
 
 class TestSutherlandH:
@@ -450,6 +442,12 @@ class TestDualH:
             with pytest.raises(DomainError):
                 dual_h_matrix(lam, kappa)
 
+    def test_rejects_non_finite_kappa(self):
+        # a nan kappa came back as an all-nan rotation
+        for kappa in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(DomainError, match="finite kappa"):
+                dual_h_matrix([2.0, 1.0], kappa)
+
 
 class TestDualHamiltonian:
     def test_matches_mpmath_at_n6(self):
@@ -559,6 +557,11 @@ class TestDualLaxLocal:
         with pytest.raises(DomainError):
             dual_lax_local(DualPoint([3.0, 0.5], [0.0, 0.0]), COUP)  # lam_n < nu
 
+    def test_corner_overflow_raises(self):
+        # lam_1^2 overflows in the corner series, which raised Python's OverflowError
+        with pytest.raises(RangeError, match="corner series"):
+            dual_lax_local(DualPoint([1e160, 5.0], [0.0, 0.0]), COUP)
+
     def test_former_regularity_margins(self):
         # within 1e-9 of lam_n = nu, of a gap 2*mu and of |2*mu - nu|: the
         # weights divided by these, the matrix does not
@@ -579,7 +582,6 @@ class TestDualLaxGlobal:
             lambda z: lambda_of_z(z, COUP),
             lambda z: transported_family(z, COUP),
             chart_gauge,
-            lambda z: DualPoint.from_global(z, COUP),
             lambda z: dual_lax_global(z, COUP),
             lambda z: alcove_q(z, COUP),
         )
@@ -647,7 +649,8 @@ class TestDualLaxGlobal:
             for _ in range(3):
                 z = rng.uniform(0.5, 1.2, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
                 glob = dual_lax_global(z, c)
-                local, _ = dual_lax_local(DualPoint.from_global(z, c), c)
+                d = DualPoint(lambda_of_z(z, c), np.diff(np.angle(z), prepend=0.0))
+                local, _ = dual_lax_local(d, c)
                 m = chart_gauge(z)
                 # the matrices are unitary, so their entries are O(1)
                 np.testing.assert_allclose(
@@ -670,6 +673,8 @@ class TestDualLaxGlobal:
             assert 0.5 * np.sum(lam**2) > floor
 
     JACOBI_COUPLINGS = [(0.6, 1.1, 0.0), (0.6, 1.1, 0.25), (1.0, 2.5, -0.7), (0.5, 0.9, 0.3)]
+    # the last set has kappa < 0 and nu < 2 mu
+    EQUILIBRIUM_COUPLINGS = JACOBI_COUPLINGS + [(1.0, 0.5, -0.3)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
     @pytest.mark.parametrize("mu, nu, kappa", JACOBI_COUPLINGS)
@@ -690,11 +695,55 @@ class TestDualLaxGlobal:
         total = np.cos(2 * alcove_q(np.zeros(n), c)).sum()
         assert abs(total + n * kappa / lam_1) <= 2e-15 * n
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
+    @pytest.mark.parametrize("mu, nu, kappa", EQUILIBRIUM_COUPLINGS)
+    def test_equilibrium_frequencies(self, n, mu, nu, kappa):
+        # the Hessian of w . sin^-2(T q) at the equilibrium is
+        # T^T diag(w 2(3 - 2 sin^2 x)/sin^4 x) T at x = T q_eq; its
+        # eigenvalues are omega_j^2 with omega_j = 2 sum_{k <= j} lam_k(0)
+        c = BCnCouplings(mu, nu, kappa)
+        T, w = _stencil(n), _weights(n, c)
+        s2 = np.sin(T @ alcove_q(np.zeros(n), c)) ** 2
+        hessian = T.T @ ((w * 2 * (3 - 2 * s2) / s2**2)[:, None] * T)
+        omega = 2 * np.cumsum(lambda_of_z(np.zeros(n), c))
+        np.testing.assert_allclose(np.linalg.eigvalsh(hessian), np.sort(omega**2), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
+    @pytest.mark.parametrize("mu, nu, kappa", EQUILIBRIUM_COUPLINGS)
+    def test_equilibrium_stationary(self, n, mu, nu, kappa):
+        # each force component against the sum of the force sizes 2|w|/|sin x|^3
+        # that enter it: the force terms themselves vanish at n = 1, kappa = 0
+        c = BCnCouplings(mu, nu, kappa)
+        q = alcove_q(np.zeros(n), c)
+        T, w = _stencil(n), _weights(n, c)
+        scale = np.abs(T).T @ (2 * np.abs(w) / np.abs(np.sin(T @ q)) ** 3)
+        force, _ = make_system(n, c).grad(PhasePoint(q, np.zeros(n)))
+        assert np.all(np.abs(force) <= 1e-11 * scale)
+
+    @pytest.mark.parametrize("call", [dual_lax_global, alcove_q])
+    def test_overflow_raises(self, call):
+        # at 1e150 lam_1^2 overflows in the corner series, which raised Python's
+        # OverflowError; at 1e160 |z|^2 overflows, with a RuntimeWarning
+        for v, match in ((1e150, "corner series"), (1e160, r"\|z\|\^2")):
+            with pytest.raises(RangeError, match=match):
+                call(np.full(3, v + 0j), COUP)
+
+    def test_lambda_of_z_overflow_raises(self):
+        # |z|^2 = 1e320 came back as inf with a RuntimeWarning
+        with pytest.raises(RangeError, match=r"\|z\|\^2"):
+            lambda_of_z(np.full(3, 1e160 + 0j), COUP)
+
+    def test_chart_gauge_needs_nonzero_components(self):
+        with pytest.raises(ChartError):
+            chart_gauge([0.5 + 0.1j, 0.0, 0.3j])
+
     def test_transported_family_overflow_raises(self):
-        # lam_1 is about 3.6e4 here, and lam_1^(2k) overflows from k = 34 on;
-        # those entries came back as inf with only a RuntimeWarning
-        with pytest.raises(RangeError, match="overflow"):
-            transported_family(np.full(40, 30 + 0j), COUP)
+        # lam_1^(2k) overflows from k = 34 on at 30 (lam_1 about 3.6e4),
+        # lam_1^2 at 1e150 and |z|^2 at 1e160; the last two leaked a
+        # RuntimeWarning before the RangeError
+        for n, v in ((40, 30.0), (3, 1e150), (3, 1e160)):
+            with pytest.raises(RangeError, match="overflow"):
+                transported_family(np.full(n, v + 0j), COUP)
 
     def test_transported_family_ignores_phases(self):
         rng = np.random.default_rng(15)
@@ -704,40 +753,6 @@ class TestDualLaxGlobal:
             z = mods * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
             np.testing.assert_allclose(transported_family(z, COUP), base, atol=1e-10)
             np.testing.assert_allclose(lambda_of_z(z, COUP), lambda_of_z(mods, COUP), atol=1e-10)
-
-
-class TestActionJacobian:
-    def test_single_particle(self):
-        _, det = dual_action_jacobian([0.6])
-        assert det == pytest.approx(2 * np.sin(1.2), abs=1e-14)
-
-    def test_closed_form_determinant(self):
-        rng = np.random.default_rng(16)
-        for n in (2, 3):
-            x = random_alcove_point(rng, n)
-            q = x.q
-            _, det = dual_action_jacobian(q)
-            c2 = np.cos(2 * q)
-            pairs = 1.0
-            for b in range(n):
-                for c_idx in range(b + 1, n):
-                    pairs *= c2[c_idx] - c2[b]
-            closed = (
-                (-1.0) ** (n * (n + 3) // 2)
-                * 2.0 ** (n * (n + 1) // 2)
-                * np.prod(np.sin(2 * q))
-                * pairs
-            )
-            assert det == pytest.approx(closed, rel=1e-10)
-
-    def test_nonzero_on_equally_spaced(self):
-        q = np.linspace(np.pi / 2, 0.0, 6)[1:-1]
-        _, det = dual_action_jacobian(q)
-        assert det != 0.0
-
-    def test_rejects_boundary(self):
-        with pytest.raises(DomainError):
-            dual_action_jacobian([0.8, 0.0])
 
 
 class TestFamilyEval:
@@ -931,6 +946,22 @@ class TestFamilyRelation:
             for M in (mats.to_subset, mats.to_char, mats.subset_from_char, mats.char_from_subset):
                 with pytest.raises(ValueError):
                     M[0, 0] = 7
+
+    def test_subset_values_match_mpmath_at_n20(self):
+        # the reference is the alternating integer expansion of the
+        # subset-cosh sums at 60 digits; in double that expansion is off by
+        # up to 1e10 relative here
+        rng = np.random.default_rng(22)
+        q = rng.uniform(-1.2, 1.2, 20)
+        to_subset = family_matrices(20).to_subset
+        with mp.workdps(60):
+            elem = oracle.char_coeffs([mp.cosh(v) for v in mp_vector(q)])
+            cosh = [(-2) ** k * e for k, e in enumerate(elem)]
+            want = [
+                float(sum(int(to_subset[l, k]) * cosh[k] for k in range(l + 1)))
+                for l in range(21)
+            ]
+        np.testing.assert_allclose(family_relation(q).subset_values, want, rtol=1e-12)
 
     def test_overflow_raises(self):
         # cosh 710 = 1.1e308: the values and the residuals came back nan
