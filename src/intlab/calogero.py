@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, _vec, pair_energy, pair_system
+from .dynamics import PhasePoint, _finite, _in_range, _pair, _pair_energy, pair_system
 from .errors import DegeneracyError, DomainError
 from .linalg import _DEGENERACY_GAP, _stencil, hermitian_eigen
 
@@ -23,11 +23,10 @@ def _order_margin(q):
     return float((q[:-1] - q[1:]).min()) if q.size > 1 else 1.0
 
 
-def _finite(value, name):
-    """value itself, or DomainError naming it unless it is finite."""
-    if not np.isfinite(value):
-        raise DomainError(f"{name} must be finite")
-    return value
+def _coupling(g):
+    """g itself: DomainError unless finite, RangeError where g^2 (of Python floats) overflows."""
+    _in_range(float(_finite(g, "g")) * float(g), "g^2 overflows")
+    return g
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,10 @@ class RatCMPoint:
     g: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _vec(self.q, "q"))
-        object.__setattr__(self, "p", _vec(self.p, "p"))
-        if self.q.shape != self.p.shape:
-            raise DomainError("q and p must have equal length")
-        if not _order_margin(self.q) > 0:
+        q = _pair(self, ("q", "p"))
+        if not _order_margin(q) > 0:
             raise DomainError("configuration must satisfy q_1 > ... > q_n")
-        _finite(self.g, "g")
+        _coupling(self.g)
 
     @property
     def n(self):
@@ -144,11 +140,11 @@ def _differences(n):
 def hamiltonian(x):
     """H = p^2/2 + sum of pair potentials g^2 / (q_j - q_k)^2."""
     T = _differences(x.n)
-    return pair_energy(x.q, x.p, T, np.full(T.shape[0], x.g**2))
+    return _pair_energy(x.q, x.p, T, np.full(T.shape[0], x.g**2))
 
 
 def make_system(n, g):
     """`pair_system` on the pair-difference rows of the stencil, with w = g^2
     on every row and f the identity."""
-    T, g = _differences(n), _finite(g, "g")
+    T, g = _differences(n), _coupling(g)
     return pair_system(T, np.full(T.shape[0], g**2), _order_margin, f"ratcm(n={n}, g={g})")

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import RK45
 from scipy.optimize import brentq
 
-from .errors import ConvergenceError, DomainError, StiffnessError
+from .errors import ConvergenceError, DomainError, RangeError, StiffnessError
 
 _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS ** (1.0 / 3.0)
@@ -50,28 +50,52 @@ def _count(value, name, least):
     return value
 
 
+def _all_finite(values):
+    """Whether every entry of values is finite; a float scalar skips numpy."""
+    return math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()
+
+
+def _finite(value, name):
+    """value itself, or DomainError naming it unless every entry is finite."""
+    if not _all_finite(value):
+        raise DomainError(f"{name} must be finite")
+    return value
+
+
+def _in_range(values, what):
+    """values itself, or RangeError naming what overflowed unless every entry is finite."""
+    if not _all_finite(values):
+        raise RangeError(f"{what} double precision")
+    return values
+
+
 def _vec(x, name, dtype=float):
     """A non-empty, finite 1-D array of dtype, or DomainError naming the input."""
     arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must be a non-empty 1-D vector")
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite")
-    return arr
+    return _finite(arr, name)
+
+
+def _pair(point, names, vec=_vec):
+    """Check and store a frozen point's two vectors with vec(value, name); return the first."""
+    a, b = [vec(getattr(point, name), name) for name in names]
+    if a.shape != b.shape or a.ndim != 1:
+        raise DomainError(f"{names[0]} and {names[1]} must be 1-D vectors of equal length")
+    for name, value in zip(names, (a, b)):
+        object.__setattr__(point, name, value)
+    return a
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Canonical coordinates: q positions (or actions), p momenta."""
+    """Canonical coordinates: q positions (or actions), p momenta; nan is allowed."""
 
     q: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, float)))
-        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, float)))
-        if self.q.shape != self.p.shape or self.q.ndim != 1:
-            raise DomainError("q and p must be real vectors of equal length")
+        _pair(self, ("q", "p"), lambda x, _: np.atleast_1d(np.asarray(x, float)))
 
     @property
     def dim(self):
@@ -122,13 +146,10 @@ class HamiltonianSystem:
         return self.boundary_margin is None or bool(self.boundary_margin(x) > 0)
 
     def energy(self, x):
-        value = float(self.hamiltonian(x))
-        if not math.isfinite(value):
-            raise DomainError(f"{self.name}: Hamiltonian not finite at {x}")
-        return value
+        return _finite(float(self.hamiltonian(x)), f"{self.name}: the Hamiltonian")
 
 
-def pair_energy(q, p, T, w, f=None):
+def _pair_energy(q, p, T, w, f=None):
     """|p|^2 / 2 + sum_r w_r / f(x_r)^2 at x = T q; f = None is the identity."""
     x = T @ q
     s = x if f is None else f(x)
@@ -143,12 +164,12 @@ def pair_system(T, w, margin, name, f=None, df=None):
     otherwise df is the derivative of f.  The gradient is the chain rule
     through the same matrix, grad V = T^T (-2 w * f'(x) / f(x)^3), with
     -2 w folded once here; dp is point.p itself, not a copy.  margin(q) is
-    the configuration domain's boundary margin, positive exactly inside it.
+    the configuration domain's boundary margin, positive exactly inside it; T, w finite.
     """
-    slope = -2.0 * w
+    T, slope = _finite(T, "T"), -2.0 * _finite(w, "w")
 
     def H(point):
-        return pair_energy(point.q, point.p, T, w, f)
+        return _pair_energy(point.q, point.p, T, w, f)
 
     def grad(point):
         x = T @ point.q
@@ -178,7 +199,7 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, float))
+        object.__setattr__(self, "times", _finite(np.asarray(self.times, float), "times"))
         object.__setattr__(self, "states", tuple(self.states))
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("trajectory times must be strictly increasing")
@@ -323,20 +344,21 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     stores increasing times.  invariant_family is a dict of named
     observables sampled along the way; the energy is always included.
     Leaving the domain truncates the trajectory and sets status
-    'truncated' instead of raising.  x0 must be a PhasePoint of the
-    system's dimension, tol must be finite and positive, both ends of
+    'truncated' instead of raising.  x0 must be a finite PhasePoint of
+    the system's dimension, tol must be finite and positive, both ends of
     t_span finite and distinct, and n_samples an integer of at least 2.
     """
-    if not 0 < tol < np.inf:
-        raise DomainError("tol must be finite and positive")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not np.isfinite([t0, t1]).all() or t0 == t1:
-        raise DomainError("t_span needs two finite, distinct ends")
+    if not _finite(tol, "tol") > 0:
+        raise DomainError("tol must be positive")
+    t0, t1 = _finite(np.array([t_span[0], t_span[1]], float), "t_span").tolist()
+    if t0 == t1:
+        raise DomainError("t_span needs two distinct ends")
     n_samples = _count(n_samples, "n_samples", 2)
     if not isinstance(x0, PhasePoint):
         raise DomainError(f"{sys.name}: x0 must be a PhasePoint, not {type(x0).__name__}")
     if x0.dim != sys.dim:
         raise DomainError(f"{sys.name}: initial point has dimension {x0.dim}, not {sys.dim}")
+    y0 = _finite(x0.to_vector(), f"{sys.name}: initial point")
     if not sys.contains(x0):
         raise DomainError(f"{sys.name}: initial point outside domain")
     sys.energy(x0)
@@ -355,18 +377,13 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
             return float(sys.boundary_margin(PhasePoint._view(y, n)))
 
     times, ys, hit, diagnostics = _dopri(
-        rhs, x0.to_vector(), t0, t1, tol, np.linspace(t0, t1, n_samples), margin, sys.name
+        rhs, y0, t0, t1, tol, np.linspace(t0, t1, n_samples), margin, sys.name
     )
     states = [PhasePoint._view(ys[:, k], n) for k in range(ys.shape[1])]
-    status = "truncated" if hit else "completed"
 
     # drop any samples that slipped outside the open domain
-    keep = len(states)
-    for k, x in enumerate(states):
-        if not sys.contains(x):
-            keep = k
-            status = "truncated"
-            break
+    keep = next((k for k, x in enumerate(states) if not sys.contains(x)), len(states))
+    status = "truncated" if hit or keep < len(states) else "completed"
     times, states = times[:keep], states[:keep]
     if len(states) < 2:
         raise DomainError(f"{sys.name}: flow left the domain immediately")
@@ -389,12 +406,13 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
 
 
 def poisson_bracket_fd(f, g, x):
-    """Central-difference canonical Poisson bracket {f, g} at x.
+    """Central-difference canonical Poisson bracket {f, g} at a finite x.
 
     The step is _FD_STEP * (1 + |coordinate|) per direction; on
     evaluation failure (observable raises, or returns a non-finite
     number) the step is divided by 4, up to three times, before giving up.
     """
+    _finite(x.to_vector(), "x")
     for attempt in range(4):
         step = _FD_STEP / 4.0 ** attempt
         try:
@@ -402,7 +420,7 @@ def poisson_bracket_fd(f, g, x):
             gq, gp = _fd_gradient(g, x, step)
         except (DomainError, FloatingPointError, ValueError):
             continue
-        if all(np.all(np.isfinite(v)) for v in (fq, fp, gq, gp)):
+        if _all_finite((fq, fp, gq, gp)):
             return float(np.dot(fq, gp) - np.dot(fp, gq))
     raise DomainError("observable not evaluable near the requested point")
 
@@ -411,9 +429,9 @@ def _asymptote(traj, at_end):
     """(p, q - p t) of the outermost sample, after extract_scattering's checks."""
     count = max(len(traj.times) // 4, 2)
     k, window = (-1, slice(-count, None)) if at_end else (0, slice(0, count))
+    qs, ps = _finite(np.array([(x.q, x.p) for x in traj.states[window]]), "q, p").transpose(1, 0, 2)
     edge = traj.states[k]
     intercepts = edge.q - edge.p * traj.times[k]
-    qs, ps = np.array([(x.q, x.p) for x in traj.states[window]]).transpose(1, 0, 2)
     drift = float(np.max(np.abs(qs - intercepts - traj.times[window, None] * edge.p)))
     kick = float(np.max(np.abs(ps - edge.p)))
     if drift > _FREE_LINE_LIMIT * max(1.0, float(np.max(np.abs(qs)))) or kick > 1e-3:
@@ -447,6 +465,6 @@ def extract_scattering(traj_fwd, traj_bwd):
 def invariant_drift(traj):
     """Max |I_k(x(t)) - I_k(x(0))| per invariant stored on the trajectory."""
     return {
-        label: float(np.max(np.abs(values - values[0])))
+        label: float(np.max(np.abs(_finite(values, label) - values[0])))
         for label, values in traj.invariants.items()
     }

@@ -1,7 +1,8 @@
 """Shared exception types.
 
-Every failure mode promised by the public API maps onto one of these, so
-callers can distinguish "you fed me a bad point" from "the algorithm gave up".
+At a public entry point non-finite input raises DomainError, and an overflowing
+result or coupling square RangeError (huge state magnitudes aside), so callers
+can tell "you fed me a bad point" from "the algorithm gave up".
 """
 
 

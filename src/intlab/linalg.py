@@ -12,8 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import _count
-from .errors import RangeError, StructureError
+from .dynamics import _all_finite, _count, _in_range
+from .errors import StructureError
 
 # Gap below which a Hermitian spectrum is flagged as near-degenerate.
 # Downstream code decides what to do with the flag.
@@ -25,7 +25,7 @@ def _as_square(M):
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise StructureError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not _all_finite(M):
         raise StructureError("matrix has non-finite entries")
     return M
 
@@ -94,7 +94,5 @@ def hermitian_eigen(M):
 def char_poly(M):
     """Characteristic coefficients from the eigenvalues of M; RangeError on overflow."""
     coefficients = np.poly(np.linalg.eigvals(_as_square(M))).astype(complex)
-    if not np.isfinite(coefficients).all():
-        raise RangeError("characteristic coefficients overflow double precision")
-    return CharPoly(coefficients=coefficients)
+    return CharPoly(coefficients=_in_range(coefficients, "characteristic coefficients overflow"))
 

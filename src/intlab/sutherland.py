@@ -27,7 +27,7 @@ and the smallest entry is its boundary margin.
 One routine writes the unitary dual matrix, in the global chart, which
 covers all of C^n, including z = 0, where the chamber inequalities
 saturate and the local chart dies; the local-chart matrix is its gauge
-by the diagonal unitary `chart_gauge`.  It is a Cauchy matrix, a
+by the phases of z, taken twice.  It is a Cauchy matrix, a
 rank-one numerator over X - 2*mu with X_ab = x_a - x_b the gaps of
 x = (lam, -lam), and the same gaps give its chart weights and the pair
 factors of the product-form energy.  Three sets of entries are written
@@ -54,7 +54,8 @@ from math import comb
 
 import numpy as np
 
-from .dynamics import HamiltonianSystem, _count, _vec, pair_energy, pair_system
+from .dynamics import HamiltonianSystem, _count, _finite, _in_range, _pair, _pair_energy
+from .dynamics import _vec, pair_system
 from .errors import ChartError, DomainError, RangeError
 from .linalg import _stencil
 
@@ -94,9 +95,7 @@ def _power_sums(lam2):
     k = np.arange(1, lam2.size + 1)
     with np.errstate(over="ignore"):
         sums = (lam2[None, :] ** k[:, None]).sum(axis=1) / (2 * k)
-    if not np.isfinite(sums).all():
-        raise RangeError("power sums of lam^2 overflow double precision")
-    return sums
+    return _in_range(sums, "power sums of lam^2 overflow")
 
 
 def _chamber_slack(x, gap, floor):
@@ -139,18 +138,16 @@ class BCnCouplings:
 
     def __post_init__(self):
         for label in ("mu", "nu", "kappa"):
-            val = float(getattr(self, label))
-            if not np.isfinite(val):
-                raise DomainError(f"{label} must be finite")
-            object.__setattr__(self, label, val)
+            object.__setattr__(self, label, _finite(float(getattr(self, label)), label))
         if self.mu <= 0:
             raise DomainError("mu must be positive")
         if self.nu <= abs(self.kappa):
             raise DomainError("need nu > |kappa| >= 0")
-        # implied by the window above unless a square underflows; the cone
-        # 4*gamma1 + gamma2 is written as (nu + kappa)^2 / 2, since its sum
-        # form cancels to 0 for kappa within 2e-14 of -nu
-        if self.gamma2 <= 0 or (self.nu + self.kappa) ** 2 / 2 <= 0:
+        # Python float squares overflow to inf without a warning; the cone gamma2,
+        # 4*gamma1 + gamma2 = (nu + kappa)^2 / 2 > 0 (its sum form cancels to 0 for
+        # kappa within 2e-14 of -nu) follows from the window unless one underflows
+        squares = [v * v for v in (self.mu, self.nu - self.kappa, self.nu + self.kappa)]
+        if not min(_in_range(squares, "coupling squares overflow")[1:]) / 2 > 0:
             raise DomainError("potential couplings left their admissible cone")
 
     @property
@@ -174,14 +171,9 @@ class SutherlandPoint:
     p: np.ndarray
 
     def __post_init__(self):
-        q = _vec(self.q, "q")
-        p = _vec(self.p, "p")
-        if q.shape != p.shape:
-            raise DomainError("q and p must have matching shapes")
+        q = _pair(self, ("q", "p"))
         if not _alcove_margin(q) > 0:
             raise DomainError("q must satisfy pi/2 > q_1 > ... > q_n > 0")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
 
     @property
     def n(self):
@@ -202,14 +194,9 @@ class DualPoint:
     theta: np.ndarray
 
     def __post_init__(self):
-        lam = _vec(self.lam, "lam")
-        theta = _vec(self.theta, "theta")
-        if lam.shape != theta.shape:
-            raise DomainError("lam and theta must have matching shapes")
+        lam = _pair(self, ("lam", "theta"))
         if not _chamber_slack(lam, 0.0, 0.0).min() > 0:
             raise DomainError("lam must be strictly decreasing and positive")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "theta", theta)
 
     @property
     def n(self):
@@ -240,7 +227,7 @@ def _weights(n, c):
 
 def sutherland_H(x, c):
     """Kinetic energy plus the three-coupling trigonometric potential."""
-    return pair_energy(x.q, x.p, _stencil(x.n), _weights(x.n, c), np.sin)
+    return _pair_energy(x.q, x.p, _stencil(x.n), _weights(x.n, c), np.sin)
 
 
 def lax_Y(x, c):
@@ -265,9 +252,7 @@ def lax_Y(x, c):
         v = c.nu / s2 + c.kappa * np.cos(2 * q) / s2
         Y.put(selves, np.concatenate([1j * p, v - 1j * c.kappa, -1j * p, -v - 1j * c.kappa]))
         X = -1j * Y
-        X2 = X @ X
-    if not np.isfinite(X2).all():
-        raise RangeError("(-iY)^2 overflows double precision")
+        X2 = _in_range(X @ X, "(-iY)^2 overflows")
     lam2 = np.linalg.eigvalsh(X2).reshape(n, 2).mean(axis=1)  # each lam_j^2 twice
     return Y, _power_sums(lam2)
 
@@ -295,7 +280,10 @@ def dual_h_matrix(lam, kappa):
     """
     lam = _vec(lam, "lam")
     n = lam.size
-    disc = lam**2 - kappa**2
+    try:  # as a Python scalar, kappa**2 raises OverflowError instead of returning inf
+        disc = lam**2 - np.asarray(kappa).item() ** 2
+    except OverflowError:
+        _in_range(np.inf, "kappa^2 overflows")
     if np.any(lam <= 0) or not (disc.real >= 0).all():  # a nan kappa fails the second
         raise DomainError("need lam_j > 0, finite kappa and Re(lam_j^2 - kappa^2) >= 0")
     if kappa == 0:
@@ -348,11 +336,17 @@ def _product_energy(lam, wave, mu2, lead2, nu_kap):
     return total - const * float((1 - mu2 / lam2).prod()) + const
 
 
-def _dual_energy(lam, theta, c):
+def _require_dual(lam, c):
+    """_require_chamber for the dual energy and gradient, and their (mu2, lead2); RangeError
+    where (2 lam_1)^3, which bounds every square and cube they form, overflows."""
     _require_chamber(lam, c)
-    return _product_energy(
-        lam, np.cos(theta), 4 * c.mu**2, np.array([[c.nu**2], [c.kappa**2]]), c.nu * c.kappa
-    )
+    top = 2.0 * lam.item(0)  # a Python float: its product overflows to inf without a warning
+    _in_range(top * top * top, "(2 lam_1)^3 overflows")
+    return 4 * c.mu**2, np.array([[c.nu**2], [c.kappa**2]])
+
+
+def _dual_energy(lam, theta, c):
+    return _product_energy(lam, np.cos(theta), *_require_dual(lam, c), c.nu * c.kappa)
 
 
 def dual_hamiltonian(d, c):
@@ -375,8 +369,7 @@ def _dual_grad(lam, theta, c):
     out, as that factor vanishes at lam_j = 2 mu, inside the chamber when
     nu < 2 mu; row j of the leave-one-out matrix holds 1 on its diagonal.
     """
-    _require_chamber(lam, c)
-    n, mu2, lead2 = lam.size, 4 * c.mu**2, np.array([[c.nu**2], [c.kappa**2]])
+    (mu2, lead2), n = _require_dual(lam, c), lam.size
     terms, x, x2, lam2 = _root_terms(lam, mu2, lead2)
     t = np.cos(theta) * terms
     pair = mu2 / (x * (x2 - mu2))  # 0 at x = inf
@@ -405,8 +398,7 @@ def _lam_of_z(z, c):
     """lambda_of_z of a z that _vec has already checked; RangeError on overflow."""
     with np.errstate(over="ignore"):
         tails = np.cumsum((np.abs(z) ** 2)[::-1])[::-1]
-    if tails[0] == np.inf:  # the largest tail; z is finite, so none is nan
-        raise RangeError("|z|^2 overflows double precision")
+    _in_range(tails[0], "|z|^2 overflows")  # the largest tail
     return c.nu + 2 * c.mu * np.arange(z.size - 1, -1, -1.0) + tails
 
 
@@ -447,7 +439,7 @@ def _cancelled_corner(lam, mu, nu):
             acc += run / (x**2 - la**2)
             run *= ((x - 2 * mu) ** 2 - la**2) / (x**2 - la**2)
     except OverflowError:
-        raise RangeError("corner series of the dual matrix overflows double precision") from None
+        _in_range(np.inf, "corner series of the dual matrix overflows")
     return (4 * mu**2 * (x - nu) * acc - nu) / x
 
 
@@ -527,9 +519,8 @@ def transported_family(z, c):
     invariant of the direct flow.  Only the moduli |z_j| enter, so the
     whole family is blind to the phases that the dual energy sees.
     """
-    lam = lambda_of_z(z, c)
     with np.errstate(over="ignore"):  # _power_sums raises RangeError on an inf square
-        return _power_sums(lam**2)
+        return _power_sums(lambda_of_z(z, c) ** 2)
 
 
 def chart_gauge(z):
@@ -627,10 +618,7 @@ def _family_lax(lam, theta, c):
         F = np.concatenate([f, np.conj(z) / f])
         num = 1j * mu * (F[:, None] * np.conj(F))
         num.put(swap, num.take(swap) + 1j * (mu - 2 * nu))
-        L = hinv @ (num / den) @ hinv
-    if not np.isfinite(L).all():
-        raise RangeError("family matrix overflows double precision")
-    return L
+        return _in_range(hinv @ (num / den) @ hinv, "family matrix overflows")
 
 
 @dataclass(frozen=True)
@@ -663,8 +651,7 @@ def family_eval(lam, theta, c):
         energy = _product_energy(
             lam, np.cosh(theta), -c.mu**2, np.array([[-c.nu**2], [-c.kappa**2]]), c.nu * c.kappa
         )
-    if not (np.isfinite(subset).all() and np.isfinite(coeffs).all() and np.isfinite(energy)):
-        raise RangeError("family values overflow double precision")
+    _in_range(np.append(subset, [*coeffs, energy]), "family values overflow")
     return FamilyTable(subset_values=subset, energy=energy, char_coefficients=coeffs)
 
 
@@ -766,8 +753,7 @@ def family_relation(q):
         )
         residual_symmetric = float(np.max(np.abs(mats.to_subset @ cosh_vals - subset_vals)))
     # every value enters a residual, and inf or nan anywhere leaves one non-finite
-    if not np.isfinite([residual_direct, residual_inverse, residual_symmetric]).all():
-        raise RangeError("family values overflow double precision")
+    _in_range([residual_direct, residual_inverse, residual_symmetric], "family values overflow")
     return FamilyRelation(
         subset_values=subset_vals,
         char_values=char_vals,

@@ -177,6 +177,26 @@ class TestContains:
         assert sys.contains(PhasePoint([-1.0], [0.0]))
 
 
+class TestRaiseSites:
+    def test_energy_rejects_a_non_finite_hamiltonian(self):
+        sys = HamiltonianSystem(dim=1, hamiltonian=lambda x: np.nan, grad=free_system(1).grad)
+        with pytest.raises(DomainError, match="Hamiltonian"):
+            sys.energy(PhasePoint([0.0], [0.0]))
+
+    def test_rejects_a_start_outside_the_domain(self):
+        sys = calogero.make_system(2, 1.0)
+        with pytest.raises(DomainError, match="outside domain"):
+            integrate_flow(sys, PhasePoint([0.0, 1.0], [0.0, 0.0]), (0.0, 1.0), tol=1e-9)
+
+    def test_a_flow_that_leaves_at_once_raises(self):
+        # free particles 1.5e-8 apart and closing at speed 2 reach the 1e-8
+        # boundary margin at t = 2.5e-9, before the second sample at t = 0.005
+        sys = calogero.make_system(2, 0.0)
+        x0 = PhasePoint([1.5e-8, 0.0], [-1.0, 1.0])
+        with pytest.raises(DomainError, match="immediately"):
+            integrate_flow(sys, x0, (0.0, 1.0), tol=1e-9)
+
+
 class TestPoissonBracketFd:
     def test_canonical_pairs(self):
         x = PhasePoint([0.4, -1.2], [0.9, 2.0])

@@ -58,6 +58,11 @@ class TestHermitianEigen:
             with pytest.raises(StructureError):
                 hermitian_eigen(np.array([[bad, 1.0], [1.0, 0.0]]))
 
+    def test_rejects_a_non_square_matrix(self):
+        for call in (hermitian_eigen, char_poly):
+            with pytest.raises(StructureError, match="square"):
+                call(np.ones((2, 3)))
+
 
 class TestCharPoly:
     def test_rejects_non_finite(self):

@@ -1053,6 +1053,15 @@ def dual_points(draw):
     return lambda_of_z(np.sqrt(excess), COUP), np.array(theta), couplings_with(kappa)
 
 
+    def test_far_chamber_overflow_raises(self):
+        # (2 lam_1)^3 overflows from lam_1 = 2.8e102 on; at lam_1 = 1e150 the
+        # gradient, and at 1e160 the energy, leaked an overflow RuntimeWarning
+        with pytest.raises(RangeError, match="lam_1"):
+            _dual_grad(np.array([1e150, 5.0]), np.array([0.3, -0.1]), COUP)
+        with pytest.raises(RangeError, match="lam_1"):
+            dual_hamiltonian(DualPoint([1e160, 5.0], [0.0, 0.0]), COUP)
+        _dual_grad(np.array([2.8e102, 5.0]), np.array([0.3, -0.1]), COUP)
+
 class TestDualGradient:
     def assert_matches_oracle(self, lam, theta, c):
         want = oracle_gradient(lam, theta, c)
