@@ -7,8 +7,10 @@ wrappers.  No symplectic structure is imposed.  Conservation is checked
 after the fact: every trajectory carries its invariant samples, and
 callers are expected to look at the drift numbers rather than trust the
 scheme.
-Every system supplies its analytic gradient; the central-difference
-stencil serves only poisson_bracket_fd.
+Every system supplies its analytic right-hand side, written in place:
+grad(y, out) fills out with (dH/dp, -dH/dq) at the flat phase vector
+y = (q, p), so `_dopri` calls it on its stage rows directly.  The
+central-difference stencil serves only poisson_bracket_fd.
 
 Conventions used throughout the package:
   * a phase point is a pair of real vectors (q, p) of equal length,
@@ -122,9 +124,11 @@ class PhasePoint:
 class HamiltonianSystem:
     """A Hamiltonian plus the metadata the integrator needs.
 
-    grad must return the analytic (dH/dq, dH/dp): every system supplies
-    one, and the central-difference stencil serves only
-    poisson_bracket_fd.  boundary_margin, when given, returns a smooth
+    grad(y, out) writes Hamilton's right-hand side (dH/dp, -dH/dq) at
+    the flat phase vector y = (q, p) into out, a float vector of the
+    same length, and returns out; y must not change.  Every system
+    supplies it analytically, and the central-difference stencil serves
+    only poisson_bracket_fd.  boundary_margin, when given, returns a smooth
     distance-like quantity that is positive exactly inside the open
     domain the flow must not leave; it drives event-based truncation
     near the boundary, and contains reads membership off it.
@@ -150,10 +154,13 @@ class HamiltonianSystem:
 
 
 def _pair_energy(q, p, T, w, f=None):
-    """|p|^2 / 2 + sum_r w_r / f(x_r)^2 at x = T q; f = None is the identity."""
-    x = T @ q
-    s = x if f is None else f(x)
-    return 0.5 * float(p @ p) + float(w @ (1.0 / (s * s)))
+    """|p|^2 / 2 + sum_r w_r / f(x_r)^2 at x = T q; f = None is the identity.
+    RangeError where it overflows."""
+    with np.errstate(all="ignore"):  # a huge p or q, or a tiny f(x), overflows
+        x = T.dot(q)
+        s = x if f is None else f(x)
+        energy = 0.5 * float(p.dot(p)) + float(w.dot(1.0 / (s * s)))
+    return _in_range(energy, "energy overflows")
 
 
 def pair_system(T, w, margin, name, f=None, df=None):
@@ -162,23 +169,27 @@ def pair_system(T, w, margin, name, f=None, df=None):
     H = |p|^2 / 2 + V(q) with V = sum_r w_r / f(x_r)^2 over the linear
     arguments x = T q; f = None is the identity, so V is rational, and
     otherwise df is the derivative of f.  The gradient is the chain rule
-    through the same matrix, grad V = T^T (-2 w * f'(x) / f(x)^3), with
-    -2 w folded once here; dp is point.p itself, not a copy.  margin(q) is
-    the configuration domain's boundary margin, positive exactly inside it; T, w finite.
+    through the same matrix, -grad V = T^T (2 w * f'(x) / f(x)^3), with
+    the force 2 w folded once here, so grad writes -dH/dq with no
+    negation.  margin(q) is the configuration domain's boundary margin,
+    positive exactly inside it; T, w finite.
     """
-    T, slope = _finite(T, "T"), -2.0 * _finite(w, "w")
+    T, force = _finite(T, "T"), 2.0 * _finite(w, "w")
+    n = T.shape[1]
 
     def H(point):
         return _pair_energy(point.q, point.p, T, w, f)
 
-    def grad(point):
-        x = T @ point.q
+    def grad(y, out):
+        x = T.dot(y[:n])
         s = x if f is None else f(x)
-        top = slope if df is None else slope * df(x)
-        return (top / (s * s * s)) @ T, point.p
+        top = force if df is None else force * df(x)
+        np.dot(top / (s * s * s), T, out=out[n:])
+        out[:n] = y[n:]
+        return out
 
     return HamiltonianSystem(
-        dim=T.shape[1],
+        dim=n,
         hamiltonian=H,
         grad=grad,
         boundary_margin=lambda point: margin(point.q),
@@ -258,11 +269,11 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
 
     Same tableau, atol = tol and rtol = max(tol, 100 eps), initial step,
     error norm, step control, and StiffnessError below ten float spacings;
-    rhs(y, out) writes the derivative into out (a stage row) and returns
-    it; it is autonomous, so the nodes RK45.C never enter.  When margin(y)
-    falls to _BOUNDARY_MARGIN within a step, brentq finds the crossing on
-    the dense output as scipy's terminal events do, and the samples
-    stop there.  Returns the sample times, the states as columns, whether
+    rhs(y, out) is a system's grad: it writes the derivative into out (a
+    stage row) and returns it; it is autonomous, so the nodes RK45.C
+    never enter.  When margin(y) falls to _BOUNDARY_MARGIN within a step,
+    brentq finds the crossing on the dense output as scipy's terminal
+    events do, and the samples stop there.  Returns the sample times, the states as columns, whether
     the margin stopped the flow, and the diagnostics.  Driving scipy's own
     RK45 stepper (step() and dense_output()) instead costs about 15 % of
     cm-scattering's throughput, so the loop stays in-house.
@@ -338,8 +349,8 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     """Integrate Hamilton's equations q' = dH/dp, p' = -dH/dq.
 
     The steps are scipy's RK45 at rtol = atol = tol, reproduced bit for
-    bit by `_dopri`, without scipy's initial-value driver; diagnostics
-    carry its statistics.
+    bit by `_dopri`, without scipy's initial-value driver, which calls
+    sys.grad as its right-hand side; diagnostics carry its statistics.
     t_span may run backward (t1 < t0); the returned trajectory always
     stores increasing times.  invariant_family is a dict of named
     observables sampled along the way; the energy is always included.
@@ -364,20 +375,13 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     sys.energy(x0)
 
     n = x0.dim
-
-    def rhs(y, out):
-        dq, dp = sys.grad(PhasePoint._view(y, n))
-        out[:n] = dp
-        np.negative(dq, out=out[n:])
-        return out
-
     margin = None
     if sys.boundary_margin is not None:
         def margin(y):
             return float(sys.boundary_margin(PhasePoint._view(y, n)))
 
     times, ys, hit, diagnostics = _dopri(
-        rhs, y0, t0, t1, tol, np.linspace(t0, t1, n_samples), margin, sys.name
+        sys.grad, y0, t0, t1, tol, np.linspace(t0, t1, n_samples), margin, sys.name
     )
     states = [PhasePoint._view(ys[:, k], n) for k in range(ys.shape[1])]
 

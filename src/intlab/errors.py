@@ -1,8 +1,9 @@
 """Shared exception types.
 
 At a public entry point non-finite input raises DomainError, and an overflowing
-result or coupling square RangeError (huge state magnitudes aside), so callers
-can tell "you fed me a bad point" from "the algorithm gave up".
+result or coupling square RangeError, so callers can tell "you fed me a bad
+point" from "the algorithm gave up".  Some huge but finite states still leak
+numpy's RuntimeWarning instead, such as moser_B at q = 1e200.
 """
 
 

@@ -78,10 +78,15 @@ def _stencil(n):
 
 
 def hermitian_eigen(M):
-    """Eigendecomposition with the package-wide sorting convention."""
+    """Eigendecomposition with the package-wide sorting convention.
+
+    StructureError unless M is Hermitian to 1e-12 of max(1, ||M||), and
+    RangeError where ||M||, and with it that test, overflows.
+    """
     M = _as_square(M)
-    scale = max(1.0, np.linalg.norm(M))
-    dev = np.linalg.norm(M - M.conj().T)
+    with np.errstate(over="ignore"):  # entries beyond about 1e154 overflow the norm
+        scale = _in_range(max(1.0, np.linalg.norm(M)), "matrix norm overflows")
+        dev = np.linalg.norm(M - M.conj().T)
     if dev > 1e-12 * scale:
         raise StructureError(
             f"matrix is not Hermitian: ||M - M*|| = {dev:.3e} exceeds 1e-12 * {scale:.3e}"

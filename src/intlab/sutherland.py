@@ -375,7 +375,7 @@ def _dual_grad(lam, theta, c):
     pair = mu2 / (x * (x2 - mu2))  # 0 at x = inf
     slope = pair[:, :n] + pair[:, n:]  # D + S
     slope_nu, slope_kap = lead2 / (lam * (lam2 - lead2))
-    dlam = t * (slope_nu + slope_kap + slope.sum(axis=1)) + slope @ t
+    dlam = t * (slope_nu + slope_kap + slope.sum(axis=1)) + slope.dot(t)
     others = np.where(_cauchy_masks(n).eye, 1.0, 1 - mu2 / lam2)
     dlam -= c.nu * c.kappa * 2 * others.prod(axis=1) / lam**3
     return dlam, -np.sin(theta) * terms
@@ -562,8 +562,9 @@ def dual_lax_local(d, c):
 def make_dual_system(n, c):
     """HamiltonianSystem for the dual flow on (lam, theta) coordinates.
 
-    Positions are lam, momenta the angles theta, the gradient is
-    `_dual_grad`, and the boundary margin is the smallest chamber slack,
+    Positions are lam, momenta the angles theta, the right-hand side is
+    `_dual_grad`'s two halves written in place as (dH/dtheta, -dH/dlam),
+    and the boundary margin is the smallest chamber slack,
     min |z_j|^2 in the global chart.  DomainError unless n is an integer >= 1.
     """
     n = _count(n, "n", 1)
@@ -572,8 +573,10 @@ def make_dual_system(n, c):
     def H(point):
         return _dual_energy(point.q, point.p, c)
 
-    def grad(point):
-        return _dual_grad(point.q, point.p, c)
+    def grad(y, out):
+        dlam, out[:n] = _dual_grad(y[:n], y[n:], c)
+        np.negative(dlam, out=out[n:])
+        return out
 
     def margin(point):
         return float(_chamber_slack(point.q, gap, c.nu).min())

@@ -49,13 +49,21 @@ def test_slot_zero_passes_its_checks(name, make_api):
         assert api.spans and None not in api.spans  # every span was closed
 
 
-@pytest.mark.parametrize("name", ["direct-flow", "dual-flow"])
-def test_traced_flow_counts_every_gradient(name):
+@pytest.mark.parametrize(
+    "name, layer, flows",
+    [
+        pytest.param("direct-flow", "sutherland", lambda traj: [traj], id="direct-flow"),
+        pytest.param("dual-flow", "sutherland", lambda traj: [traj], id="dual-flow"),
+        # an item's output starts with the forward and the backward flow
+        pytest.param("cm-scattering", "calogero", lambda out: out[:2], id="cm-scattering"),
+    ],
+)
+def test_traced_flow_counts_every_gradient(name, layer, flows):
     workload = WORKLOADS[name]
     rng = np.random.default_rng([0, sorted(WORKLOADS).index(name)])
     api = traced_api()
     ctx = workload.context(api)
-    traj = workload.run(ctx, workload.make_inputs(rng)[0])
-    grad = api.names.index("sutherland.grad")
+    out = workload.run(ctx, workload.make_inputs(rng)[0])
+    grad = api.names.index(f"{layer}.grad")
     spans = sum(1 for span in api.spans if span[0] == grad)
-    assert spans == traj.diagnostics["nfev"] > 0
+    assert spans == sum(traj.diagnostics["nfev"] for traj in flows(out)) > 0

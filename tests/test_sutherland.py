@@ -49,6 +49,7 @@ from intlab.sutherland import (
     _root,
     _weights,
 )
+from hamilton import split
 from oracles import sutherland_reference as oracle
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
@@ -353,7 +354,7 @@ class TestDirectSystem:
         rng = np.random.default_rng(4)
         for n in (3, 8, 20):
             x = grid_alcove_point(rng, n)
-            dq, dp = make_system(n, COUP).grad(PhasePoint(x.q, x.p))
+            dq, dp = split(make_system(n, COUP), x.q, x.p)
             step = 1e-6
             for j in range(n):
                 qp, qm = x.q.copy(), x.q.copy()
@@ -369,7 +370,7 @@ class TestDirectSystem:
     @pytest.mark.parametrize("n", [1, 3, 8, 20])
     def test_gradient_matches_mpmath(self, n):
         x = grid_alcove_point(np.random.default_rng(50 + n), n)
-        dq, dp = make_system(n, COUP).grad(PhasePoint(x.q, x.p))
+        dq, dp = split(make_system(n, COUP), x.q, x.p)
         want_q, want_p = oracle.sutherland_gradient(mp_vector(x.q), mp_vector(x.p))
         want = np.array([float(v) for v in want_q + want_p])
         scale = max(1.0, float(np.max(np.abs(want))))
@@ -384,14 +385,14 @@ class TestDirectSystem:
         want = np.array([
             float(oracle.sutherland_partial(mp_vector(x.q), mp_vector(x.p), i)) for i in coords
         ])
-        got = np.concatenate(make_system(n, COUP).grad(PhasePoint(x.q, x.p)))[coords]
+        got = np.concatenate(split(make_system(n, COUP), x.q, x.p))[coords]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(near_wall_points())
     def test_gradient_matches_differences_near_walls(self, x):
         sys = make_system(x.n, COUP)
-        dq, dp = sys.grad(PhasePoint(x.q, x.p))
+        dq, dp = split(sys, x.q, x.p)
         step = 1e-4 * min(1.0, sys.boundary_margin(x))
         fd = np.empty(x.n)
         for j in range(x.n):
@@ -661,7 +662,7 @@ class TestDualLaxGlobal:
         for c in (BCnCouplings(mu=1.0, nu=0.5, kappa=0.0), COUP):
             q = alcove_q(np.zeros(3), c)
             assert q[-1] > 0 and q[0] < np.pi / 2 and np.all(np.diff(q) < 0)
-            dq, _ = make_system(3, c).grad(PhasePoint(q, np.zeros(3)))
+            dq, _ = split(make_system(3, c), q, np.zeros(3))
             assert np.max(np.abs(dq)) < 1e-8
 
     def test_equilibrium_minimizes_first_invariant(self):
@@ -717,7 +718,7 @@ class TestDualLaxGlobal:
         q = alcove_q(np.zeros(n), c)
         T, w = _stencil(n), _weights(n, c)
         scale = np.abs(T).T @ (2 * np.abs(w) / np.abs(np.sin(T @ q)) ** 3)
-        force, _ = make_system(n, c).grad(PhasePoint(q, np.zeros(n)))
+        force, _ = split(make_system(n, c), q, np.zeros(n))
         assert np.all(np.abs(force) <= 1e-11 * scale)
 
     @pytest.mark.parametrize("call", [dual_lax_global, alcove_q])
@@ -1106,7 +1107,7 @@ class TestDualGradient:
         # {lam_j, H} = dH/dtheta_j and {theta_j, H} = -dH/dlam_j
         sys = make_dual_system(3, COUP)
         x = PhasePoint([6.1, 3.9, 1.3], [0.7, -1.9, 2.6])
-        dlam, dtheta = sys.grad(x)
+        dlam, dtheta = split(sys, x.q, x.p)
         for j in range(3):
             lam_j = lambda y, j=j: y.q[j]
             theta_j = lambda y, j=j: y.p[j]
