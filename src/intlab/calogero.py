@@ -16,11 +16,13 @@ from .linalg import _DEGENERACY_GAP, _stencil, hermitian_eigen
 
 
 def _order_margin(q):
-    """Smallest gap q_j - q_(j+1) of the ordered line, 1.0 for one particle.
+    """Smallest gap q_j - q_(j+1) of the ordered line over the last axis of q,
+    1.0 for one particle (nan for a nan q).
 
     q lies on the open domain q_1 > ... > q_n exactly when it is positive.
     """
-    return float((q[:-1] - q[1:]).min()) if q.size > 1 else 1.0
+    gaps = q[..., :-1] - q[..., 1:] if q.shape[-1] > 1 else q - q + 1.0
+    return gaps.min(axis=-1)
 
 
 def _coupling(g):
@@ -81,11 +83,15 @@ def lax_LQ(x):
 
 
 def moser_B(x):
-    """Second Lax-pair matrix; dL/dt = [L, B] along the flow."""
-    inv2 = 1.0 / _gaps(x.q) ** 2
-    B = -1j * x.g * inv2
-    np.fill_diagonal(B, 1j * x.g * np.sum(inv2, axis=1))
-    return B
+    """Second Lax-pair matrix; dL/dt = [L, B] along the flow.  RangeError where
+    a squared gap or an entry overflows."""
+    span = x.q.item(0) - x.q.item(-1)  # the largest gap; Python floats overflow quietly
+    _in_range(span * span, "squared gaps overflow")
+    with np.errstate(all="ignore"):  # a tiny gap overflows 1/gap^2
+        inv2 = 1.0 / _gaps(x.q) ** 2
+        B = -1j * x.g * inv2
+        np.fill_diagonal(B, 1j * x.g * np.sum(inv2, axis=1))
+    return _in_range(B, "entries of B overflow")
 
 
 def _lax_weights(x):
@@ -108,11 +114,14 @@ def acd_functions(x, z):
     C and D trace the adjugate of (zI - L) against Q, with and without
     the rank-one projector onto the all-ones vector.  The adjugate is
     sum_k prod_{l != k} (z - lam_l) u_k u_k^*, valid for every finite z.
+    RangeError where a value overflows.
     """
     spec, c, d = _lax_weights(x)
-    diffs = _finite(z, "z") - spec.eigenvalues
-    cof = np.prod(np.where(np.eye(x.n, dtype=bool), 1.0, diffs), axis=1)
-    return complex(np.prod(diffs)), complex(cof @ c), complex(cof @ d)
+    with np.errstate(all="ignore"):  # a huge z overflows the products
+        diffs = _finite(z, "z") - spec.eigenvalues
+        cof = np.prod(np.where(np.eye(x.n, dtype=bool), 1.0, diffs), axis=1)
+        values = np.array([np.prod(diffs), cof @ c, cof @ d])
+    return tuple(_in_range(values, "A, C, D overflow").tolist())
 
 
 def sklyanin_coords(x):

@@ -11,6 +11,10 @@ Every system supplies its analytic right-hand side, written in place:
 grad(y, out) fills out with (dH/dp, -dH/dq) at the flat phase vector
 y = (q, p), so `_dopri` calls it on its stage rows directly.  The
 central-difference stencil serves only poisson_bracket_fd.
+The audit runs over a leading sample axis: a PhasePoint may hold one
+point or an (m, n) block of samples, the Hamiltonian maps a block to its
+m energies, and boundary_margin(q) reads the configuration alone, so
+integrate_flow checks all of a flow's samples with one call of each.
 
 Conventions used throughout the package:
   * a phase point is a pair of real vectors (q, p) of equal length,
@@ -113,10 +117,11 @@ class PhasePoint:
 
     @classmethod
     def _view(cls, y, n):
-        """Unchecked view of a float vector of length 2n; from_vector checks."""
+        """Unchecked view of the last axis of y, of length 2n: one point, or one
+        row per sample of a block; from_vector checks."""
         x = object.__new__(cls)
-        object.__setattr__(x, "q", y[:n])
-        object.__setattr__(x, "p", y[n:])
+        object.__setattr__(x, "q", y[..., :n])
+        object.__setattr__(x, "p", y[..., n:])
         return x
 
 
@@ -128,12 +133,15 @@ class HamiltonianSystem:
     the flat phase vector y = (q, p) into out, a float vector of the
     same length, and returns out; y must not change.  Every system
     supplies it analytically, and the central-difference stencil serves
-    only poisson_bracket_fd.  boundary_margin, when given, returns a smooth
-    distance-like quantity that is positive exactly inside the open
-    domain the flow must not leave; it drives event-based truncation
-    near the boundary, and contains reads membership off it.
-    domain_check, when given, overrides that membership test.  No
-    system of the package sets it; it stays because the benchmark's
+    only poisson_bracket_fd.  hamiltonian(x) takes a PhasePoint over a
+    leading sample axis: one energy for a point, m for an (m, n) block.
+    boundary_margin(q), when given, takes the configuration alone, a
+    point or a block, and returns a smooth distance-like quantity per
+    sample that is positive exactly inside the open domain the flow must
+    not leave; it drives event-based truncation near the boundary, and
+    contains reads membership off it.  domain_check, when given,
+    overrides that membership test and takes a PhasePoint the same way.
+    No system of the package sets it; it stays because the benchmark's
     tracer wraps it by field name.
     """
 
@@ -145,21 +153,36 @@ class HamiltonianSystem:
     name: str = "system"
 
     def contains(self, x):
+        """Whether x is inside: a bool for a point, a bool array for a block."""
         if self.domain_check is not None:
-            return bool(self.domain_check(x))
-        return self.boundary_margin is None or bool(self.boundary_margin(x) > 0)
+            inside = self.domain_check(x)
+        elif self.boundary_margin is None:
+            inside = np.ones(x.q.shape[:-1], bool)
+        else:
+            inside = self.boundary_margin(x.q) > 0
+        return _per_sample(np.asarray(inside, bool))
 
     def energy(self, x):
-        return _finite(float(self.hamiltonian(x)), f"{self.name}: the Hamiltonian")
+        """The Hamiltonian at x: a float for a point, a finite array for a block."""
+        values = np.asarray(self.hamiltonian(x), float)
+        if values.shape != x.q.shape[:-1]:
+            raise DomainError(f"{self.name}: the Hamiltonian must give one energy per sample")
+        return _per_sample(_finite(values, f"{self.name}: the Hamiltonian"))
+
+
+def _per_sample(values):
+    """A 0-d array as its Python scalar; a block's array as it is."""
+    return values if values.ndim else values.item()
 
 
 def _pair_energy(q, p, T, w, f=None):
-    """|p|^2 / 2 + sum_r w_r / f(x_r)^2 at x = T q; f = None is the identity.
-    RangeError where it overflows."""
+    """|p|^2 / 2 + sum_r w_r / f(x_r)^2 at x = T q over the last axis; f = None is
+    the identity.  A row of a block rounds as the point does.  RangeError where
+    it overflows."""
     with np.errstate(all="ignore"):  # a huge p or q, or a tiny f(x), overflows
-        x = T.dot(q)
+        x = np.dot(q, T.T)
         s = x if f is None else f(x)
-        energy = 0.5 * float(p.dot(p)) + float(w.dot(1.0 / (s * s)))
+        energy = 0.5 * np.vecdot(p, p) + np.vecdot(1.0 / (s * s), w)
     return _in_range(energy, "energy overflows")
 
 
@@ -172,7 +195,8 @@ def pair_system(T, w, margin, name, f=None, df=None):
     through the same matrix, -grad V = T^T (2 w * f'(x) / f(x)^3), with
     the force 2 w folded once here, so grad writes -dH/dq with no
     negation.  margin(q) is the configuration domain's boundary margin,
-    positive exactly inside it; T, w finite.
+    positive exactly inside it, and serves as boundary_margin as it is;
+    it and the energy take a leading sample axis.  T, w finite.
     """
     T, force = _finite(T, "T"), 2.0 * _finite(w, "w")
     n = T.shape[1]
@@ -192,7 +216,7 @@ def pair_system(T, w, margin, name, f=None, df=None):
         dim=n,
         hamiltonian=H,
         grad=grad,
-        boundary_margin=lambda point: margin(point.q),
+        boundary_margin=margin,
         name=name,
     )
 
@@ -271,7 +295,8 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     error norm, step control, and StiffnessError below ten float spacings;
     rhs(y, out) is a system's grad: it writes the derivative into out (a
     stage row) and returns it; it is autonomous, so the nodes RK45.C
-    never enter.  When margin(y) falls to _BOUNDARY_MARGIN within a step,
+    never enter.  margin, a system's boundary_margin, reads the positions
+    y[:n]; when it falls to _BOUNDARY_MARGIN within a step,
     brentq finds the crossing on the dense output as scipy's terminal
     events do, and the samples stop there.  Returns the sample times, the states as columns, whether
     the margin stopped the flow, and the diagnostics.  Driving scipy's own
@@ -279,6 +304,7 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     cm-scattering's throughput, so the loop stays in-house.
     """
     rtol, atol, direction = max(tol, 100 * _EPS), tol, 1.0 if t1 > t else -1.0
+    n = y.size // 2
     exponent, span = -1 / (RK45.error_estimator_order + 1), abs(t1 - t)
     f = rhs(y, np.empty_like(y))
     scale = atol + np.abs(y) * rtol
@@ -295,7 +321,7 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     # samples up to and including t, in the direction of time, as bisect keys
     keys, i, times, states = (direction * samples).tolist(), 0, [], []
     accepted = rejected = 0
-    g, hit = margin(y) if margin else None, False
+    g, hit = margin(y[:n]) if margin else None, False
     while not hit and t != t1:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs, retried = max(h_abs, min_step), False
@@ -323,12 +349,12 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
         accepted += 1
         t_old, y_old, t, y, f, Q = t, y, t_new, y_new, K[-1], None
         if margin:
-            g_new = margin(y)
+            g_new = margin(y[:n])
             if g >= _BOUNDARY_MARGIN >= g_new:
                 Q, seen = KE.dot(RK45.P), {}
 
                 def excess(s):
-                    seen[s] = margin(_dense(Q, y_old, t_old, h, s))
+                    seen[s] = margin(_dense(Q, y_old, t_old, h, s)[:n])
                     return seen[s] - _BOUNDARY_MARGIN
 
                 t = brentq(excess, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
@@ -341,7 +367,10 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
             states.append(_dense(Q, y_old, t_old, h, samples[i:j]))
             i = j
     nfev = 2 + 6 * (accepted + rejected)
-    diagnostics = dict(nfev=nfev, accepted=accepted, rejected=rejected, t_stop=t, stop_margin=g)
+    stop_margin = None if g is None else float(g)
+    diagnostics = dict(
+        nfev=nfev, accepted=accepted, rejected=rejected, t_stop=t, stop_margin=stop_margin
+    )
     return np.hstack(times), np.hstack(states), hit, diagnostics
 
 
@@ -354,8 +383,10 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     t_span may run backward (t1 < t0); the returned trajectory always
     stores increasing times.  invariant_family is a dict of named
     observables sampled along the way; the energy is always included.
-    Leaving the domain truncates the trajectory and sets status
-    'truncated' instead of raising.  x0 must be a finite PhasePoint of
+    The samples are audited as one block: one boundary_margin call
+    truncates the trajectory at the first sample outside the domain
+    (status 'truncated' instead of raising), and one sys.energy call
+    takes the energies of the rest.  x0 must be a finite PhasePoint of
     the system's dimension, tol must be finite and positive, both ends of
     t_span finite and distinct, and n_samples an integer of at least 2.
     """
@@ -374,29 +405,24 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
         raise DomainError(f"{sys.name}: initial point outside domain")
     sys.energy(x0)
 
-    n = x0.dim
-    margin = None
-    if sys.boundary_margin is not None:
-        def margin(y):
-            return float(sys.boundary_margin(PhasePoint._view(y, n)))
-
     times, ys, hit, diagnostics = _dopri(
-        sys.grad, y0, t0, t1, tol, np.linspace(t0, t1, n_samples), margin, sys.name
+        sys.grad, y0, t0, t1, tol, np.linspace(t0, t1, n_samples), sys.boundary_margin, sys.name
     )
-    states = [PhasePoint._view(ys[:, k], n) for k in range(ys.shape[1])]
+    block, n = ys.T, x0.dim  # one row per sample
 
-    # drop any samples that slipped outside the open domain
-    keep = next((k for k, x in enumerate(states) if not sys.contains(x)), len(states))
-    status = "truncated" if hit or keep < len(states) else "completed"
-    times, states = times[:keep], states[:keep]
-    if len(states) < 2:
+    # drop the samples from the first one that slipped outside the open domain
+    inside = sys.contains(PhasePoint._view(block, n))
+    keep = len(times) if inside.all() else int(inside.argmin())
+    status = "truncated" if hit or keep < len(times) else "completed"
+    times, block = times[:keep], block[:keep]
+    if keep < 2:
         raise DomainError(f"{sys.name}: flow left the domain immediately")
 
-    backward = t1 < t0
-    if backward:
-        times, states = times[::-1], states[::-1]
+    if t1 < t0:
+        times, block = times[::-1], block[::-1]
 
-    invariants = {"energy": np.array([sys.energy(x) for x in states])}
+    invariants = {"energy": sys.energy(PhasePoint._view(block, n))}
+    states = [PhasePoint._view(y, n) for y in block]
     for label, func in (invariant_family or {}).items():
         invariants[label] = np.array([np.atleast_1d(func(x)) for x in states])
 

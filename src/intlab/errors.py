@@ -3,7 +3,8 @@
 At a public entry point non-finite input raises DomainError, and an overflowing
 result or coupling square RangeError, so callers can tell "you fed me a bad
 point" from "the algorithm gave up".  Some huge but finite states still leak
-numpy's RuntimeWarning instead, such as moser_B at q = 1e200.
+numpy's RuntimeWarning instead, such as the flow of a pair system whose gap
+grows beyond about 5.6e102, where the gradient's cube overflows.
 """
 
 

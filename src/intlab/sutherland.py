@@ -61,9 +61,10 @@ from .linalg import _stencil
 
 
 def _cauchy_gaps(lam, rows=None):
-    """x_a - x_b for x = (lam, -lam), its top `rows` rows only if given; one rounding each."""
-    x = np.concatenate([lam, -lam])
-    return x[:rows, None] - x
+    """x_a - x_b for x = (lam, -lam) over the last axis of lam, its top `rows` rows
+    only if given; one rounding each."""
+    x = np.concatenate([lam, -lam], axis=-1)
+    return x[..., :rows, None] - x[..., None, :]
 
 
 _Layout = namedtuple("_Layout", "selves gaps chart ends eye")
@@ -99,23 +100,27 @@ def _power_sums(lam2):
 
 
 def _chamber_slack(x, gap, floor):
-    """Slack of the chamber x_j - x_(j+1) > gap (j < n), x_n > floor.
+    """Slack of the chamber x_j - x_(j+1) > gap (j < n), x_n > floor, over the
+    last axis of x.
 
     The dual chamber is (gap, floor) = (2*mu, nu), and there the slack is
     |z|^2 of the global chart; lambda_of_z is its inverse.  The plain
     positive chamber of the rational family is (0, 0).  Written in place,
     it rounds as [x[:-1] - x[1:] - gap, x[-1] - floor]; a nan stays a nan.
     """
-    slack = np.empty(x.size)
-    head = np.subtract(x[:-1], x[1:], out=slack[:-1])
+    slack = np.empty(x.shape)
+    head = np.subtract(x[..., :-1], x[..., 1:], out=slack[..., :-1])
     np.subtract(head, gap, out=head)
-    slack[-1] = x[-1] - floor
+    slack[..., -1] = x[..., -1] - floor
     return slack
 
 
 def _alcove_margin(q):
-    """Smallest slack of the alcove pi/2 > q_1 > ... > q_n > 0; nan if q has one."""
-    return float((q[:-1] - q[1:]).min(initial=min(np.pi / 2 - q[0], q[-1])))
+    """Smallest slack of the alcove pi/2 > q_1 > ... > q_n > 0 over the last axis
+    of q; nan if q has one.  The slacks are the gaps of (pi/2, q, 0)."""
+    walls = np.empty(q.shape[:-1] + (q.shape[-1] + 2,))
+    walls[..., 0], walls[..., 1:-1], walls[..., -1] = np.pi / 2, q, 0.0
+    return (walls[..., :-1] - walls[..., 1:]).min(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +154,9 @@ class BCnCouplings:
         squares = [v * v for v in (self.mu, self.nu - self.kappa, self.nu + self.kappa)]
         if not min(_in_range(squares, "coupling squares overflow")[1:]) / 2 > 0:
             raise DomainError("potential couplings left their admissible cone")
+        # the product-form energies divide nu*kappa by mu^2 (by 4 mu^2 on the dual side)
+        ratio = self.nu * self.kappa / squares[0] if squares[0] > 0 else np.inf
+        _in_range(ratio, "mu^2 underflows or nu*kappa/mu^2 overflows")
 
     @property
     def gamma(self):
@@ -280,12 +288,16 @@ def dual_h_matrix(lam, kappa):
     """
     lam = _vec(lam, "lam")
     n = lam.size
+    if not lam.min() > 0:
+        raise DomainError("need lam_j > 0")
+    top = float(lam.max())  # a Python float: its square overflows to inf without a warning
+    _in_range(top * top, "lam^2 overflows")
     try:  # as a Python scalar, kappa**2 raises OverflowError instead of returning inf
         disc = lam**2 - np.asarray(kappa).item() ** 2
     except OverflowError:
         _in_range(np.inf, "kappa^2 overflows")
-    if np.any(lam <= 0) or not (disc.real >= 0).all():  # a nan kappa fails the second
-        raise DomainError("need lam_j > 0, finite kappa and Re(lam_j^2 - kappa^2) >= 0")
+    if not (disc.real >= 0).all():  # a nan kappa fails it
+        raise DomainError("need finite kappa and Re(lam_j^2 - kappa^2) >= 0")
     if kappa == 0:
         alpha, beta = np.ones(n), np.zeros(n)
     else:
@@ -304,45 +316,48 @@ def _root(value):
 
 
 def _root_terms(lam, mu2, lead2):
-    """Square-root product terms V_j of the product form, and the squares behind them.
+    """Square-root product terms V_j of the product form, and the squares behind them,
+    over the last axis of lam.
 
     V_j = sqrt((1 - nu2/lam_j^2)(1 - kap2/lam_j^2))
     prod_{k != j} sqrt((1 - mu2/(lam_j - lam_k)^2)(1 - mu2/(lam_j + lam_k)^2)),
-    with lead2 the column [[nu2], [kap2]], rooted as one 2 x n stack.
+    with lead2 the pair [nu2, kap2], rooted as one stack on a new last axis.
     Returns (V, x, x^2, lam^2), x the top Cauchy-gap rows, self entries inf.
     """
-    n = lam.size
+    n = lam.shape[-1]
     x = _cauchy_gaps(lam, n)
-    x.put(_cauchy_masks(n).selves[: 2 * n], np.inf)
+    x.reshape(*x.shape[:-2], -1)[..., _cauchy_masks(n).selves[: 2 * n]] = np.inf
     x2, lam2 = x * x, lam * lam
     pair = _root(1 - mu2 / x2)
-    root_nu, root_kap = _root(1 - lead2 / lam2)
-    return root_nu * root_kap * (pair[:, :n] * pair[:, n:]).prod(axis=1), x, x2, lam2
+    lead = _root(1 - lead2 / lam2[..., None])
+    return lead[..., 0] * lead[..., 1] * (pair[..., :n] * pair[..., n:]).prod(axis=-1), x, x2, lam2
 
 
 def _product_energy(lam, wave, mu2, lead2, nu_kap):
-    """Square-root product form shared by the dual energy and the rational family.
+    """Square-root product form shared by the dual energy and the rational family,
+    over the last axis of lam and wave.
 
     sum_j wave_j V_j with V_j the terms of `_root_terms`, plus
     const * (1 - prod_j (1 - mu2/lam_j^2)) with const = nu_kap/mu2.
-    The dual energy takes (mu2, lead2, wave) = (4 mu^2, [[nu^2], [kappa^2]],
-    cos theta); the rational family takes (-mu^2, [[-nu^2], [-kappa^2]],
+    The dual energy takes (mu2, lead2, wave) = (4 mu^2, [nu^2, kappa^2],
+    cos theta); the rational family takes (-mu^2, [-nu^2, -kappa^2],
     cosh theta), under which const turns from nu*kappa/(4 mu^2) into
     -nu*kappa/mu^2.
     """
     terms, _, _, lam2 = _root_terms(lam, mu2, lead2)
-    total = float((wave * terms).sum())
+    total = (wave * terms).sum(axis=-1)
     const = nu_kap / mu2
-    return total - const * float((1 - mu2 / lam2).prod()) + const
+    return total - const * (1 - mu2 / lam2).prod(axis=-1) + const
 
 
 def _require_dual(lam, c):
-    """_require_chamber for the dual energy and gradient, and their (mu2, lead2); RangeError
-    where (2 lam_1)^3, which bounds every square and cube they form, overflows."""
+    """_require_chamber for the dual energy and gradient, over the last axis of lam, and
+    their (mu2, lead2); RangeError where (2 lam_1)^3, which bounds every square and cube
+    they form, overflows."""
     _require_chamber(lam, c)
-    top = 2.0 * lam.item(0)  # a Python float: its product overflows to inf without a warning
+    top = 2.0 * float(lam[..., 0].max())  # a Python float overflows to inf without a warning
     _in_range(top * top * top, "(2 lam_1)^3 overflows")
-    return 4 * c.mu**2, np.array([[c.nu**2], [c.kappa**2]])
+    return 4 * c.mu**2, np.array([c.nu**2, c.kappa**2])
 
 
 def _dual_energy(lam, theta, c):
@@ -374,7 +389,7 @@ def _dual_grad(lam, theta, c):
     t = np.cos(theta) * terms
     pair = mu2 / (x * (x2 - mu2))  # 0 at x = inf
     slope = pair[:, :n] + pair[:, n:]  # D + S
-    slope_nu, slope_kap = lead2 / (lam * (lam2 - lead2))
+    slope_nu, slope_kap = lead2[:, None] / (lam * (lam2 - lead2[:, None]))
     dlam = t * (slope_nu + slope_kap + slope.sum(axis=1)) + slope.dot(t)
     others = np.where(_cauchy_masks(n).eye, 1.0, 1 - mu2 / lam2)
     dlam -= c.nu * c.kappa * 2 * others.prod(axis=1) / lam**3
@@ -564,8 +579,9 @@ def make_dual_system(n, c):
 
     Positions are lam, momenta the angles theta, the right-hand side is
     `_dual_grad`'s two halves written in place as (dH/dtheta, -dH/dlam),
-    and the boundary margin is the smallest chamber slack,
-    min |z_j|^2 in the global chart.  DomainError unless n is an integer >= 1.
+    and the boundary margin of lam is the smallest chamber slack,
+    min |z_j|^2 in the global chart.  The energy and the margin take a
+    leading sample axis.  DomainError unless n is an integer >= 1.
     """
     n = _count(n, "n", 1)
     gap = 2 * c.mu
@@ -578,8 +594,8 @@ def make_dual_system(n, c):
         np.negative(dlam, out=out[n:])
         return out
 
-    def margin(point):
-        return float(_chamber_slack(point.q, gap, c.nu).min())
+    def margin(lam):
+        return _chamber_slack(lam, gap, c.nu).min(axis=-1)
 
     return HamiltonianSystem(
         dim=n,
@@ -652,7 +668,7 @@ def family_eval(lam, theta, c):
         subset = np.poly(-((y - 1) ** 2) / y)
         coeffs = np.poly(np.concatenate([y, 1 / y]))
         energy = _product_energy(
-            lam, np.cosh(theta), -c.mu**2, np.array([[-c.nu**2], [-c.kappa**2]]), c.nu * c.kappa
+            lam, np.cosh(theta), -c.mu**2, np.array([-c.nu**2, -c.kappa**2]), c.nu * c.kappa
         )
     _in_range(np.append(subset, [*coeffs, energy]), "family values overflow")
     return FamilyTable(subset_values=subset, energy=energy, char_coefficients=coeffs)

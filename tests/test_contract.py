@@ -3,13 +3,17 @@
 Every public callable of dynamics, linalg, calogero and sutherland is listed
 in TABLE, with one call per float argument, or in EXEMPT, with the reason it
 has nothing to check.  Each call is tried with nan, inf and -inf in that
-argument, and the scalar couplings also at 1e200, whose square overflows.
-Anything but an IntlabError fails, and the project's warning filter turns a
-leaked numpy RuntimeWarning into an error too.  Huge state magnitudes are
-tried where a sum of squares overflows: the momenta of sutherland_H,
-calogero.hamiltonian and integrate_flow's start (a pair system's energy) at
-p = 1e200, and hermitian_eigen's matrix, whose norm overflows there.  Other
-entry points at huge states are outside the contract so far.
+argument, and the scalar couplings also at 1e200, whose square overflows;
+mu also at 1e-200, whose square underflows to 0 where the product-form
+energies divide by it.  Anything but an IntlabError fails, and the project's
+warning filter turns a leaked numpy RuntimeWarning into an error too.  Huge
+state magnitudes are tried where a square, a sum of squares or a product
+overflows: the momenta of sutherland_H, calogero.hamiltonian and
+integrate_flow's start (a pair system's energy) at p = 1e200,
+hermitian_eigen's matrix, whose norm overflows there, moser_B's positions
+and the lam of dual_h_matrix, family_lax and family_eval at 1e200, and
+acd_functions at z = +-1e200.  Other entry points at huge states are
+outside the contract so far.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from intlab.sutherland import BCnCouplings, DualPoint, SutherlandPoint
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
 HUGE = 1e200
+TINY = 1e-200
 
 
 def put(values, v, k=0):
@@ -32,25 +37,33 @@ def put(values, v, k=0):
     return out
 
 
-# An argument is (valid value, {label: (spoil, huge_too)}): spoil(v) is the
-# argument with the bad number v in it, and huge_too marks a label that 1e200 must
-# break too: a scalar coupling, or a state whose energy or norm overflows.
+# An argument is (valid value, {label: (spoil, extra)}): spoil(v) is the
+# argument with the bad number v in it, and extra lists the finite values that
+# must break it too: 1e200 for a scalar coupling or a state whose energy, norm
+# or products overflow, and 1e-200 for mu.
 def vec(values, name):
-    return values, {name: (lambda v: put(values, v), False)}
+    return values, {name: (lambda v: put(values, v), ())}
 
 
 def scalar(value, name, coupling=False):
-    return value, {name: (lambda v: v, coupling)}
+    return value, {name: (lambda v: v, (HUGE,) if coupling else ())}
 
 
 def fixed(value):
     return value, {}
 
 
+def also(arg, values, *labels):
+    """arg with its labels also tried at the finite values."""
+    value, spoilers = arg
+    return value, {
+        k: (spoil, extra + values if k in labels else extra) for k, (spoil, extra) in spoilers.items()
+    }
+
+
 def huge(arg, *labels):
     """arg with its labels also tried at 1e200."""
-    value, spoilers = arg
-    return value, {k: (spoil, flag or k in labels) for k, (spoil, flag) in spoilers.items()}
+    return also(arg, (HUGE,), *labels)
 
 
 Q, P, G = [0.9, -0.2], [0.4, 0.1], 1.0  # rational CM, ordered
@@ -61,47 +74,47 @@ COUP = (0.8, 0.7, 0.25)
 C = BCnCouplings(*COUP)
 
 CM_X = RatCMPoint(Q, P, G), {
-    "x.q": (lambda v: RatCMPoint(put(Q, v), P, G), False),
-    "x.p": (lambda v: RatCMPoint(Q, put(P, v), G), False),
-    "x.g": (lambda v: RatCMPoint(Q, P, v), True),
+    "x.q": (lambda v: RatCMPoint(put(Q, v), P, G), ()),
+    "x.p": (lambda v: RatCMPoint(Q, put(P, v), G), ()),
+    "x.g": (lambda v: RatCMPoint(Q, P, v), (HUGE,)),
 }
-BC_C = C, {
-    f"c.{name}": (lambda v, k=k: BCnCouplings(*put(COUP, v, k)), True)
+BC_C = also((C, {
+    f"c.{name}": (lambda v, k=k: BCnCouplings(*put(COUP, v, k)), (HUGE,))
     for k, name in enumerate(("mu", "nu", "kappa"))
-}
+}), (TINY,), "c.mu")
 DIRECT_X = SutherlandPoint(SQ, SP), {
-    "x.q": (lambda v: SutherlandPoint(put(SQ, v), SP), False),
-    "x.p": (lambda v: SutherlandPoint(SQ, put(SP, v)), False),
+    "x.q": (lambda v: SutherlandPoint(put(SQ, v), SP), ()),
+    "x.p": (lambda v: SutherlandPoint(SQ, put(SP, v)), ()),
 }
 DUAL_D = DualPoint(LAM, THETA), {
-    "d.lam": (lambda v: DualPoint(put(LAM, v), THETA), False),
-    "d.theta": (lambda v: DualPoint(LAM, put(THETA, v)), False),
+    "d.lam": (lambda v: DualPoint(put(LAM, v), THETA), ()),
+    "d.theta": (lambda v: DualPoint(LAM, put(THETA, v)), ()),
 }
 Z_ARG = Z, {
-    "Re z": (lambda v: put(Z, v), False),
-    "Im z": (lambda v: put(Z, complex(0.0, v), 1), False),
+    "Re z": (lambda v: put(Z, v), ()),
+    "Im z": (lambda v: put(Z, complex(0.0, v), 1), ()),
 }
 KAPPA = 0.25, {
-    "kappa": (lambda v: v, True),
-    "i kappa": (lambda v: complex(0.0, v), True),
+    "kappa": (lambda v: v, (HUGE,)),
+    "i kappa": (lambda v: complex(0.0, v), (HUGE,)),
 }
 N_ARG = scalar(2, "n")
-M_ARG = np.eye(2), {"M": (lambda v: np.array([[v, 0.0], [0.0, 1.0]]), False)}
+M_ARG = np.eye(2), {"M": (lambda v: np.array([[v, 0.0], [0.0, 1.0]]), ())}
 
 
 def calls(fn, *args):
-    """{label: (call, huge_too, valid)}: call(v) is fn on the valid values with
+    """{label: (call, extra, valid)}: call(v) is fn on the valid values with
     one argument spoiled by v, and valid() is fn on the valid values."""
     valid_values = [value for value, _ in args]
     out = {}
     for slot, (_, spoilers) in enumerate(args):
-        for label, (spoil, huge_too) in spoilers.items():
+        for label, (spoil, extra) in spoilers.items():
             def call(v, slot=slot, spoil=spoil):
                 given = list(valid_values)
                 given[slot] = spoil(v)
                 return fn(*given)
 
-            out[label] = (call, huge_too, lambda: fn(*valid_values))
+            out[label] = (call, extra, lambda: fn(*valid_values))
     return out
 
 
@@ -132,14 +145,14 @@ TABLE = {
     "intlab.dynamics": {
         "pair_system": calls(
             dynamics.pair_system,
-            (np.array([[1.0, -1.0]]), {"T": (lambda v: np.array([[v, -1.0]]), False)}),
+            (np.array([[1.0, -1.0]]), {"T": (lambda v: np.array([[v, -1.0]]), ())}),
             vec(np.array([1.0]), "w"),
             fixed(calogero._order_margin),
             fixed("pair"),
         ),
         "Trajectory": calls(
             Trajectory,
-            ([0.0, 1.0], {"times": (lambda v: [0.0, v], False)}),
+            ([0.0, 1.0], {"times": (lambda v: [0.0, v], ())}),
             fixed((PhasePoint(Q, P),) * 2),
         ),
         "integrate_flow": {
@@ -147,12 +160,12 @@ TABLE = {
                 dynamics.integrate_flow,
                 fixed(CM_SYS),
                 (PhasePoint(Q, P), {
-                    "x0.q": (lambda v: PhasePoint(put(Q, v), P), False),
-                    "x0.p": (lambda v: PhasePoint(Q, put(P, v)), True),
+                    "x0.q": (lambda v: PhasePoint(put(Q, v), P), ()),
+                    "x0.p": (lambda v: PhasePoint(Q, put(P, v)), (HUGE,)),
                 }),
                 (SPAN, {
-                    "t0": (lambda v: put(SPAN, v), False),
-                    "t1": (lambda v: put(SPAN, v, 1), False),
+                    "t0": (lambda v: put(SPAN, v), ()),
+                    "t1": (lambda v: put(SPAN, v, 1), ()),
                 }),
                 scalar(1e-8, "tol"),
             ),
@@ -160,8 +173,8 @@ TABLE = {
                 dynamics.integrate_flow,
                 fixed(DUAL_SYS),
                 (PhasePoint(LAM, THETA), {
-                    "dual x0.lam": (lambda v: PhasePoint(put(LAM, v), THETA), False),
-                    "dual x0.theta": (lambda v: PhasePoint(LAM, put(THETA, v)), False),
+                    "dual x0.lam": (lambda v: PhasePoint(put(LAM, v), THETA), ()),
+                    "dual x0.theta": (lambda v: PhasePoint(LAM, put(THETA, v)), ()),
                 }),
                 fixed(SPAN),
                 fixed(1e-8),
@@ -172,14 +185,14 @@ TABLE = {
             fixed(first_q),
             fixed(first_p),
             (PhasePoint(Q, P), {
-                "x.q": (lambda v: PhasePoint(put(Q, v), P), False),
-                "x.p": (lambda v: PhasePoint(Q, put(P, v)), False),
+                "x.q": (lambda v: PhasePoint(put(Q, v), P), ()),
+                "x.p": (lambda v: PhasePoint(Q, put(P, v)), ()),
             }),
         ),
         "extract_scattering": calls(
             dynamics.extract_scattering,
-            (free_trajectory(), {"forward edge": (lambda v: free_trajectory(v), False)}),
-            (free_trajectory(), {"backward edge": (lambda v: free_trajectory(v, False), False)}),
+            (free_trajectory(), {"forward edge": (lambda v: free_trajectory(v), ())}),
+            (free_trajectory(), {"backward edge": (lambda v: free_trajectory(v, False), ())}),
         ),
         "invariant_drift": calls(
             dynamics.invariant_drift,
@@ -187,7 +200,7 @@ TABLE = {
                 lambda v: Trajectory(
                     [0.0, 1.0], (PhasePoint(Q, P),) * 2, {"I": np.array([1.0, v])}
                 ),
-                False,
+                (),
             )}),
         ),
     },
@@ -198,22 +211,26 @@ TABLE = {
     "intlab.calogero": {
         "RatCMPoint": calls(RatCMPoint, vec(Q, "q"), vec(P, "p"), scalar(G, "g", True)),
         "lax_LQ": calls(calogero.lax_LQ, CM_X),
-        "moser_B": calls(calogero.moser_B, CM_X),
-        "acd_functions": calls(calogero.acd_functions, CM_X, scalar(0.3, "z")),
+        "moser_B": calls(calogero.moser_B, huge(CM_X, "x.q")),
+        "acd_functions": calls(
+            calogero.acd_functions, CM_X, also(scalar(0.3, "z"), (HUGE, -HUGE), "z")
+        ),
         "sklyanin_coords": calls(calogero.sklyanin_coords, CM_X),
         "hamiltonian": calls(calogero.hamiltonian, huge(CM_X, "x.p")),
         "make_system": calls(calogero.make_system, N_ARG, scalar(G, "g", True)),
     },
     "intlab.sutherland": {
         "BCnCouplings": calls(
-            BCnCouplings, *(scalar(v, name, True) for v, name in zip(COUP, ("mu", "nu", "kappa")))
+            BCnCouplings,
+            also(scalar(COUP[0], "mu", True), (TINY,), "mu"),
+            *(scalar(v, name, True) for v, name in zip(COUP[1:], ("nu", "kappa"))),
         ),
         "SutherlandPoint": calls(SutherlandPoint, vec(SQ, "q"), vec(SP, "p")),
         "DualPoint": calls(DualPoint, vec(LAM, "lam"), vec(THETA, "theta")),
         "sutherland_H": calls(sutherland.sutherland_H, huge(DIRECT_X, "x.p"), BC_C),
         "lax_Y": calls(sutherland.lax_Y, DIRECT_X, BC_C),
         "make_system": calls(sutherland.make_system, N_ARG, BC_C),
-        "dual_h_matrix": calls(sutherland.dual_h_matrix, vec(LAM, "lam"), KAPPA),
+        "dual_h_matrix": calls(sutherland.dual_h_matrix, huge(vec(LAM, "lam"), "lam"), KAPPA),
         "dual_hamiltonian": calls(sutherland.dual_hamiltonian, DUAL_D, BC_C),
         "lambda_of_z": calls(sutherland.lambda_of_z, Z_ARG, BC_C),
         "dual_lax_global": calls(sutherland.dual_lax_global, Z_ARG, BC_C),
@@ -222,8 +239,12 @@ TABLE = {
         "chart_gauge": calls(sutherland.chart_gauge, Z_ARG),
         "dual_lax_local": calls(sutherland.dual_lax_local, DUAL_D, BC_C),
         "make_dual_system": calls(sutherland.make_dual_system, N_ARG, BC_C),
-        "family_lax": calls(sutherland.family_lax, vec(LAM, "lam"), vec(THETA, "theta"), BC_C),
-        "family_eval": calls(sutherland.family_eval, vec(LAM, "lam"), vec(THETA, "theta"), BC_C),
+        "family_lax": calls(
+            sutherland.family_lax, huge(vec(LAM, "lam"), "lam"), vec(THETA, "theta"), BC_C
+        ),
+        "family_eval": calls(
+            sutherland.family_eval, huge(vec(LAM, "lam"), "lam"), vec(THETA, "theta"), BC_C
+        ),
         "family_matrices": calls(sutherland.family_matrices, N_ARG),
         "family_relation": calls(sutherland.family_relation, vec([0.8, -0.3], "q")),
     },
@@ -251,8 +272,8 @@ CASES = [
     pytest.param(module, name, label, v, id=f"{module[7:]}.{name}[{label}={v}]")
     for module, entries in TABLE.items()
     for name, table in entries.items()
-    for label, (_, huge_too, _) in table.items()
-    for v in NON_FINITE + ((HUGE,) if huge_too else ())
+    for label, (_, extra, _) in table.items()
+    for v in NON_FINITE + extra
 ]
 
 

@@ -92,7 +92,7 @@ def accepts(point_type, *args):
 
 def check_system(sys, x, ref):
     point = PhasePoint(x, np.zeros_like(x))
-    margin = sys.boundary_margin(point)
+    margin = sys.boundary_margin(x)
     assert sys.contains(point) == (margin > 0) == ref[0]
     assert margin == ref[1]
 
@@ -143,7 +143,7 @@ def global_points(draw):
 def test_margin_is_smallest_modulus_squared(z):
     # lambda_of_z inverts the dual-chamber slack: the margin is min |z_j|^2
     lam = lambda_of_z(z, COUP)
-    margin = make_dual_system(z.size, COUP).boundary_margin(PhasePoint(lam, np.zeros(z.size)))
+    margin = make_dual_system(z.size, COUP).boundary_margin(lam)
     assert margin == pytest.approx(np.min(np.abs(z) ** 2), rel=0, abs=1e-13 * lam[0])
 
 

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from intlab import calogero, sutherland
 from intlab.dynamics import HamiltonianSystem, PhasePoint, integrate_flow
 from intlab.errors import StiffnessError
-from hamilton import kinetic
+from hamilton import energy, first, kinetic
 
 COUP = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
 BOUNDARY = 1e-8  # the margin at which integrate_flow stops a flow
@@ -28,7 +28,7 @@ def oracle(sys, x0, t_span, tol, n_samples=201):
     events = None
     if sys.boundary_margin is not None:
         def boundary(t, y):
-            return float(sys.boundary_margin(PhasePoint(y[:n], y[n:]))) - BOUNDARY
+            return float(sys.boundary_margin(y[:n])) - BOUNDARY
 
         boundary.terminal = True
         boundary.direction = -1
@@ -94,7 +94,7 @@ def test_flows_match_solve_ivp(build, point, n, span, tol, sign):
     assert sol.status == 0
     assert traj.diagnostics["t_stop"] == sign * span
     end = traj.states[-1 if sign > 0 else 0]
-    assert traj.diagnostics["stop_margin"] == pytest.approx(sys.boundary_margin(end), rel=1e-9)
+    assert traj.diagnostics["stop_margin"] == pytest.approx(sys.boundary_margin(end.q), rel=1e-9)
 
 
 def falling():
@@ -102,9 +102,9 @@ def falling():
     # it along a curve, so the event root is not a plain secant step
     return HamiltonianSystem(
         dim=1,
-        hamiltonian=lambda x: 0.5 * float(np.dot(x.p, x.p)) + float(x.q[0]),
+        hamiltonian=energy(first),
         grad=kinetic(lambda q: -np.ones(1)),
-        boundary_margin=lambda x: float(x.q[0]),
+        boundary_margin=first,
         name="falling",
     )
 
@@ -124,7 +124,7 @@ def test_stiff_failure_matches_solve_ivp():
     # 1-d Kepler infall: the particle reaches the origin in finite time
     sys = HamiltonianSystem(
         dim=1,
-        hamiltonian=lambda x: 0.5 * float(x.p[0] ** 2) - 1.0 / abs(x.q[0]),
+        hamiltonian=energy(lambda q: -1.0 / abs(first(q))),
         grad=kinetic(lambda q: -np.sign(q) / q**2),
         name="kepler-infall",
     )
@@ -138,7 +138,7 @@ def test_rejections_are_counted():
     # a large first step on a fast oscillator has to be cut back at least once
     sys = HamiltonianSystem(
         dim=1,
-        hamiltonian=lambda x: 0.5 * (x.p[0] ** 2 + 400.0 * x.q[0] ** 2),
+        hamiltonian=energy(lambda q: 200.0 * first(q) ** 2),
         grad=kinetic(lambda q: -400.0 * q),
         name="oscillator",
     )

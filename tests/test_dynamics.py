@@ -17,15 +17,16 @@ from intlab.dynamics import (
 )
 from intlab.errors import ConvergenceError, DomainError, StiffnessError
 from intlab.linalg import _stencil
-from hamilton import kinetic
+from hamilton import energy, first, kinetic
 
 COUP = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
+EPS = np.finfo(float).eps
 
 
 def free_system(n):
     return HamiltonianSystem(
         dim=n,
-        hamiltonian=lambda x: 0.5 * float(np.dot(x.p, x.p)),
+        hamiltonian=energy(lambda q: 0.0),
         grad=kinetic(np.zeros_like),
         name="free",
     )
@@ -75,10 +76,10 @@ class TestIntegrateFlow:
     def test_truncates_on_domain_exit(self):
         sys = HamiltonianSystem(
             dim=1,
-            hamiltonian=lambda x: 0.5 * float(np.dot(x.p, x.p)),
+            hamiltonian=energy(lambda q: 0.0),
             grad=kinetic(np.zeros_like),
-            domain_check=lambda x: x.q[0] > 0,
-            boundary_margin=lambda x: float(x.q[0]),
+            domain_check=lambda x: first(x.q) > 0,
+            boundary_margin=first,
             name="half-line",
         )
         traj = integrate_flow(sys, PhasePoint([1.0], [-1.0]), (0.0, 3.0), tol=1e-10)
@@ -90,7 +91,7 @@ class TestIntegrateFlow:
         # 1-d Kepler infall: the particle reaches the origin in finite time
         sys = HamiltonianSystem(
             dim=1,
-            hamiltonian=lambda x: 0.5 * float(x.p[0] ** 2) - 1.0 / abs(x.q[0]),
+            hamiltonian=energy(lambda q: -1.0 / abs(first(q))),
             grad=kinetic(lambda q: -np.sign(q) / q**2),
             name="kepler-infall",
         )
@@ -158,7 +159,7 @@ class TestContains:
             dim=1,
             hamiltonian=lambda x: 0.0,
             grad=kinetic(np.zeros_like),
-            boundary_margin=lambda x: float(x.q[0]),
+            boundary_margin=first,
         )
         assert sys.contains(PhasePoint([q], [0.0])) is bool(q > 0)
 
@@ -171,8 +172,8 @@ class TestContains:
             dim=1,
             hamiltonian=lambda x: 0.0,
             grad=kinetic(np.zeros_like),
-            domain_check=lambda x: x.q[0] < 0,
-            boundary_margin=lambda x: float(x.q[0]),
+            domain_check=lambda x: first(x.q) < 0,
+            boundary_margin=first,
         )
         assert not sys.contains(PhasePoint([1.0], [0.0]))
         assert sys.contains(PhasePoint([-1.0], [0.0]))
@@ -183,6 +184,15 @@ class TestRaiseSites:
         sys = HamiltonianSystem(dim=1, hamiltonian=lambda x: np.nan, grad=free_system(1).grad)
         with pytest.raises(DomainError, match="Hamiltonian"):
             sys.energy(PhasePoint([0.0], [0.0]))
+
+    def test_energy_needs_one_value_per_sample(self):
+        # a Hamiltonian written for one point folds a block into one number
+        sys = HamiltonianSystem(
+            dim=1, hamiltonian=lambda x: 0.5 * float(np.sum(x.p**2)), grad=free_system(1).grad
+        )
+        assert sys.energy(PhasePoint([0.0], [2.0])) == 2.0
+        with pytest.raises(DomainError, match="one energy per sample"):
+            integrate_flow(sys, PhasePoint([0.0], [2.0]), (0.0, 1.0), tol=1e-9)
 
     def test_rejects_a_start_outside_the_domain(self):
         sys = calogero.make_system(2, 1.0)
@@ -243,6 +253,47 @@ def test_grad_writes_the_right_hand_side_in_place(case, n):
     assert sys.grad(y, out) is out
     assert np.array_equal(y, y0)
     assert np.array_equal(out, want)  # bit for bit, the sign of a zero aside
+
+
+# A configuration outside each domain, made from one inside it; the line of
+# a single particle has no outside.
+OUTSIDE = {
+    direct_case: lambda q: np.concatenate([[np.pi / 2 + 0.1], q[1:]]),
+    cm_case: lambda q: q[::-1] if q.size > 1 else None,
+    dual_case: lambda q: np.concatenate([q[:-1], [COUP.nu / 2]]),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 201])
+@pytest.mark.parametrize("n", [1, 3, 8, 20])
+@pytest.mark.parametrize(
+    "case", [direct_case, cm_case, dual_case], ids=["sutherland", "ratcm", "dual"]
+)
+def test_a_block_audits_as_its_samples(case, n, m):
+    # integrate_flow audits its samples as the rows of one block, stored as
+    # _dopri leaves them, one column per sample: each row must read as the
+    # point does, margins bit for bit and energies to 2 ulp
+    rng = np.random.default_rng([n, m])
+    cases = [case(n, rng) for _ in range(m)]
+    sys = cases[0][0]
+    ys = np.array([np.concatenate([q, p]) for _, q, p, _ in cases]).T
+    block = PhasePoint._view(ys.T, n)
+    points = [PhasePoint(q, p) for _, q, p, _ in cases]
+
+    margins = np.array([sys.boundary_margin(x.q) for x in points])
+    assert sys.boundary_margin(block.q).tobytes() == margins.tobytes()
+    energies = np.array([sys.energy(x) for x in points])
+    assert np.all(np.abs(sys.energy(block) - energies) <= 2 * EPS * np.abs(energies))
+    assert sys.contains(block).tolist() == [True] * m
+
+    k = m // 2
+    for bad in (OUTSIDE[case](ys[:n, k]), np.full(n, np.nan)):
+        if bad is None:
+            continue
+        spoiled = ys.copy()
+        spoiled[:n, k] = bad
+        inside = sys.contains(PhasePoint._view(spoiled.T, n))
+        assert inside.tolist() == [j != k for j in range(m)]
 
 
 class TestPoissonBracketFd:
@@ -313,7 +364,7 @@ class TestExtractScattering:
         # an oscillator never becomes free
         sys = HamiltonianSystem(
             dim=1,
-            hamiltonian=lambda x: 0.5 * (x.p[0] ** 2 + 25.0 * x.q[0] ** 2),
+            hamiltonian=energy(lambda q: 12.5 * first(q) ** 2),
             grad=kinetic(lambda q: -25.0 * q),
             name="oscillator",
         )
@@ -330,7 +381,7 @@ class TestExtractScattering:
         w2 = 0.003**2
         sys = HamiltonianSystem(
             dim=1,
-            hamiltonian=lambda x: 0.5 * (x.p[0] ** 2 + w2 * x.q[0] ** 2),
+            hamiltonian=energy(lambda q: 0.5 * w2 * first(q) ** 2),
             grad=kinetic(lambda q: -w2 * q),
             name="slow oscillator",
         )

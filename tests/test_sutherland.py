@@ -393,7 +393,7 @@ class TestDirectSystem:
     def test_gradient_matches_differences_near_walls(self, x):
         sys = make_system(x.n, COUP)
         dq, dp = split(sys, x.q, x.p)
-        step = 1e-4 * min(1.0, sys.boundary_margin(x))
+        step = 1e-4 * min(1.0, sys.boundary_margin(x.q))
         fd = np.empty(x.n)
         for j in range(x.n):
             e = np.zeros(x.n)
@@ -411,7 +411,7 @@ class TestDirectSystem:
         inside = PhasePoint([1.0, 0.4], [0.0, 0.0])
         outside = PhasePoint([0.4, 1.0], [0.0, 0.0])
         assert sys.contains(inside) and not sys.contains(outside)
-        assert sys.boundary_margin(inside) > 0
+        assert sys.boundary_margin(inside.q) > 0
 
 
 class TestDualH:
@@ -984,7 +984,7 @@ class TestDualSystem:
         inside = PhasePoint([4.0, 1.5], [0.1, -0.2])
         outside = PhasePoint([2.5, 1.5], [0.0, 0.0])
         assert sys.contains(inside) and not sys.contains(outside)
-        assert sys.boundary_margin(inside) > 0
+        assert sys.boundary_margin(inside.q) > 0
         assert sys.energy(inside) == pytest.approx(
             dual_hamiltonian(DualPoint([4.0, 1.5], [0.1, -0.2]), COUP)
         )
