@@ -194,12 +194,14 @@ def pair_system(T, w, margin, name, f=None, df=None):
     otherwise df is the derivative of f.  The gradient is the chain rule
     through the same matrix, -grad V = T^T (2 w * f'(x) / f(x)^3), with
     the force 2 w folded once here, so grad writes -dH/dq with no
-    negation.  margin(q) is the configuration domain's boundary margin,
-    positive exactly inside it, and serves as boundary_margin as it is;
-    it and the energy take a leading sample axis.  T, w finite.
+    negation; it divides by f(x) three times, not by the cube, so beyond a
+    gap of about 5.6e102 it underflows to 0 instead of overflowing.
+    margin(q) is the configuration domain's boundary margin, positive
+    exactly inside it, and serves as boundary_margin as it is; it and the
+    energy take a leading sample axis.  T, w finite array-likes.
     """
-    T, force = _finite(T, "T"), 2.0 * _finite(w, "w")
-    n = T.shape[1]
+    T, w = _finite(np.asarray(T, float), "T"), _finite(np.asarray(w, float), "w")
+    force, n = 2.0 * w, T.shape[1]
 
     def H(point):
         return _pair_energy(point.q, point.p, T, w, f)
@@ -208,7 +210,7 @@ def pair_system(T, w, margin, name, f=None, df=None):
         x = T.dot(y[:n])
         s = x if f is None else f(x)
         top = force if df is None else force * df(x)
-        np.dot(top / (s * s * s), T, out=out[n:])
+        np.dot(top / s / s / s, T, out=out[n:])
         out[:n] = y[n:]
         return out
 
@@ -258,14 +260,14 @@ class ScatteringData:
     lambda_plus: np.ndarray
 
 
-def _fd_gradient(f, x, step):
+def _fd_gradient(f, x):
     """Central-difference gradient of a scalar observable, split (q, p).
 
-    The step along each coordinate is step * (1 + |coordinate|); the
+    The step along each coordinate is _FD_STEP * (1 + |coordinate|); the
     stencil serves poisson_bracket_fd, not the flows.
     """
     y = x.to_vector()
-    h = step * (1.0 + np.abs(y))
+    h = _FD_STEP * (1.0 + np.abs(y))
     grad = np.array([  # the rows of diag(h) are the probes h_j e_j
         float(f(PhasePoint.from_vector(y + e))) - float(f(PhasePoint.from_vector(y - e)))
         for e in np.diag(h)
@@ -438,21 +440,15 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
 def poisson_bracket_fd(f, g, x):
     """Central-difference canonical Poisson bracket {f, g} at a finite x.
 
-    The step is _FD_STEP * (1 + |coordinate|) per direction; on
-    evaluation failure (observable raises, or returns a non-finite
-    number) the step is divided by 4, up to three times, before giving up.
+    The step is _FD_STEP * (1 + |coordinate|) per direction, once; an
+    error an observable raises propagates, and a non-finite difference
+    raises DomainError.
     """
     _finite(x.to_vector(), "x")
-    for attempt in range(4):
-        step = _FD_STEP / 4.0 ** attempt
-        try:
-            fq, fp = _fd_gradient(f, x, step)
-            gq, gp = _fd_gradient(g, x, step)
-        except (DomainError, FloatingPointError, ValueError):
-            continue
-        if _all_finite((fq, fp, gq, gp)):
-            return float(np.dot(fq, gp) - np.dot(fp, gq))
-    raise DomainError("observable not evaluable near the requested point")
+    (fq, fp), (gq, gp) = _fd_gradient(f, x), _fd_gradient(g, x)
+    if not _all_finite((fq, fp, gq, gp)):
+        raise DomainError("observable not evaluable near the requested point")
+    return float(np.dot(fq, gp) - np.dot(fp, gq))
 
 
 def _asymptote(traj, at_end):

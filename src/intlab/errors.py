@@ -2,9 +2,10 @@
 
 At a public entry point non-finite input raises DomainError, and an overflowing
 result or coupling square RangeError, so callers can tell "you fed me a bad
-point" from "the algorithm gave up".  Some huge but finite states still leak
-numpy's RuntimeWarning instead, such as the flow of a pair system whose gap
-grows beyond about 5.6e102, where the gradient's cube overflows.
+point" from "the algorithm gave up".  Overflow is decided one way: a kernel
+computes the value so that it overflows to inf quietly (numpy under
+np.errstate, or Python float products, not powers) and raises RangeError
+unless every entry of it is finite.
 """
 
 
@@ -21,7 +22,7 @@ class StructureError(IntlabError):
 
 
 class ConvergenceError(IntlabError):
-    """An iteration or series failed to reach the requested accuracy."""
+    """A flow is not yet asymptotically free where scattering data is read off it."""
 
 
 class RangeError(IntlabError):

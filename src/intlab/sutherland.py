@@ -285,19 +285,18 @@ def dual_h_matrix(lam, kappa):
     An imaginary kappa = -i*k is the continuation to the rational deformed
     family: d_j = sqrt(lam_j^2 + k^2) and the result is the complex
     Hermitian block [[a, -i*b], [i*b, a]] that family_lax conjugates with.
+    DomainError unless lam_j > 0 and Re(lam_j^2 - kappa^2) >= 0, which a nan
+    or infinite kappa fails; RangeError where lam_j^2 - kappa^2 overflows.
     """
     lam = _vec(lam, "lam")
     n = lam.size
     if not lam.min() > 0:
         raise DomainError("need lam_j > 0")
-    top = float(lam.max())  # a Python float: its square overflows to inf without a warning
-    _in_range(top * top, "lam^2 overflows")
-    try:  # as a Python scalar, kappa**2 raises OverflowError instead of returning inf
-        disc = lam**2 - np.asarray(kappa).item() ** 2
-    except OverflowError:
-        _in_range(np.inf, "kappa^2 overflows")
-    if not (disc.real >= 0).all():  # a nan kappa fails it
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge lam or kappa overflows
+        disc = lam**2 - np.square(kappa)
+    if not (disc.real >= 0).all():  # a nan kappa fails it, and a real one beyond lam
         raise DomainError("need finite kappa and Re(lam_j^2 - kappa^2) >= 0")
+    _in_range(disc, "lam^2 - kappa^2 overflows")
     if kappa == 0:
         alpha, beta = np.ones(n), np.zeros(n)
     else:
@@ -449,12 +448,10 @@ def _cancelled_corner(lam, mu, nu):
     *rest, x = lam.tolist()  # Python floats: numpy scalar arithmetic is slower
     acc = 0.0
     run = 1.0
-    try:  # a Python float square raises OverflowError instead of returning inf
-        for la in rest:
-            acc += run / (x**2 - la**2)
-            run *= ((x - 2 * mu) ** 2 - la**2) / (x**2 - la**2)
-    except OverflowError:
-        _in_range(np.inf, "corner series of the dual matrix overflows")
+    for la in rest:  # products, not **: a Python float square raises OverflowError
+        gap = _in_range(x * x - la * la, "corner series of the dual matrix overflows")
+        acc += run / gap
+        run *= ((x - 2 * mu) * (x - 2 * mu) - la * la) / gap
     return (4 * mu**2 * (x - nu) * acc - nu) / x
 
 

@@ -16,6 +16,9 @@ acd_functions at z = +-1e200.  Other entry points at huge states are
 outside the contract so far.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -305,3 +308,17 @@ def test_every_public_callable_is_listed(module):
     listed, exempt = set(TABLE[module.__name__]), set(EXEMPT[module.__name__])
     assert public == listed | exempt
     assert not listed & exempt
+
+
+def test_no_handler_decides_overflow():
+    # overflow is decided by _in_range on a computed value, not by catching
+    # Python's OverflowError or numpy's FloatingPointError
+    caught = [
+        (path.name, node.lineno, name.id)
+        for path in sorted(Path(dynamics.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in ast.walk(node.type)
+        if isinstance(name, ast.Name) and name.id in ("OverflowError", "FloatingPointError")
+    ]
+    assert caught == []

@@ -13,6 +13,7 @@ from intlab.dynamics import (
     extract_scattering,
     integrate_flow,
     invariant_drift,
+    pair_system,
     poisson_bracket_fd,
 )
 from intlab.errors import ConvergenceError, DomainError, StiffnessError
@@ -135,6 +136,15 @@ class TestIntegrateFlow:
             with pytest.raises(DomainError, match="dimension"):
                 integrate_flow(sys, PhasePoint(q, np.zeros(n)), (0.0, 0.1), tol=1e-9)
 
+    @pytest.mark.parametrize("q0", [[0.9, -0.2], [1e200, -0.2]])
+    def test_gaps_of_1e200_flow_quietly(self, q0):
+        # beyond a gap of about 5.6e102 the cube of the gap overflowed in the
+        # force, with a RuntimeWarning; the force is 0 there
+        sys = calogero.make_system(2, 1.0)
+        traj = integrate_flow(sys, PhasePoint(q0, [0.4, 0.1]), (0.0, 1e200), tol=1e-8)
+        assert traj.status == "completed"
+        assert np.isfinite(traj.final.q).all()
+
     def test_self_convergence(self):
         # halving the tolerance should at least halve the endpoint error
         from intlab.calogero import make_system
@@ -216,7 +226,7 @@ def pair_rhs(T, w, q, p, f=None, df=None):
     s = x if f is None else f(x)
     slope = -2.0 * w
     top = slope if df is None else slope * df(x)
-    return np.concatenate([p, -((top / (s * s * s)) @ T)])
+    return np.concatenate([p, -((top / s / s / s) @ T)])
 
 
 def direct_case(n, rng):
@@ -253,6 +263,17 @@ def test_grad_writes_the_right_hand_side_in_place(case, n):
     assert sys.grad(y, out) is out
     assert np.array_equal(y, y0)
     assert np.array_equal(out, want)  # bit for bit, the sign of a zero aside
+
+
+def test_pair_system_takes_array_likes():
+    # a list w failed in 2.0 * w with an untyped TypeError, and a list T on .shape
+    T = np.array([[1.0, -1.0]])
+    sys = pair_system(T, np.array([1.0]), calogero._order_margin, "pair")
+    listed = pair_system(T.tolist(), [1.0], calogero._order_margin, "pair")
+    y = np.array([0.9, -0.2, 0.4, 0.1])
+    assert np.array_equal(listed.grad(y, np.empty(4)), sys.grad(y, np.empty(4)))
+    x = PhasePoint(y[:2], y[2:])
+    assert listed.hamiltonian(x) == sys.hamiltonian(x)
 
 
 # A configuration outside each domain, made from one inside it; the line of
@@ -333,14 +354,21 @@ class TestPoissonBracketFd:
         )
         np.testing.assert_allclose(J, want, atol=1e-8)
 
-    def test_retry_then_error(self):
+    def test_an_observable_raising_off_its_point_raises(self):
         def spiky(y):
             if abs(y.q[0]) > 1e-12:
                 raise DomainError("off the point")
             return 0.0
 
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="off the point"):
             poisson_bracket_fd(spiky, lambda y: y.p[0], PhasePoint([0.0], [0.0]))
+
+    def test_a_non_finite_observable_raises(self):
+        def hole(y):
+            return np.nan if y.q[0] > 0 else 0.0
+
+        with pytest.raises(DomainError, match="not evaluable"):
+            poisson_bracket_fd(hole, lambda y: y.p[0], PhasePoint([0.0], [0.0]))
 
 
 class TestExtractScattering:
