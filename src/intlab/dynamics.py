@@ -11,10 +11,11 @@ Every system supplies its analytic right-hand side, written in place:
 grad(y, out) fills out with (dH/dp, -dH/dq) at the flat phase vector
 y = (q, p), so `_dopri` calls it on its stage rows directly.  The
 central-difference stencil serves only poisson_bracket_fd.
-The audit runs over a leading sample axis: a PhasePoint may hold one
-point or an (m, n) block of samples, the Hamiltonian maps a block to its
-m energies, and boundary_margin(q) reads the configuration alone, so
-integrate_flow checks all of a flow's samples with one call of each.
+A flow's samples are one block: `_dopri` writes them as the rows of one
+(m, 2n) array, which the Trajectory holds as a PhasePoint of (m, n) q and
+p.  The Hamiltonian maps a block to its m energies and boundary_margin(q)
+reads the configuration alone, so integrate_flow audits all of a flow's
+samples with one call of each.
 
 Conventions used throughout the package:
   * a phase point is a pair of real vectors (q, p) of equal length,
@@ -84,10 +85,10 @@ def _vec(x, name, dtype=float):
 
 
 def _pair(point, names, vec=_vec):
-    """Check and store a frozen point's two vectors with vec(value, name); return the first."""
+    """Check and store a frozen point's two arrays with vec(value, name); return the first."""
     a, b = [vec(getattr(point, name), name) for name in names]
-    if a.shape != b.shape or a.ndim != 1:
-        raise DomainError(f"{names[0]} and {names[1]} must be 1-D vectors of equal length")
+    if a.shape != b.shape:
+        raise DomainError(f"{names[0]} and {names[1]} must have equal shapes")
     for name, value in zip(names, (a, b)):
         object.__setattr__(point, name, value)
     return a
@@ -95,7 +96,10 @@ def _pair(point, names, vec=_vec):
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Canonical coordinates: q positions (or actions), p momenta; nan is allowed."""
+    """Canonical coordinates q (positions or actions) and p (momenta), nan allowed:
+    one point of two length-n vectors, or a block of two (m, n) arrays, a row
+    per sample.  dim, to_vector and from_vector work on the last axis; x[k] is
+    sample k of a block, or a sub-block, unchecked since the block was checked."""
 
     q: np.ndarray
     p: np.ndarray
@@ -105,23 +109,20 @@ class PhasePoint:
 
     @property
     def dim(self):
-        return len(self.q)
+        return self.q.shape[-1]
 
     def to_vector(self):
-        return np.concatenate([self.q, self.p])
+        return np.concatenate([self.q, self.p], axis=-1)
 
     @staticmethod
     def from_vector(y):
-        n = len(y) // 2
-        return PhasePoint(q=y[:n], p=y[n:])
+        q, p = np.split(np.asarray(y, float), [np.shape(y)[-1] // 2], axis=-1)
+        return PhasePoint(q, p)
 
-    @classmethod
-    def _view(cls, y, n):
-        """Unchecked view of the last axis of y, of length 2n: one point, or one
-        row per sample of a block; from_vector checks."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "q", y[..., :n])
-        object.__setattr__(x, "p", y[..., n:])
+    def __getitem__(self, k):
+        x = object.__new__(PhasePoint)
+        object.__setattr__(x, "q", self.q[k])
+        object.__setattr__(x, "p", self.p[k])
         return x
 
 
@@ -139,24 +140,19 @@ class HamiltonianSystem:
     point or a block, and returns a smooth distance-like quantity per
     sample that is positive exactly inside the open domain the flow must
     not leave; it drives event-based truncation near the boundary, and
-    contains reads membership off it.  domain_check, when given,
-    overrides that membership test and takes a PhasePoint the same way.
-    No system of the package sets it; it stays because the benchmark's
-    tracer wraps it by field name.
+    contains reads membership off it.  Without it every point is inside.
     """
 
     dim: int
     hamiltonian: object
     grad: object
-    domain_check: object = None
     boundary_margin: object = None
     name: str = "system"
+    domain_check = None  # not a field; perfbench's tracer reads it until ROADMAP item 5
 
     def contains(self, x):
         """Whether x is inside: a bool for a point, a bool array for a block."""
-        if self.domain_check is not None:
-            inside = self.domain_check(x)
-        elif self.boundary_margin is None:
+        if self.boundary_margin is None:
             inside = np.ones(x.q.shape[:-1], bool)
         else:
             inside = self.boundary_margin(x.q) > 0
@@ -225,19 +221,22 @@ def pair_system(T, w, margin, name, f=None, df=None):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Samples of a flow at increasing times.  integrate_flow's diagnostics:
-    nfev, accepted and rejected steps, t_stop (where the flow stopped) and
-    stop_margin (the boundary margin there, None without one)."""
+    """Samples of a flow at increasing times: states is a PhasePoint block whose
+    row k is the sample at times[k], and each invariant has one value per
+    sample.  integrate_flow's diagnostics: nfev, accepted and rejected steps,
+    t_stop (where the flow stopped) and stop_margin (the boundary margin
+    there, None without one)."""
 
     times: np.ndarray
-    states: tuple
+    states: PhasePoint
     invariants: dict = field(default_factory=dict)
     status: str = "completed"
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _finite(np.asarray(self.times, float), "times"))
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "times", _finite(np.array(self.times, float, ndmin=1), "times"))
+        if not isinstance(self.states, PhasePoint) or self.states.q.shape[:-1] != self.times.shape:
+            raise DomainError("trajectory states must be a PhasePoint block of one sample per time")
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("trajectory times must be strictly increasing")
 
@@ -277,10 +276,11 @@ def _fd_gradient(f, x):
 
 def _dense(Q, y_old, t_old, h, t):
     """scipy's RkDenseOutput on the step of size h from (t_old, y_old):
-    the state at a float t, or one column per entry of a 1-D array t."""
+    the state at a float t, or one row per entry of a 1-D array t."""
     x = (np.asarray(t) - t_old) / h
-    p = np.cumprod(np.tile(x, (Q.shape[1], 1) if x.ndim else Q.shape[1]), axis=0)
-    return h * np.dot(Q, p) + (y_old[:, None] if x.ndim else y_old)
+    if x.ndim:
+        return h * np.dot(np.cumprod(np.tile(x[:, None], Q.shape[1]), axis=1), Q.T) + y_old
+    return h * np.dot(Q, np.cumprod(np.tile(x, Q.shape[1]))) + y_old
 
 
 def _rms(x):
@@ -298,10 +298,10 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     rhs(y, out) is a system's grad: it writes the derivative into out (a
     stage row) and returns it; it is autonomous, so the nodes RK45.C
     never enter.  margin, a system's boundary_margin, reads the positions
-    y[:n]; when it falls to _BOUNDARY_MARGIN within a step,
-    brentq finds the crossing on the dense output as scipy's terminal
-    events do, and the samples stop there.  Returns the sample times, the states as columns, whether
-    the margin stopped the flow, and the diagnostics.  Driving scipy's own
+    y[:n]; when it falls to _BOUNDARY_MARGIN within a step, brentq finds
+    the crossing on the dense output as scipy's terminal events do, and the
+    samples stop there.  Returns the states at the samples reached, one row
+    each, whether the margin stopped the flow, and the diagnostics.  Driving scipy's own
     RK45 stepper (step() and dense_output()) instead costs about 15 % of
     cm-scattering's throughput, so the loop stays in-house.
     """
@@ -321,59 +321,61 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     stages = [(K[:s].T, RK45.A[s, :s]) for s in range(1, RK45.n_stages)]
     KB, KE = K[:-1].T, K.T
     # samples up to and including t, in the direction of time, as bisect keys
-    keys, i, times, states = (direction * samples).tolist(), 0, [], []
+    keys, i, rows = (direction * samples).tolist(), 0, np.empty((samples.size, y.size))
     accepted = rejected = 0
     g, hit = margin(y[:n]) if margin else None, False
-    while not hit and t != t1:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs, retried = max(h_abs, min_step), False
-        K[0] = f  # once per step: no attempt writes K[0], and f may be the row K[-1]
-        while True:
-            if h_abs < min_step:
-                raise StiffnessError(f"{name}: step size fell below the float spacing at t = {t}")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t1) > 0:
-                t_new = t1
-            h = t_new - t
-            h_abs = abs(h)
-            for s, (Ks, a) in enumerate(stages, start=1):
-                rhs(y + np.dot(Ks, a) * h, K[s])
-            y_new = y + h * np.dot(KB, RK45.B)
-            rhs(y_new, K[-1])
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _rms(np.dot(KE, RK45.E) * h / scale)
-            if error < 1:
-                factor = 10 if error == 0 else min(10, 0.9 * error**exponent)
-                h_abs *= min(1, factor) if retried else factor
-                break
-            h_abs *= max(0.2, 0.9 * error**exponent)
-            rejected, retried = rejected + 1, True
-        accepted += 1
-        t_old, y_old, t, y, f, Q = t, y, t_new, y_new, K[-1], None
-        if margin:
-            g_new = margin(y[:n])
-            if g >= _BOUNDARY_MARGIN >= g_new:
-                Q, seen = KE.dot(RK45.P), {}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial fails the error test
+        while not hit and t != t1:
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs, retried = max(h_abs, min_step), False
+            K[0] = f  # once per step: no attempt writes K[0], and f may be the row K[-1]
+            while True:
+                if h_abs < min_step:
+                    raise StiffnessError(
+                        f"{name}: step size fell below the float spacing at t = {t}"
+                    )
+                t_new = t + h_abs * direction
+                if direction * (t_new - t1) > 0:
+                    t_new = t1
+                h = t_new - t
+                h_abs = abs(h)
+                for s, (Ks, a) in enumerate(stages, start=1):
+                    rhs(y + np.dot(Ks, a) * h, K[s])
+                y_new = y + h * np.dot(KB, RK45.B)
+                rhs(y_new, K[-1])
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error = _rms(np.dot(KE, RK45.E) * h / scale)
+                if error < 1:
+                    factor = 10 if error == 0 else min(10, 0.9 * error**exponent)
+                    h_abs *= min(1, factor) if retried else factor
+                    break
+                h_abs *= max(0.2, 0.9 * error**exponent)
+                rejected, retried = rejected + 1, True
+            accepted += 1
+            t_old, y_old, t, y, f, Q = t, y, t_new, y_new, K[-1], None
+            if margin:
+                g_new = margin(y[:n])
+                if g >= _BOUNDARY_MARGIN >= g_new:
+                    Q, seen = KE.dot(RK45.P), {}
 
-                def excess(s):
-                    seen[s] = margin(_dense(Q, y_old, t_old, h, s)[:n])
-                    return seen[s] - _BOUNDARY_MARGIN
+                    def excess(s):
+                        seen[s] = margin(_dense(Q, y_old, t_old, h, s)[:n])
+                        return seen[s] - _BOUNDARY_MARGIN
 
-                t = brentq(excess, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-                g_new, hit = seen[t], True
-            g = g_new
-        j = bisect.bisect_right(keys, direction * t, i)
-        if j > i:
-            Q = KE.dot(RK45.P) if Q is None else Q
-            times.append(samples[i:j])
-            states.append(_dense(Q, y_old, t_old, h, samples[i:j]))
-            i = j
+                    t = brentq(excess, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                    g_new, hit = seen[t], True
+                g = g_new
+            j = bisect.bisect_right(keys, direction * t, i)
+            if j > i:
+                Q = KE.dot(RK45.P) if Q is None else Q
+                rows[i:j] = _dense(Q, y_old, t_old, h, samples[i:j])
+                i = j
     nfev = 2 + 6 * (accepted + rejected)
     stop_margin = None if g is None else float(g)
     diagnostics = dict(
         nfev=nfev, accepted=accepted, rejected=rejected, t_stop=t, stop_margin=stop_margin
     )
-    return np.hstack(times), np.hstack(states), hit, diagnostics
+    return rows[:i], hit, diagnostics
 
 
 def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
@@ -383,14 +385,14 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     bit by `_dopri`, without scipy's initial-value driver, which calls
     sys.grad as its right-hand side; diagnostics carry its statistics.
     t_span may run backward (t1 < t0); the returned trajectory always
-    stores increasing times.  invariant_family is a dict of named
-    observables sampled along the way; the energy is always included.
-    The samples are audited as one block: one boundary_margin call
-    truncates the trajectory at the first sample outside the domain
-    (status 'truncated' instead of raising), and one sys.energy call
-    takes the energies of the rest.  x0 must be a finite PhasePoint of
-    the system's dimension, tol must be finite and positive, both ends of
-    t_span finite and distinct, and n_samples an integer of at least 2.
+    stores increasing times.  The samples at np.linspace(t0, t1, n_samples)
+    are one block, audited as such: one boundary_margin call truncates it
+    at the first sample outside the domain (status 'truncated' instead of
+    raising), and one sys.energy call takes the energies of the rest.
+    invariant_family's named observables take one sample's point at a time;
+    the energy is always included.  x0 must be one finite PhasePoint of the
+    system's dimension, tol finite and positive, both ends of t_span finite
+    and distinct, and n_samples an integer of at least 2.
     """
     if not _finite(tol, "tol") > 0:
         raise DomainError("tol must be positive")
@@ -400,37 +402,33 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     n_samples = _count(n_samples, "n_samples", 2)
     if not isinstance(x0, PhasePoint):
         raise DomainError(f"{sys.name}: x0 must be a PhasePoint, not {type(x0).__name__}")
-    if x0.dim != sys.dim:
-        raise DomainError(f"{sys.name}: initial point has dimension {x0.dim}, not {sys.dim}")
+    if x0.q.shape != (sys.dim,):
+        raise DomainError(f"{sys.name}: need one point of dimension {sys.dim}, not {x0.q.shape}")
     y0 = _finite(x0.to_vector(), f"{sys.name}: initial point")
     if not sys.contains(x0):
         raise DomainError(f"{sys.name}: initial point outside domain")
     sys.energy(x0)
 
-    times, ys, hit, diagnostics = _dopri(
-        sys.grad, y0, t0, t1, tol, np.linspace(t0, t1, n_samples), sys.boundary_margin, sys.name
-    )
-    block, n = ys.T, x0.dim  # one row per sample
+    samples = np.linspace(t0, t1, n_samples)
+    ys, hit, diagnostics = _dopri(sys.grad, y0, t0, t1, tol, samples, sys.boundary_margin, sys.name)
+    block = PhasePoint.from_vector(ys)
 
     # drop the samples from the first one that slipped outside the open domain
-    inside = sys.contains(PhasePoint._view(block, n))
-    keep = len(times) if inside.all() else int(inside.argmin())
-    status = "truncated" if hit or keep < len(times) else "completed"
-    times, block = times[:keep], block[:keep]
+    inside = sys.contains(block)
+    keep = len(ys) if inside.all() else int(inside.argmin())
+    status = "truncated" if hit or keep < len(ys) else "completed"
     if keep < 2:
         raise DomainError(f"{sys.name}: flow left the domain immediately")
+    kept = slice(keep - 1, None, -1) if t1 < t0 else slice(keep)  # increasing times
+    states = block[kept]
 
-    if t1 < t0:
-        times, block = times[::-1], block[::-1]
-
-    invariants = {"energy": sys.energy(PhasePoint._view(block, n))}
-    states = [PhasePoint._view(y, n) for y in block]
+    invariants = {"energy": sys.energy(states)}
     for label, func in (invariant_family or {}).items():
-        invariants[label] = np.array([np.atleast_1d(func(x)) for x in states])
+        invariants[label] = np.array([np.atleast_1d(func(states[k])) for k in range(keep)])
 
     return Trajectory(
-        times=np.ascontiguousarray(times),
-        states=tuple(states),
+        times=samples[kept],
+        states=states,
         invariants=invariants,
         status=status,
         diagnostics=diagnostics,
@@ -438,13 +436,13 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
 
 
 def poisson_bracket_fd(f, g, x):
-    """Central-difference canonical Poisson bracket {f, g} at a finite x.
+    """Central-difference canonical Poisson bracket {f, g} at one finite point x, not a block.
 
     The step is _FD_STEP * (1 + |coordinate|) per direction, once; an
     error an observable raises propagates, and a non-finite difference
     raises DomainError.
     """
-    _finite(x.to_vector(), "x")
+    _vec(x.to_vector(), "x")
     (fq, fp), (gq, gp) = _fd_gradient(f, x), _fd_gradient(g, x)
     if not _all_finite((fq, fp, gq, gp)):
         raise DomainError("observable not evaluable near the requested point")
@@ -455,8 +453,8 @@ def _asymptote(traj, at_end):
     """(p, q - p t) of the outermost sample, after extract_scattering's checks."""
     count = max(len(traj.times) // 4, 2)
     k, window = (-1, slice(-count, None)) if at_end else (0, slice(0, count))
-    qs, ps = _finite(np.array([(x.q, x.p) for x in traj.states[window]]), "q, p").transpose(1, 0, 2)
-    edge = traj.states[k]
+    outer, edge = traj.states[window], traj.states[k]
+    qs, ps = _finite(outer.q, "q"), _finite(outer.p, "p")
     intercepts = edge.q - edge.p * traj.times[k]
     drift = float(np.max(np.abs(qs - intercepts - traj.times[window, None] * edge.p)))
     kick = float(np.max(np.abs(ps - edge.p)))

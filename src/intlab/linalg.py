@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import _all_finite, _count, _in_range
+from .dynamics import _count, _finite, _in_range
 from .errors import StructureError
 
 # Gap below which a Hermitian spectrum is flagged as near-degenerate.
@@ -21,13 +21,11 @@ _DEGENERACY_GAP = 1e-9
 
 
 def _as_square(M):
-    """M as a finite square complex matrix, or StructureError."""
+    """M as a square complex matrix, or StructureError; DomainError unless finite."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise StructureError(f"expected a square matrix, got shape {M.shape}")
-    if not _all_finite(M):
-        raise StructureError("matrix has non-finite entries")
-    return M
+    return _finite(M, "M")
 
 
 @dataclass(frozen=True)

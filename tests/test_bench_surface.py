@@ -5,9 +5,9 @@ what they return (for instance `dual_lax_global(z).lax`).  A change there
 breaks the benchmark without failing a unit test, so this runs slot 0 of
 every workload (seed 0, the generator perfbench/run.py builds) through the
 untraced Api and through the traced one, and requires every gated residual
-to pass.  The traced Api wraps the HamiltonianSystem callbacks (grad,
-domain_check, boundary_margin) with dataclasses.replace, so a change to
-those fields breaks only the traced run.  The traced flows must also call
+to pass.  The traced Api wraps the HamiltonianSystem callbacks (grad and
+boundary_margin) with dataclasses.replace, so a change to those fields
+breaks only the traced run.  The traced flows must also call
 the wrapped gradient once per right-hand side: a flow routed around the
 grad field would zero the benchmark's dynamics.rhs_evals without failing.
 """

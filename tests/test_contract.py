@@ -11,8 +11,9 @@ state magnitudes are tried where a square, a sum of squares or a product
 overflows: the momenta of sutherland_H, calogero.hamiltonian and
 integrate_flow's start (a pair system's energy) at p = 1e200,
 hermitian_eigen's matrix, whose norm overflows there, moser_B's positions
-and the lam of dual_h_matrix, family_lax and family_eval at 1e200, and
-acd_functions at z = +-1e200.  Other entry points at huge states are
+and the lam of dual_h_matrix, family_lax and family_eval at 1e200,
+acd_functions at z = +-1e200, and integrate_flow's t0 at +-1e200, where a
+trial step's stages overflow.  Other entry points at huge states are
 outside the contract so far.
 """
 
@@ -125,11 +126,10 @@ def free_trajectory(edge=None, at_end=True):
     """Free two-particle flow sampled on [10, 20]; edge, if given, replaces
     q_1 of its outermost sample (the last, or the first)."""
     times = np.linspace(10.0, 20.0, 8)
-    states = [PhasePoint([1.0 + 0.5 * t, -0.5 * t], [0.5, -0.5]) for t in times]
+    q = np.stack([1.0 + 0.5 * times, -0.5 * times], axis=1)
     if edge is not None:
-        k = -1 if at_end else 0
-        states[k] = PhasePoint(put(states[k].q, edge), states[k].p)
-    return Trajectory(times, states)
+        q[-1 if at_end else 0, 0] = edge
+    return Trajectory(times, PhasePoint(q, np.tile([0.5, -0.5], (len(times), 1))))
 
 
 def first_q(x):
@@ -140,6 +140,7 @@ def first_p(x):
     return x.p[0]
 
 
+PAIR = PhasePoint([Q, Q], [P, P])  # a block of two samples
 CM_SYS = calogero.make_system(2, G)
 DUAL_SYS = sutherland.make_dual_system(2, C)
 SPAN = (0.0, 0.1)
@@ -156,7 +157,7 @@ TABLE = {
         "Trajectory": calls(
             Trajectory,
             ([0.0, 1.0], {"times": (lambda v: [0.0, v], ())}),
-            fixed((PhasePoint(Q, P),) * 2),
+            fixed(PAIR),
         ),
         "integrate_flow": {
             **calls(
@@ -166,10 +167,10 @@ TABLE = {
                     "x0.q": (lambda v: PhasePoint(put(Q, v), P), ()),
                     "x0.p": (lambda v: PhasePoint(Q, put(P, v)), (HUGE,)),
                 }),
-                (SPAN, {
+                also((SPAN, {
                     "t0": (lambda v: put(SPAN, v), ()),
                     "t1": (lambda v: put(SPAN, v, 1), ()),
-                }),
+                }), (HUGE, -HUGE), "t0"),
                 scalar(1e-8, "tol"),
             ),
             **calls(
@@ -200,9 +201,7 @@ TABLE = {
         "invariant_drift": calls(
             dynamics.invariant_drift,
             (free_trajectory(), {"invariant": (
-                lambda v: Trajectory(
-                    [0.0, 1.0], (PhasePoint(Q, P),) * 2, {"I": np.array([1.0, v])}
-                ),
+                lambda v: Trajectory([0.0, 1.0], PAIR, {"I": np.array([1.0, v])}),
                 (),
             )}),
         ),

@@ -10,6 +10,8 @@ reference predicates and margins below are the chained comparisons the
 domains are defined by.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from intlab.calogero import RatCMPoint
 from intlab.calogero import make_system as cm_system
-from intlab.dynamics import PhasePoint
+from intlab.dynamics import HamiltonianSystem, PhasePoint
 from intlab.errors import DomainError
 from intlab.sutherland import (
     BCnCouplings,
@@ -98,8 +100,11 @@ def check_system(sys, x, ref):
 
 
 def test_builders_read_membership_off_the_margin():
+    # the margin is the only membership test a system has
+    fields = [f.name for f in dataclasses.fields(HamiltonianSystem)]
+    assert fields == ["dim", "hamiltonian", "grad", "boundary_margin", "name"]
     for sys in (make_system(3, COUP), make_dual_system(3, COUP), cm_system(3, 1.0)):
-        assert sys.domain_check is None and sys.boundary_margin is not None
+        assert sys.boundary_margin is not None
 
 
 @PROPERTY

@@ -49,7 +49,7 @@ def assert_matches_oracle(sys, x0, t_span, tol):
     sol = oracle(sys, x0, t_span, tol)
     traj = integrate_flow(sys, x0, t_span, tol)
     times = traj.times
-    states = np.array([x.to_vector() for x in traj.states]).T
+    states = traj.states.to_vector().T
     if t_span[1] < t_span[0]:
         times, states = times[::-1], states[:, ::-1]
     assert np.array_equal(times, sol.t)

@@ -21,7 +21,6 @@ from intlab.linalg import _stencil
 from hamilton import energy, first, kinetic
 
 COUP = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
-EPS = np.finfo(float).eps
 
 
 def free_system(n):
@@ -45,9 +44,19 @@ class TestPhasePoint:
         np.testing.assert_allclose(y.p, x.p)
 
     def test_odd_length_vector_rejected(self):
-        # the solver's own vectors skip the checks; public ones keep them
         with pytest.raises(DomainError):
             PhasePoint.from_vector(np.zeros(5))
+
+    def test_a_block_holds_one_point_per_row(self):
+        y = np.arange(12.0).reshape(3, 4)
+        block = PhasePoint.from_vector(y)
+        assert block.dim == 2 and block.q.shape == (3, 2)
+        assert np.array_equal(block.to_vector(), y)
+        for k in range(3):
+            assert np.array_equal(block[k].to_vector(), y[k])
+        assert np.array_equal(block[1:].to_vector(), y[1:])
+        with pytest.raises(DomainError):
+            PhasePoint(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 class TestIntegrateFlow:
@@ -79,14 +88,13 @@ class TestIntegrateFlow:
             dim=1,
             hamiltonian=energy(lambda q: 0.0),
             grad=kinetic(np.zeros_like),
-            domain_check=lambda x: first(x.q) > 0,
             boundary_margin=first,
             name="half-line",
         )
         traj = integrate_flow(sys, PhasePoint([1.0], [-1.0]), (0.0, 3.0), tol=1e-10)
         assert traj.status == "truncated"
         assert traj.times[-1] <= 1.0 + 1e-6
-        assert all(x.q[0] > 0 for x in traj.states)
+        assert np.all(traj.states.q > 0)
 
     def test_stiff_singularity_raises(self):
         # 1-d Kepler infall: the particle reaches the origin in finite time
@@ -176,17 +184,6 @@ class TestContains:
     def test_no_domain_contains_every_point(self):
         for q in ([0.0, 0.0], [-1e300, 1e300], [np.inf, np.nan]):
             assert free_system(2).contains(PhasePoint(q, [0.0, 0.0]))
-
-    def test_domain_check_overrides_margin(self):
-        sys = HamiltonianSystem(
-            dim=1,
-            hamiltonian=lambda x: 0.0,
-            grad=kinetic(np.zeros_like),
-            domain_check=lambda x: first(x.q) < 0,
-            boundary_margin=first,
-        )
-        assert not sys.contains(PhasePoint([1.0], [0.0]))
-        assert sys.contains(PhasePoint([-1.0], [0.0]))
 
 
 class TestRaiseSites:
@@ -291,29 +288,29 @@ OUTSIDE = {
     "case", [direct_case, cm_case, dual_case], ids=["sutherland", "ratcm", "dual"]
 )
 def test_a_block_audits_as_its_samples(case, n, m):
-    # integrate_flow audits its samples as the rows of one block, stored as
-    # _dopri leaves them, one column per sample: each row must read as the
-    # point does, margins bit for bit and energies to 2 ulp
+    # integrate_flow audits its samples as the rows of one block, as _dopri
+    # writes them: each row must read as the point does, margins bit for
+    # bit and energies too
     rng = np.random.default_rng([n, m])
     cases = [case(n, rng) for _ in range(m)]
     sys = cases[0][0]
-    ys = np.array([np.concatenate([q, p]) for _, q, p, _ in cases]).T
-    block = PhasePoint._view(ys.T, n)
+    ys = np.array([np.concatenate([q, p]) for _, q, p, _ in cases])
+    block = PhasePoint.from_vector(ys)
     points = [PhasePoint(q, p) for _, q, p, _ in cases]
 
     margins = np.array([sys.boundary_margin(x.q) for x in points])
     assert sys.boundary_margin(block.q).tobytes() == margins.tobytes()
     energies = np.array([sys.energy(x) for x in points])
-    assert np.all(np.abs(sys.energy(block) - energies) <= 2 * EPS * np.abs(energies))
+    assert sys.energy(block).tobytes() == energies.tobytes()
     assert sys.contains(block).tolist() == [True] * m
 
     k = m // 2
-    for bad in (OUTSIDE[case](ys[:n, k]), np.full(n, np.nan)):
+    for bad in (OUTSIDE[case](ys[k, :n]), np.full(n, np.nan)):
         if bad is None:
             continue
         spoiled = ys.copy()
-        spoiled[:n, k] = bad
-        inside = sys.contains(PhasePoint._view(spoiled.T, n))
+        spoiled[k, :n] = bad
+        inside = sys.contains(PhasePoint.from_vector(spoiled))
         assert inside.tolist() == [j != k for j in range(m)]
 
 
@@ -468,9 +465,59 @@ class TestInvariantDrift:
 
 
 def test_trajectory_requires_increasing_times():
-    x = PhasePoint([0.0], [0.0])
+    x = PhasePoint([[0.0], [0.0]], [[0.0], [0.0]])
     with pytest.raises(DomainError):
-        Trajectory(times=np.array([0.0, 0.0]), states=(x, x))
+        Trajectory(times=np.array([0.0, 0.0]), states=x)
+
+
+def test_trajectory_needs_one_sample_per_time():
+    x = PhasePoint([[0.0], [1.0]], [[0.0], [0.0]])
+    Trajectory(times=[0.0, 1.0], states=x)
+    for times in ([0.0, 1.0, 2.0], [0.0]):
+        with pytest.raises(DomainError, match="one sample per time"):
+            Trajectory(times=times, states=x)
+    for states in (x[0], (x[0], x[1])):
+        with pytest.raises(DomainError, match="one sample per time"):
+            Trajectory(times=[0.0, 1.0], states=states)
+    with pytest.raises(DomainError, match="one sample per time"):
+        Trajectory(times=0.0, states=x[0])  # failed in np.diff with a ValueError
+
+
+def test_point_entry_points_reject_a_block():
+    # integrate_flow's start and poisson_bracket_fd's point are one point each
+    block = PhasePoint([[0.9, -0.2], [1.9, -1.2]], [[0.4, 0.1], [0.4, 0.1]])
+    with pytest.raises(DomainError, match="dimension"):
+        integrate_flow(calogero.make_system(2, 1.0), block, (0.0, 0.1), tol=1e-9)
+    with pytest.raises(DomainError, match="1-D"):
+        poisson_bracket_fd(first, first, block)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+@pytest.mark.parametrize(
+    "case", [direct_case, cm_case, dual_case], ids=["sutherland", "ratcm", "dual"]
+)
+def test_a_trajectory_stores_its_audited_block(case, sign):
+    # the stored block is the audited one: its energies are the invariant,
+    # and row k, its energy and what an invariant_family observable sees at
+    # times[k] are those of sample k alone
+    sys, q, p, _ = case(3, np.random.default_rng(3))
+    traj = integrate_flow(
+        sys,
+        PhasePoint(q, p),
+        (0.0, 0.5 * sign),
+        tol=1e-9,
+        n_samples=11,
+        invariant_family={"y": PhasePoint.to_vector},
+    )
+    energy = traj.invariants["energy"]
+    assert sys.energy(traj.states).tobytes() == energy.tobytes()
+    assert [sys.energy(traj.states[k]) for k in range(11)] == energy.tolist()
+    rows = traj.states.to_vector()
+    assert rows.shape == (11, 6) and np.array_equal(traj.invariants["y"], rows)
+    for k in range(11):
+        assert np.array_equal(traj.states[k].to_vector(), rows[k])
+    assert np.array_equal(traj.initial.to_vector(), rows[0])
+    assert np.array_equal(traj.final.to_vector(), rows[-1])
 
 
 def test_system_requires_gradient():
