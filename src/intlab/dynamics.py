@@ -134,29 +134,28 @@ class HamiltonianSystem:
     the flat phase vector y = (q, p) into out, a float vector of the
     same length, and returns out; y must not change.  Every system
     supplies it analytically, and the central-difference stencil serves
-    only poisson_bracket_fd.  hamiltonian(x) takes a PhasePoint over a
-    leading sample axis: one energy for a point, m for an (m, n) block.
-    boundary_margin(q), when given, takes the configuration alone, a
-    point or a block, and returns a smooth distance-like quantity per
-    sample that is positive exactly inside the open domain the flow must
-    not leave; it drives event-based truncation near the boundary, and
-    contains reads membership off it.  Without it every point is inside.
+    only poisson_bracket_fd.  grad is defined inside the domain; outside
+    it, or past the float range, it may write non-finite entries, and the
+    integrator's error test rejects that trial stage.  hamiltonian(x)
+    takes a PhasePoint over a leading sample axis: one energy for a point,
+    m for an (m, n) block.  boundary_margin(q) takes the configuration
+    alone, a point or a block, and returns a smooth distance-like quantity
+    per sample that is positive exactly inside the open domain the flow
+    must not leave; it drives event-based truncation near the boundary,
+    and contains reads membership off it.  A system defined everywhere
+    gives a positive constant.
     """
 
     dim: int
     hamiltonian: object
     grad: object
-    boundary_margin: object = None
+    boundary_margin: object
     name: str = "system"
     domain_check = None  # not a field; perfbench's tracer reads it until ROADMAP item 5
 
     def contains(self, x):
         """Whether x is inside: a bool for a point, a bool array for a block."""
-        if self.boundary_margin is None:
-            inside = np.ones(x.q.shape[:-1], bool)
-        else:
-            inside = self.boundary_margin(x.q) > 0
-        return _per_sample(np.asarray(inside, bool))
+        return _per_sample(np.asarray(self.boundary_margin(x.q) > 0, bool))
 
     def energy(self, x):
         """The Hamiltonian at x: a float for a point, a finite array for a block."""
@@ -225,7 +224,7 @@ class Trajectory:
     row k is the sample at times[k], and each invariant has one value per
     sample.  integrate_flow's diagnostics: nfev, accepted and rejected steps,
     t_stop (where the flow stopped) and stop_margin (the boundary margin
-    there, None without one)."""
+    there, a float)."""
 
     times: np.ndarray
     states: PhasePoint
@@ -288,6 +287,7 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     """scipy's RK45 from (t, y) to t1, step for step: the Dormand-Prince
     5(4) pair (J. Comput. Appl. Math. 6, 1980) with the step control of
@@ -297,7 +297,9 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     error norm, step control, and StiffnessError below ten float spacings;
     rhs(y, out) is a system's grad: it writes the derivative into out (a
     stage row) and returns it; it is autonomous, so the nodes RK45.C
-    never enter.  margin, a system's boundary_margin, reads the positions
+    never enter.  It runs under one np.errstate, the initial-step probe
+    included, so a non-finite trial stage fails the error test quietly, as
+    in scipy.  margin, a system's boundary_margin, reads the positions
     y[:n]; when it falls to _BOUNDARY_MARGIN within a step, brentq finds
     the crossing on the dense output as scipy's terminal events do, and the
     samples stop there.  Returns the states at the samples reached, one row
@@ -323,57 +325,52 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     # samples up to and including t, in the direction of time, as bisect keys
     keys, i, rows = (direction * samples).tolist(), 0, np.empty((samples.size, y.size))
     accepted = rejected = 0
-    g, hit = margin(y[:n]) if margin else None, False
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial fails the error test
-        while not hit and t != t1:
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-            h_abs, retried = max(h_abs, min_step), False
-            K[0] = f  # once per step: no attempt writes K[0], and f may be the row K[-1]
-            while True:
-                if h_abs < min_step:
-                    raise StiffnessError(
-                        f"{name}: step size fell below the float spacing at t = {t}"
-                    )
-                t_new = t + h_abs * direction
-                if direction * (t_new - t1) > 0:
-                    t_new = t1
-                h = t_new - t
-                h_abs = abs(h)
-                for s, (Ks, a) in enumerate(stages, start=1):
-                    rhs(y + np.dot(Ks, a) * h, K[s])
-                y_new = y + h * np.dot(KB, RK45.B)
-                rhs(y_new, K[-1])
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                error = _rms(np.dot(KE, RK45.E) * h / scale)
-                if error < 1:
-                    factor = 10 if error == 0 else min(10, 0.9 * error**exponent)
-                    h_abs *= min(1, factor) if retried else factor
-                    break
-                h_abs *= max(0.2, 0.9 * error**exponent)
-                rejected, retried = rejected + 1, True
-            accepted += 1
-            t_old, y_old, t, y, f, Q = t, y, t_new, y_new, K[-1], None
-            if margin:
-                g_new = margin(y[:n])
-                if g >= _BOUNDARY_MARGIN >= g_new:
-                    Q, seen = KE.dot(RK45.P), {}
+    g, hit = margin(y[:n]), False
+    while not hit and t != t1:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs, retried = max(h_abs, min_step), False
+        K[0] = f  # once per step: no attempt writes K[0], and f may be the row K[-1]
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(f"{name}: step size fell below the float spacing at t = {t}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            for s, (Ks, a) in enumerate(stages, start=1):
+                rhs(y + np.dot(Ks, a) * h, K[s])
+            y_new = y + h * np.dot(KB, RK45.B)
+            rhs(y_new, K[-1])
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(KE, RK45.E) * h / scale)
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error**exponent)
+                h_abs *= min(1, factor) if retried else factor
+                break
+            h_abs *= max(0.2, 0.9 * error**exponent)
+            rejected, retried = rejected + 1, True
+        accepted += 1
+        t_old, y_old, t, y, f, Q = t, y, t_new, y_new, K[-1], None
+        g_new = margin(y[:n])
+        if g >= _BOUNDARY_MARGIN >= g_new:
+            Q, seen = KE.dot(RK45.P), {}
 
-                    def excess(s):
-                        seen[s] = margin(_dense(Q, y_old, t_old, h, s)[:n])
-                        return seen[s] - _BOUNDARY_MARGIN
+            def excess(s):
+                seen[s] = margin(_dense(Q, y_old, t_old, h, s)[:n])
+                return seen[s] - _BOUNDARY_MARGIN
 
-                    t = brentq(excess, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-                    g_new, hit = seen[t], True
-                g = g_new
-            j = bisect.bisect_right(keys, direction * t, i)
-            if j > i:
-                Q = KE.dot(RK45.P) if Q is None else Q
-                rows[i:j] = _dense(Q, y_old, t_old, h, samples[i:j])
-                i = j
+            t = brentq(excess, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            g_new, hit = seen[t], True
+        g = g_new
+        j = bisect.bisect_right(keys, direction * t, i)
+        if j > i:
+            Q = KE.dot(RK45.P) if Q is None else Q
+            rows[i:j] = _dense(Q, y_old, t_old, h, samples[i:j])
+            i = j
     nfev = 2 + 6 * (accepted + rejected)
-    stop_margin = None if g is None else float(g)
     diagnostics = dict(
-        nfev=nfev, accepted=accepted, rejected=rejected, t_stop=t, stop_margin=stop_margin
+        nfev=nfev, accepted=accepted, rejected=rejected, t_stop=t, stop_margin=float(g)
     )
     return rows[:i], hit, diagnostics
 
@@ -384,6 +381,7 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     The steps are scipy's RK45 at rtol = atol = tol, reproduced bit for
     bit by `_dopri`, without scipy's initial-value driver, which calls
     sys.grad as its right-hand side; diagnostics carry its statistics.
+    A trial stage where sys.grad is not finite fails the error test.
     t_span may run backward (t1 < t0); the returned trajectory always
     stores increasing times.  The samples at np.linspace(t0, t1, n_samples)
     are one block, audited as such: one boundary_margin call truncates it

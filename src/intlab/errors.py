@@ -5,7 +5,9 @@ result or coupling square RangeError, so callers can tell "you fed me a bad
 point" from "the algorithm gave up".  Overflow is decided one way: a kernel
 computes the value so that it overflows to inf quietly (numpy under
 np.errstate, or Python float products, not powers) and raises RangeError
-unless every entry of it is finite.
+unless every entry of it is finite.  Within a flow the integrator alone decides:
+a non-finite trial stage fails its error test, and a step too small raises
+StiffnessError.
 """
 
 

@@ -307,13 +307,6 @@ def dual_h_matrix(lam, kappa):
     return h
 
 
-def _root(value):
-    """Elementwise square root; every factor must be positive on its own."""
-    if value.min() <= 0:  # nan-free: 1 - a/x^2 over finite lam, or x = inf
-        raise DomainError("square-root factor lost positivity: lam left the chamber")
-    return np.sqrt(value)
-
-
 def _root_terms(lam, mu2, lead2):
     """Square-root product terms V_j of the product form, and the squares behind them,
     over the last axis of lam.
@@ -327,8 +320,8 @@ def _root_terms(lam, mu2, lead2):
     x = _cauchy_gaps(lam, n)
     x.reshape(*x.shape[:-2], -1)[..., _cauchy_masks(n).selves[: 2 * n]] = np.inf
     x2, lam2 = x * x, lam * lam
-    pair = _root(1 - mu2 / x2)
-    lead = _root(1 - lead2 / lam2[..., None])
+    pair = np.sqrt(1 - mu2 / x2)
+    lead = np.sqrt(1 - lead2 / lam2[..., None])
     return lead[..., 0] * lead[..., 1] * (pair[..., :n] * pair[..., n:]).prod(axis=-1), x, x2, lam2
 
 
@@ -349,18 +342,15 @@ def _product_energy(lam, wave, mu2, lead2, nu_kap):
     return total - const * (1 - mu2 / lam2).prod(axis=-1) + const
 
 
-def _require_dual(lam, c):
-    """_require_chamber for the dual energy and gradient, over the last axis of lam, and
-    their (mu2, lead2); RangeError where (2 lam_1)^3, which bounds every square and cube
-    they form, overflows."""
+def _dual_energy(lam, theta, c):
+    """The dual energy over the last axis of lam and theta: _require_chamber, and
+    RangeError where (2 lam_1)^3, which bounds every square and cube the energy and
+    its gradient form, overflows, so integrate_flow refuses such a start."""
     _require_chamber(lam, c)
     top = 2.0 * float(lam[..., 0].max())  # a Python float overflows to inf without a warning
     _in_range(top * top * top, "(2 lam_1)^3 overflows")
-    return 4 * c.mu**2, np.array([c.nu**2, c.kappa**2])
-
-
-def _dual_energy(lam, theta, c):
-    return _product_energy(lam, np.cos(theta), *_require_dual(lam, c), c.nu * c.kappa)
+    lead2 = np.array([c.nu**2, c.kappa**2])
+    return _product_energy(lam, np.cos(theta), 4 * c.mu**2, lead2, c.nu * c.kappa)
 
 
 def dual_hamiltonian(d, c):
@@ -382,8 +372,10 @@ def _dual_grad(lam, theta, c):
     The last product leaves out lam_j's own factor instead of dividing it
     out, as that factor vanishes at lam_j = 2 mu, inside the chamber when
     nu < 2 mu; row j of the leave-one-out matrix holds 1 on its diagonal.
+    It checks nothing: a root factor's nan outside the chamber fails the
+    integrator's error test, and _dual_energy checks a flow's start.
     """
-    (mu2, lead2), n = _require_dual(lam, c), lam.size
+    mu2, lead2, n = 4 * c.mu**2, np.array([c.nu**2, c.kappa**2]), lam.size
     terms, x, x2, lam2 = _root_terms(lam, mu2, lead2)
     t = np.cos(theta) * terms
     pair = mu2 / (x * (x2 - mu2))  # 0 at x = inf

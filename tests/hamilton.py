@@ -4,7 +4,8 @@ grad(y, out) writes (dH/dp, -dH/dq) at the flat phase vector y = (q, p)
 into out.  `kinetic` builds one for a hand-made system, and `split` reads
 the partial derivatives back off a system's right-hand side.  `energy`
 builds the matching hamiltonian(x), which maps a block of samples (q and
-p of shape (m, n)) to m energies, as integrate_flow's audit asks.
+p of shape (m, n)) to m energies, as integrate_flow's audit asks.  `first`
+and `everywhere` are boundary margins, which every system states.
 """
 
 import numpy as np
@@ -34,6 +35,11 @@ def energy(potential):
 def first(q):
     """q_1 over a leading sample axis: the margin of the half-line q_1 > 0."""
     return q[..., 0]
+
+
+def everywhere(q):
+    """1 over a leading sample axis: the margin of a system defined everywhere."""
+    return np.ones(np.shape(q)[:-1])
 
 
 def split(sys, q, p):

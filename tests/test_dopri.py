@@ -2,7 +2,8 @@
 
 The in-house Dormand-Prince driver reproduces RK45 step for step, so the
 samples, their times and the status must be equal bit for bit, and the
-evaluation count must match solve_ivp's nfev.
+evaluation count must match solve_ivp's nfev.  Both run quietly under
+np.errstate, where a trial stage with a non-finite entry fails the error test.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.integrate import solve_ivp
 from intlab import calogero, sutherland
 from intlab.dynamics import HamiltonianSystem, PhasePoint, integrate_flow
 from intlab.errors import StiffnessError
-from hamilton import energy, first, kinetic
+from hamilton import energy, everywhere, first, kinetic
 
 COUP = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
 BOUNDARY = 1e-8  # the margin at which integrate_flow stops a flow
@@ -25,24 +26,22 @@ def oracle(sys, x0, t_span, tol, n_samples=201):
     def rhs(t, y):
         return sys.grad(y, np.empty_like(y))
 
-    events = None
-    if sys.boundary_margin is not None:
-        def boundary(t, y):
-            return float(sys.boundary_margin(y[:n])) - BOUNDARY
+    def boundary(t, y):
+        return float(sys.boundary_margin(y[:n])) - BOUNDARY
 
-        boundary.terminal = True
-        boundary.direction = -1
-        events = [boundary]
-    return solve_ivp(
-        rhs,
-        t_span,
-        x0.to_vector(),
-        method="RK45",
-        rtol=tol,
-        atol=tol,
-        t_eval=np.linspace(t_span[0], t_span[1], n_samples),
-        events=events,
-    )
+    boundary.terminal = True
+    boundary.direction = -1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return solve_ivp(
+            rhs,
+            t_span,
+            x0.to_vector(),
+            method="RK45",
+            rtol=tol,
+            atol=tol,
+            t_eval=np.linspace(t_span[0], t_span[1], n_samples),
+            events=[boundary],
+        )
 
 
 def assert_matches_oracle(sys, x0, t_span, tol):
@@ -126,6 +125,7 @@ def test_stiff_failure_matches_solve_ivp():
         dim=1,
         hamiltonian=energy(lambda q: -1.0 / abs(first(q))),
         grad=kinetic(lambda q: -np.sign(q) / q**2),
+        boundary_margin=everywhere,
         name="kepler-infall",
     )
     x0 = PhasePoint([1.0], [0.0])
@@ -140,8 +140,39 @@ def test_rejections_are_counted():
         dim=1,
         hamiltonian=energy(lambda q: 200.0 * first(q) ** 2),
         grad=kinetic(lambda q: -400.0 * q),
+        boundary_margin=everywhere,
         name="oscillator",
     )
     _, traj = assert_matches_oracle(sys, PhasePoint([1.0], [0.0]), (0.0, 2.0), 1e-8)
     assert traj.diagnostics["rejected"] > 0
-    assert traj.diagnostics["stop_margin"] is None
+    assert traj.diagnostics["stop_margin"] == 1.0
+
+
+# dual starts near a chamber wall whose rejected trial stages land outside
+# it; the dual gradient there is nan, which fails the error test as in scipy
+NEAR_WALL = [
+    pytest.param(
+        [5.622982775494901, 3.9798416709084403, 2.332477702519401],
+        [-0.7888076230546033, 0.5213525198801734, -2.0527074256505555],
+        1e-6, 5.0, "completed", id="completes",
+    ),
+    pytest.param(
+        [5.571763010912798, 3.945194335470662, 2.3381242046420256],
+        [1.66804436169049, 1.407221041946551, 0.9643035658553001],
+        1e-6, 5.0, "truncated", id="truncates",
+    ),
+    pytest.param(  # the initial-step probe lands outside
+        [3.9230745086853744, 2.3006420933827947],
+        [0.8566623531451381, -2.2777112230608276],
+        1e-9, 1.0, "completed", id="probe-outside",
+    ),
+]
+
+
+@pytest.mark.parametrize("lam, theta, tol, span, status", NEAR_WALL)
+def test_trial_stages_outside_the_chamber_are_rejected(lam, theta, tol, span, status):
+    sys = sutherland.make_dual_system(len(lam), COUP)
+    _, traj = assert_matches_oracle(sys, PhasePoint(lam, theta), (0.0, span), tol)
+    assert traj.status == status and traj.diagnostics["rejected"] > 0
+    if status == "truncated":
+        assert traj.diagnostics["stop_margin"] == pytest.approx(BOUNDARY, abs=1e-12)

@@ -1,5 +1,7 @@
 """Tests for the generic flow/bracket/scattering layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from intlab.dynamics import (
 )
 from intlab.errors import ConvergenceError, DomainError, StiffnessError
 from intlab.linalg import _stencil
-from hamilton import energy, first, kinetic
+from hamilton import energy, everywhere, first, kinetic
 
 COUP = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
 
@@ -28,6 +30,7 @@ def free_system(n):
         dim=n,
         hamiltonian=energy(lambda q: 0.0),
         grad=kinetic(np.zeros_like),
+        boundary_margin=everywhere,
         name="free",
     )
 
@@ -102,6 +105,7 @@ class TestIntegrateFlow:
             dim=1,
             hamiltonian=energy(lambda q: -1.0 / abs(first(q))),
             grad=kinetic(lambda q: -np.sign(q) / q**2),
+            boundary_margin=everywhere,
             name="kepler-infall",
         )
         with pytest.raises((StiffnessError, DomainError)):
@@ -188,14 +192,14 @@ class TestContains:
 
 class TestRaiseSites:
     def test_energy_rejects_a_non_finite_hamiltonian(self):
-        sys = HamiltonianSystem(dim=1, hamiltonian=lambda x: np.nan, grad=free_system(1).grad)
+        sys = dataclasses.replace(free_system(1), hamiltonian=lambda x: np.nan)
         with pytest.raises(DomainError, match="Hamiltonian"):
             sys.energy(PhasePoint([0.0], [0.0]))
 
     def test_energy_needs_one_value_per_sample(self):
         # a Hamiltonian written for one point folds a block into one number
-        sys = HamiltonianSystem(
-            dim=1, hamiltonian=lambda x: 0.5 * float(np.sum(x.p**2)), grad=free_system(1).grad
+        sys = dataclasses.replace(
+            free_system(1), hamiltonian=lambda x: 0.5 * float(np.sum(x.p**2))
         )
         assert sys.energy(PhasePoint([0.0], [2.0])) == 2.0
         with pytest.raises(DomainError, match="one energy per sample"):
@@ -391,6 +395,7 @@ class TestExtractScattering:
             dim=1,
             hamiltonian=energy(lambda q: 12.5 * first(q) ** 2),
             grad=kinetic(lambda q: -25.0 * q),
+            boundary_margin=everywhere,
             name="oscillator",
         )
         x0 = PhasePoint([1.0], [0.0])
@@ -408,6 +413,7 @@ class TestExtractScattering:
             dim=1,
             hamiltonian=energy(lambda q: 0.5 * w2 * first(q) ** 2),
             grad=kinetic(lambda q: -w2 * q),
+            boundary_margin=everywhere,
             name="slow oscillator",
         )
         x0 = PhasePoint([1.0], [0.0])
@@ -523,7 +529,7 @@ def test_a_trajectory_stores_its_audited_block(case, sign):
 def test_system_requires_gradient():
     # the flows have no difference fallback; the stencil serves only brackets
     with pytest.raises(TypeError, match="grad"):
-        HamiltonianSystem(dim=1, hamiltonian=lambda x: 0.0)
+        HamiltonianSystem(dim=1, hamiltonian=lambda x: 0.0, boundary_margin=everywhere)
 
 
 @pytest.mark.parametrize(

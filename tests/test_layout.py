@@ -1,0 +1,20 @@
+"""Every test function under tests/ sits where pytest collects it."""
+
+import ast
+from pathlib import Path
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def test_no_test_hides_inside_a_function():
+    # pytest never collects a def test_* inside a function body, say one left
+    # after a strategy's return, so it could not fail
+    hidden = [
+        (path.name, inner.lineno, inner.name)
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        for outer in ast.walk(ast.parse(path.read_text()))
+        if isinstance(outer, FUNCTIONS)
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, FUNCTIONS) and inner.name.startswith("test_")
+    ]
+    assert hidden == []
