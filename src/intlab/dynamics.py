@@ -276,10 +276,8 @@ def _fd_gradient(f, x):
 def _dense(Q, y_old, t_old, h, t):
     """scipy's RkDenseOutput on the step of size h from (t_old, y_old):
     the state at a float t, or one row per entry of a 1-D array t."""
-    x = (np.asarray(t) - t_old) / h
-    if x.ndim:
-        return h * np.dot(np.cumprod(np.tile(x[:, None], Q.shape[1]), axis=1), Q.T) + y_old
-    return h * np.dot(Q, np.cumprod(np.tile(x, Q.shape[1]))) + y_old
+    x = (np.asarray(t)[..., None] - t_old) / h
+    return h * np.dot(np.cumprod(np.repeat(x, Q.shape[1], axis=-1), axis=-1), Q.T) + y_old
 
 
 def _rms(x):

@@ -48,13 +48,6 @@ class CharPoly:
 
     coefficients: np.ndarray
 
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, m):
-        return self.coefficients[m]
-
 
 @lru_cache(maxsize=None)
 def _stencil(n):

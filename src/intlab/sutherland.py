@@ -44,7 +44,9 @@ The last third of the module treats a *rational* deformed family on the
 plain positive chamber (no 2*mu gaps): subset-sum Hamiltonians with
 hyperbolic rapidities, a Hermitian first-order matrix whose
 characteristic polynomial is palindromic, and the integer triangular
-maps that translate between the asymptotic forms of the two families.
+maps that translate between the two families' values.  Both families are
+read off the matrix's eigenvalue pairs (y, 1/y); at the asymptotic
+positions q they are the same formulas at y = e^q.
 """
 
 from collections import namedtuple
@@ -548,8 +550,8 @@ def dual_lax_local(d, c):
     Returns (G* A G, value) with value = Re tr(h A h) / 2 for
     h = dual_h_matrix(lam, kappa), which agrees with dual_hamiltonian.
     In n x n blocks h^2 = lam^-1 [[d, kappa], [-kappa, d]] with
-    d = sqrt(lam^2 - kappa^2), so the value needs only the diagonals of
-    the four blocks, which the gauge leaves alone.
+    d = sqrt(lam^2 - kappa^2), so the value needs only the real parts of
+    the diagonals of the four blocks, which the gauge leaves alone.
     """
     lam, n = d.lam, d.n
     phase = np.exp(1j * np.cumsum(d.theta))
@@ -558,9 +560,9 @@ def dual_lax_local(d, c):
     blocks = A.reshape(2, n, 2, n)  # G* A G in place: rows by the phases, columns by their conjugates
     np.multiply(phase[:, None, None], blocks, out=blocks)
     np.multiply(blocks, np.conj(phase), out=blocks)
-    tl, tr, br, bl = A.take(_cauchy_masks(n).selves).reshape(4, n)  # the block diagonals
+    tl, tr, br, bl = A.take(_cauchy_masks(n).selves).real.reshape(4, n)  # the block diagonals
     trace = (np.sqrt(lam**2 - c.kappa**2) * (tl + br) + c.kappa * (bl - tr)) / lam
-    return A, 0.5 * float(trace.sum().real)
+    return A, 0.5 * float(trace.sum())
 
 
 def make_dual_system(n, c):
@@ -664,21 +666,21 @@ def family_eval(lam, theta, c):
 
 
 # ---------------------------------------------------------------------------
-# asymptotic (position-only) family forms and the integer maps between them
+# the integer maps between the two families
 
 
 @dataclass(frozen=True)
 class FamilyMatrices:
-    """Integer triangular matrices linking the asymptotic families.
+    """Integer triangular matrices translating between the two families.
 
-    to_subset and to_char expand each family over the plain subset-cosh
-    sums; subset_from_char and char_from_subset translate directly
-    between the families (alternating signs worked in), and are mutually
-    inverse in exact integer arithmetic.
+    For n eigenvalue pairs (y, 1/y), with subset values s_l = e_l((y - 1)^2 / y)
+    and char coefficients K_0..K_n of prod (x - y)(x - 1/y), as family_eval
+    returns them, subset_from_char @ K = (-1)^l s_l and char_from_subset @ s =
+    (-1)^m K_m.  With D = diag((-1)^l) the two are mutually inverse,
+    D S D C = I, in exact integer arithmetic.  At the asymptotic positions,
+    y = e^q, s_l = 4^l e_l(sinh^2(q/2)).
     """
 
-    to_subset: np.ndarray
-    to_char: np.ndarray
     subset_from_char: np.ndarray
     char_from_subset: np.ndarray
 
@@ -692,16 +694,8 @@ def family_matrices(n):
     if comb(2 * n, n) > limit:
         raise RangeError(f"n = {n}: C(2n, n) exceeds the int64 limit {limit}")
     size = n + 1
-    to_subset = np.zeros((size, size), dtype=np.int64)
-    to_char = np.zeros((size, size), dtype=np.int64)
     subset_from_char = np.zeros((size, size), dtype=np.int64)
     char_from_subset = np.zeros((size, size), dtype=np.int64)
-    for l in range(size):
-        for k in range(l + 1):
-            to_subset[l, k] = (-2) ** (l - k) * comb(n - k, l - k)
-    for m in range(size):
-        for a in range(m // 2 + 1):
-            to_char[m, m - 2 * a] = (-1) ** m * comb(n - (m - 2 * a), a)
     for l in range(size):
         for m in range(l + 1):
             top = 2 * n - l - m
@@ -714,59 +708,6 @@ def family_matrices(n):
     for m in range(size):
         for l in range(m + 1):
             char_from_subset[m, l] = comb(2 * (n - l), m - l)
-    for M in (to_subset, to_char, subset_from_char, char_from_subset):
+    for M in (subset_from_char, char_from_subset):
         M.flags.writeable = False  # shared by every caller
-    return FamilyMatrices(to_subset, to_char, subset_from_char, char_from_subset)
-
-
-@dataclass(frozen=True)
-class FamilyRelation:
-    """Asymptotic family values at q together with the translation residuals."""
-
-    subset_values: np.ndarray
-    char_values: np.ndarray
-    cosh_values: np.ndarray
-    residual_direct: float
-    residual_inverse: float
-    residual_symmetric: float
-
-
-def family_relation(q):
-    """Position-only forms of both families and the residuals of their links.
-
-    The subset values are 4^l e_l(sinh^2(q/2)), sums of positive terms, so
-    they keep full relative accuracy at any n.  residual_direct measures
-    them against the integer map of the char family, residual_inverse the
-    other direction, and residual_symmetric against their expansion
-    to_subset @ cosh_values over the subset-cosh sums.  The residuals
-    measure the cancellation of the alternating integer maps, which grows
-    with n.  RangeError where a value overflows.
-    """
-    q = _vec(q, "q")
-    n = q.size
-    mats = family_matrices(n)
-    orders = np.arange(n + 1)
-    signs = (-1.0) ** orders
-    with np.errstate(all="ignore"):
-        # the cosh sum over k-subsets and signs is 2^k e_k(cosh q), and np.poly
-        # of the negated values lists e_0..e_n
-        cosh_vals = 2.0**orders * np.poly(-np.cosh(q))
-        subset_vals = 4.0**orders * np.poly(-np.sinh(q / 2) ** 2)
-        char_vals = mats.to_char @ cosh_vals
-        residual_direct = float(
-            np.max(np.abs(signs * subset_vals - mats.subset_from_char @ char_vals))
-        )
-        residual_inverse = float(
-            np.max(np.abs(signs * char_vals - mats.char_from_subset @ subset_vals))
-        )
-        residual_symmetric = float(np.max(np.abs(mats.to_subset @ cosh_vals - subset_vals)))
-    # every value enters a residual, and inf or nan anywhere leaves one non-finite
-    _in_range([residual_direct, residual_inverse, residual_symmetric], "family values overflow")
-    return FamilyRelation(
-        subset_values=subset_vals,
-        char_values=char_vals,
-        cosh_values=cosh_vals,
-        residual_direct=residual_direct,
-        residual_inverse=residual_inverse,
-        residual_symmetric=residual_symmetric,
-    )
+    return FamilyMatrices(subset_from_char, char_from_subset)

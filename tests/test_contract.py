@@ -248,7 +248,6 @@ TABLE = {
             sutherland.family_eval, huge(vec(LAM, "lam"), "lam"), vec(THETA, "theta"), BC_C
         ),
         "family_matrices": calls(sutherland.family_matrices, N_ARG),
-        "family_relation": calls(sutherland.family_relation, vec([0.8, -0.3], "q")),
     },
 }
 
@@ -266,7 +265,6 @@ EXEMPT = {
         "DualGlobal": RECORD,
         "FamilyTable": RECORD,
         "FamilyMatrices": RECORD,
-        "FamilyRelation": RECORD,
     },
 }
 

@@ -8,7 +8,7 @@ sums, energies and characteristic coefficients at test time.
 """
 
 import warnings
-from itertools import combinations, product
+from itertools import product
 
 import mpmath as mp
 import numpy as np
@@ -33,7 +33,6 @@ from intlab.sutherland import (
     family_eval,
     family_lax,
     family_matrices,
-    family_relation,
     lambda_of_z,
     lax_Y,
     make_dual_system,
@@ -898,68 +897,69 @@ class TestFamilyEval:
 
 
 class TestFamilyRelation:
+    """The integer maps between the two families against their closed forms.
+
+    For eigenvalue pairs (y, 1/y) the char family is the coefficients of
+    prod (x - y)(x - 1/y) and the subset family e_l((y - 1)^2 / y); at the
+    asymptotic positions, y = e^q, the latter is 4^l e_l(sinh^2(q/2)).
+    """
+
     def test_two_particle_first_order_both_routes(self):
         q = np.array([0.8, -0.3])
-        rel = family_relation(q)
+        K1 = -2 * np.cosh(q[0]) - 2 * np.cosh(q[1])  # prod (x - e^q)(x - e^-q)
+        subset1 = -(family_matrices(2).subset_from_char[1, :2] @ [1.0, K1])  # lower triangular
         direct = 2 * np.cosh(q[0]) + 2 * np.cosh(q[1]) - 4
-        assert rel.subset_values[1] == pytest.approx(direct, abs=1e-12)
+        assert subset1 == pytest.approx(direct, abs=1e-12)
         symmetric = 4 * (np.sinh(q[0] / 2) ** 2 + np.sinh(q[1] / 2) ** 2)
-        assert rel.subset_values[1] == pytest.approx(symmetric, abs=1e-12)
+        assert subset1 == pytest.approx(symmetric, abs=1e-12)
 
     def test_residuals_vanish(self):
+        # family_eval's own outputs in double precision, up to n = 5
         rng = np.random.default_rng(21)
-        q = rng.uniform(-1.2, 1.2, 4)
-        rel = family_relation(q)
-        assert rel.residual_direct < 1e-10
-        assert rel.residual_inverse < 1e-10
-        assert rel.residual_symmetric < 1e-10
-        # cosh sums over k-subsets and all sign choices, term by term
-        brute = [
-            sum(
-                np.cosh(np.dot(eps, q[list(sub)]))
-                for sub in combinations(range(4), k)
-                for eps in product((1.0, -1.0), repeat=k)
+        for n in range(1, 6):
+            lam = np.sort(rng.uniform(0.4, 3.0, n))[::-1]
+            tab = family_eval(lam, rng.uniform(-1.0, 1.0, n), COUP)
+            signs = (-1.0) ** np.arange(n + 1)
+            mapped = family_matrices(n).subset_from_char @ tab.char_coefficients[: n + 1]
+            scale = np.max(np.abs(tab.subset_values))
+            np.testing.assert_allclose(
+                mapped, signs * tab.subset_values, rtol=0, atol=1e-12 * scale, err_msg=f"n = {n}"
             )
-            for k in range(5)
-        ]
-        np.testing.assert_allclose(rel.cosh_values, brute, rtol=1e-13)
 
     def test_triangular_maps_invert_exactly(self):
-        for n in range(1, 6):
+        # in Python integers: from n = 30 on, products of entries of S and C exceed int64
+        for n in (*range(1, 9), 20, 33):
             mats = family_matrices(n)
-            D = np.diag((-1) ** np.arange(n + 1)).astype(np.int64)
-            composition = D @ mats.subset_from_char @ D @ mats.char_from_subset
-            assert np.array_equal(composition, np.eye(n + 1, dtype=np.int64))
-            assert np.array_equal(
-                D @ mats.to_subset, mats.subset_from_char @ mats.to_char
-            )
+            D = np.diag([(-1) ** l for l in range(n + 1)]).astype(object)
+            S, C = mats.subset_from_char.astype(object), mats.char_from_subset.astype(object)
+            assert np.array_equal(D @ S @ D @ C, np.eye(n + 1, dtype=int)), f"n = {n}"
             assert np.all(np.diag(mats.subset_from_char) == 1)
-            assert np.all(np.abs(np.diag(mats.to_char)) == 1)
             # the matrices are cached per n and shared, so they are read-only
-            for M in (mats.to_subset, mats.to_char, mats.subset_from_char, mats.char_from_subset):
+            for M in (mats.subset_from_char, mats.char_from_subset):
                 with pytest.raises(ValueError):
                     M[0, 0] = 7
 
     def test_subset_values_match_mpmath_at_n20(self):
-        # the reference is the alternating integer expansion of the
-        # subset-cosh sums at 60 digits; in double that expansion is off by
-        # up to 1e10 relative here
+        # at 60 digits the maps take the closed forms at y = e^q into each other;
+        # in double the alternating sums are off by about 2e-5 relative here
         rng = np.random.default_rng(22)
         q = rng.uniform(-1.2, 1.2, 20)
-        to_subset = family_matrices(20).to_subset
+        mats = family_matrices(20)
         with mp.workdps(60):
-            elem = oracle.char_coeffs([mp.cosh(v) for v in mp_vector(q)])
-            cosh = [(-2) ** k * e for k, e in enumerate(elem)]
-            want = [
-                float(sum(int(to_subset[l, k]) * cosh[k] for k in range(l + 1)))
-                for l in range(21)
-            ]
-        np.testing.assert_allclose(family_relation(q).subset_values, want, rtol=1e-12)
-
-    def test_overflow_raises(self):
-        # cosh 710 = 1.1e308: the values and the residuals came back nan
-        with pytest.raises(RangeError, match="overflow"):
-            family_relation([710.0, 1.0])
+            qm = mp_vector(q)
+            char = oracle.char_coeffs([mp.exp(v) for v in qm] + [mp.exp(-v) for v in qm])[:21]
+            # char_coeffs lists (-1)^l e_l, so these are (-1)^l 4^l e_l(sinh^2(q/2))
+            sinh2 = [mp.sinh(v / 2) ** 2 for v in qm]
+            signed = [4**l * e for l, e in enumerate(oracle.char_coeffs(sinh2))]
+            subset = [(-1) ** l * v for l, v in enumerate(signed)]
+            char_signed = [(-1) ** m * v for m, v in enumerate(char)]
+            for M, x, want in (
+                (mats.subset_from_char, char, signed),
+                (mats.char_from_subset, subset, char_signed),
+            ):
+                got = [sum(int(M[r, k]) * x[k] for k in range(r + 1)) for r in range(21)]
+                scale = max(abs(v) for v in want)
+                assert max(abs(g - w) for g, w in zip(got, want)) < mp.mpf("1e-40") * scale
 
     def test_int64_limit_raises_range_error(self):
         family_matrices(33)  # C(66, 33) still fits
