@@ -6,11 +6,11 @@ ordered configuration domain q_1 > ... > q_n.  Everything downstream
 Hermitian Lax matrix L and the diagonal position matrix Q.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PhasePoint, _finite, _in_range, _pair, _pair_energy, pair_system
+from .dynamics import PhasePoint, _finite, _in_range, _pair, _pair_energy, _Record, pair_system
 from .errors import DegeneracyError, DomainError
 from .linalg import _DEGENERACY_GAP, _stencil, hermitian_eigen
 
@@ -31,19 +31,15 @@ def _coupling(g):
     return g
 
 
-@dataclass(frozen=True)
-class RatCMPoint:
+class RatCMPoint(_Record):
     """Phase-space point (q, p) with coupling g; q strictly decreasing."""
 
-    q: np.ndarray
-    p: np.ndarray
-    g: float
+    __slots__ = ("q", "p", "g")
 
-    def __post_init__(self):
-        q = _pair(self, ("q", "p"))
-        if not _order_margin(q) > 0:
+    def __init__(self, q, p, g):
+        if not _order_margin(_pair(self, ("q", "p"), q, p)) > 0:
             raise DomainError("configuration must satisfy q_1 > ... > q_n")
-        _coupling(self.g)
+        object.__setattr__(self, "g", _coupling(g))
 
     @property
     def n(self):
@@ -53,8 +49,7 @@ class RatCMPoint:
         return PhasePoint(self.q, self.p)
 
 
-@dataclass(frozen=True)
-class SpectralCoords:
+class SpectralCoords(NamedTuple):
     """Eigenvalues of L with their canonically conjugate partners.
 
     theta = mu + f componentwise: mu is the real (angle-variable) part,

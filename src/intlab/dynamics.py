@@ -29,7 +29,8 @@ Conventions used throughout the package:
 import bisect
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import RK45
@@ -84,28 +85,47 @@ def _vec(x, name, dtype=float):
     return _finite(arr, name)
 
 
-def _pair(point, names, vec=_vec):
-    """Check and store a frozen point's two arrays with vec(value, name); return the first."""
-    a, b = [vec(getattr(point, name), name) for name in names]
+def _pair(point, names, a, b, vec=_vec):
+    """Check a and b with vec(value, name), store them on an immutable point
+    under names and return the checked a."""
+    a, b = vec(a, names[0]), vec(b, names[1])
     if a.shape != b.shape:
         raise DomainError(f"{names[0]} and {names[1]} must have equal shapes")
-    for name, value in zip(names, (a, b)):
-        object.__setattr__(point, name, value)
+    object.__setattr__(point, names[0], a)
+    object.__setattr__(point, names[1], b)
     return a
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class _Record:
+    """Base of the checked records: __slots__ fields that __init__ sets once,
+    through object.__setattr__, and that are read-only after it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not by assignment
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class PhasePoint(_Record):
     """Canonical coordinates q (positions or actions) and p (momenta), nan allowed:
     one point of two length-n vectors, or a block of two (m, n) arrays, a row
     per sample.  dim, to_vector and from_vector work on the last axis; x[k] is
     sample k of a block, or a sub-block, unchecked since the block was checked."""
 
-    q: np.ndarray
-    p: np.ndarray
+    __slots__ = ("q", "p")
 
-    def __post_init__(self):
-        _pair(self, ("q", "p"), lambda x, _: np.atleast_1d(np.asarray(x, float)))
+    def __init__(self, q, p):
+        _pair(self, ("q", "p"), q, p, lambda x, _: np.atleast_1d(np.asarray(x, float)))
 
     @property
     def dim(self):
@@ -193,9 +213,12 @@ def pair_system(T, w, margin, name, f=None, df=None):
     gap of about 5.6e102 it underflows to 0 instead of overflowing.
     margin(q) is the configuration domain's boundary margin, positive
     exactly inside it, and serves as boundary_margin as it is; it and the
-    energy take a leading sample axis.  T, w finite array-likes.
+    energy take a leading sample axis.  T is a finite 2-D array-like and w
+    holds one finite weight per row of T, or DomainError.
     """
     T, w = _finite(np.asarray(T, float), "T"), _finite(np.asarray(w, float), "w")
+    if T.ndim != 2 or w.shape != T.shape[:1]:
+        raise DomainError(f"{name}: need a 2-D T and one weight per row of T")
     force, n = 2.0 * w, T.shape[1]
 
     def H(point):
@@ -218,26 +241,25 @@ def pair_system(T, w, margin, name, f=None, df=None):
     )
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Samples of a flow at increasing times: states is a PhasePoint block whose
     row k is the sample at times[k], and each invariant has one value per
     sample.  integrate_flow's diagnostics: nfev, accepted and rejected steps,
     t_stop (where the flow stopped) and stop_margin (the boundary margin
-    there, a float)."""
+    there, a float).  invariants and diagnostics default to new empty dicts."""
 
-    times: np.ndarray
-    states: PhasePoint
-    invariants: dict = field(default_factory=dict)
-    status: str = "completed"
-    diagnostics: dict = field(default_factory=dict)
+    __slots__ = ("times", "states", "invariants", "status", "diagnostics")
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", _finite(np.array(self.times, float, ndmin=1), "times"))
-        if not isinstance(self.states, PhasePoint) or self.states.q.shape[:-1] != self.times.shape:
+    def __init__(self, times, states, invariants=None, status="completed", diagnostics=None):
+        times = _finite(np.array(times, float, ndmin=1), "times")
+        if not isinstance(states, PhasePoint) or states.q.shape[:-1] != times.shape:
             raise DomainError("trajectory states must be a PhasePoint block of one sample per time")
-        if np.any(np.diff(self.times) <= 0):
+        if np.any(np.diff(times) <= 0):
             raise DomainError("trajectory times must be strictly increasing")
+        invariants = {} if invariants is None else invariants
+        diagnostics = {} if diagnostics is None else diagnostics
+        for name, value in zip(self.__slots__, (times, states, invariants, status, diagnostics)):
+            object.__setattr__(self, name, value)
 
     @property
     def initial(self):
@@ -248,8 +270,7 @@ class Trajectory:
         return self.states[-1]
 
 
-@dataclass(frozen=True)
-class ScatteringData:
+class ScatteringData(NamedTuple):
     """extract_scattering's theta_plus (decreasing) and lambda_plus, off the forward
     flow's last sample, and theta_minus (increasing), off the backward flow's first."""
 
@@ -387,12 +408,15 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     raising), and one sys.energy call takes the energies of the rest.
     invariant_family's named observables take one sample's point at a time;
     the energy is always included.  x0 must be one finite PhasePoint of the
-    system's dimension, tol finite and positive, both ends of t_span finite
-    and distinct, and n_samples an integer of at least 2.
+    system's dimension, tol a finite positive scalar, t_span two finite and
+    distinct numbers, and n_samples an integer of at least 2.
     """
-    if not _finite(tol, "tol") > 0:
-        raise DomainError("tol must be positive")
-    t0, t1 = _finite(np.array([t_span[0], t_span[1]], float), "t_span").tolist()
+    if np.ndim(tol) or not _finite(float(tol), "tol") > 0:
+        raise DomainError("tol must be a positive scalar")
+    span = np.asarray(t_span, float)
+    if span.shape != (2,):
+        raise DomainError("t_span must be two numbers (t0, t1)")
+    t0, t1 = _finite(span, "t_span").tolist()
     if t0 == t1:
         raise DomainError("t_span needs two distinct ends")
     n_samples = _count(n_samples, "n_samples", 2)

@@ -7,8 +7,8 @@ on small dense matrices; the value added is the fixed conventions
 the rest of the package relies on.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,15 +21,14 @@ _DEGENERACY_GAP = 1e-9
 
 
 def _as_square(M):
-    """M as a square complex matrix, or StructureError; DomainError unless finite."""
+    """M as a non-empty square complex matrix, or StructureError; DomainError unless finite."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise StructureError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise StructureError(f"expected a non-empty square matrix, got shape {M.shape}")
     return _finite(M, "M")
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
+class HermitianSpectrum(NamedTuple):
     """Sorted eigenvalues and aligned orthonormal basis of a Hermitian matrix.
 
     eigenvalues are ascending; column j of basis belongs to eigenvalues[j].
@@ -42,8 +41,7 @@ class HermitianSpectrum:
     near_degenerate: bool
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """Coefficients K_0..K_N of det(y I - M) = sum_m K_{N-m} y^m, K_0 = 1."""
 
     coefficients: np.ndarray

@@ -50,14 +50,14 @@ positions q they are the same formulas at y = e^q.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import HamiltonianSystem, _count, _finite, _in_range, _pair, _pair_energy
-from .dynamics import _vec, pair_system
+from .dynamics import _Record, _vec, pair_system
 from .errors import ChartError, DomainError, RangeError
 from .linalg import _stencil
 
@@ -129,23 +129,21 @@ def _alcove_margin(q):
 # domain types
 
 
-@dataclass(frozen=True)
-class BCnCouplings:
+class BCnCouplings(_Record):
     """Coupling triple (mu, nu, kappa) with mu > 0 and nu > |kappa| >= 0.
 
     The equivalent potential couplings gamma = mu^2, gamma1 = nu*kappa/2,
     gamma2 = (nu - kappa)^2 / 2 are exposed as properties.  The window
     nu > |kappa| keeps gamma2 and 4*gamma1 + gamma2 positive, which is
-    what confines the flow to the open alcove.
+    what confines the flow to the open alcove.  Equal triples compare and
+    hash equal.
     """
 
-    mu: float
-    nu: float
-    kappa: float = 0.0
+    __slots__ = ("mu", "nu", "kappa")
 
-    def __post_init__(self):
-        for label in ("mu", "nu", "kappa"):
-            object.__setattr__(self, label, _finite(float(getattr(self, label)), label))
+    def __init__(self, mu, nu, kappa=0.0):
+        for label, value in zip(self.__slots__, (mu, nu, kappa)):
+            object.__setattr__(self, label, _finite(float(value), label))
         if self.mu <= 0:
             raise DomainError("mu must be positive")
         if self.nu <= abs(self.kappa):
@@ -160,6 +158,14 @@ class BCnCouplings:
         ratio = self.nu * self.kappa / squares[0] if squares[0] > 0 else np.inf
         _in_range(ratio, "mu^2 underflows or nu*kappa/mu^2 overflows")
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.mu, self.nu, self.kappa) == (other.mu, other.nu, other.kappa)
+
+    def __hash__(self):
+        return hash((self.mu, self.nu, self.kappa))
+
     @property
     def gamma(self):
         return self.mu**2
@@ -173,16 +179,13 @@ class BCnCouplings:
         return (self.nu - self.kappa) ** 2 / 2.0
 
 
-@dataclass(frozen=True)
-class SutherlandPoint:
+class SutherlandPoint(_Record):
     """Phase-space point of the direct system; q strictly inside the alcove."""
 
-    q: np.ndarray
-    p: np.ndarray
+    __slots__ = ("q", "p")
 
-    def __post_init__(self):
-        q = _pair(self, ("q", "p"))
-        if not _alcove_margin(q) > 0:
+    def __init__(self, q, p):
+        if not _alcove_margin(_pair(self, ("q", "p"), q, p)) > 0:
             raise DomainError("q must satisfy pi/2 > q_1 > ... > q_n > 0")
 
     @property
@@ -190,8 +193,7 @@ class SutherlandPoint:
         return self.q.size
 
 
-@dataclass(frozen=True)
-class DualPoint:
+class DualPoint(_Record):
     """Dual-side point (lam, theta) in the local chart.
 
     The dual chamber depends on the couplings, so the operations check
@@ -200,12 +202,10 @@ class DualPoint:
     the rational deformed family asks of its (lam, theta).
     """
 
-    lam: np.ndarray
-    theta: np.ndarray
+    __slots__ = ("lam", "theta")
 
-    def __post_init__(self):
-        lam = _pair(self, ("lam", "theta"))
-        if not _chamber_slack(lam, 0.0, 0.0).min() > 0:
+    def __init__(self, lam, theta):
+        if not _chamber_slack(_pair(self, ("lam", "theta"), lam, theta), 0.0, 0.0).min() > 0:
             raise DomainError("lam must be strictly decreasing and positive")
 
     @property
@@ -484,8 +484,7 @@ def _dual_matrix(lam, z, c):
     return A
 
 
-@dataclass(frozen=True)
-class DualGlobal:
+class DualGlobal(NamedTuple):
     """Global-chart data: the positions lam(z) and the unitary dual matrix."""
 
     lam: np.ndarray
@@ -631,8 +630,7 @@ def _family_lax(lam, theta, c):
         return _in_range(hinv @ (num / den) @ hinv, "family matrix overflows")
 
 
-@dataclass(frozen=True)
-class FamilyTable:
+class FamilyTable(NamedTuple):
     """Values of the two rational commuting families at one phase point."""
 
     subset_values: np.ndarray  # e_l((y - 1)^2 / y) over the eigenvalue pairs, l = 0..n
@@ -669,8 +667,7 @@ def family_eval(lam, theta, c):
 # the integer maps between the two families
 
 
-@dataclass(frozen=True)
-class FamilyMatrices:
+class FamilyMatrices(NamedTuple):
     """Integer triangular matrices translating between the two families.
 
     For n eigenvalue pairs (y, 1/y), with subset values s_l = e_l((y - 1)^2 / y)

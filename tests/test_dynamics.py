@@ -125,6 +125,19 @@ class TestIntegrateFlow:
             with pytest.raises(DomainError):
                 integrate_flow(free_system(1), x0, (0, 1), tol=1e-9, n_samples=n_samples)
 
+    def test_rejects_a_malformed_span_or_tolerance(self):
+        # t_span = 1.0 raised a bare TypeError, a third entry was dropped
+        # and a one-entry array tol was accepted
+        x0 = PhasePoint([0.0], [1.0])
+        for span in (1.0, (0, 1, 2), (1,), [[0, 1]]):
+            with pytest.raises(DomainError, match="t_span"):
+                integrate_flow(free_system(1), x0, span, tol=1e-9)
+        for tol in (np.array([1e-8]), [1e-8, 1e-8]):
+            with pytest.raises(DomainError, match="tol"):
+                integrate_flow(free_system(1), x0, (0, 1), tol=tol)
+        traj = integrate_flow(free_system(1), x0, np.array([0, 1]), tol=np.float64(1e-9))
+        assert traj.status == "completed"
+
     def test_rejects_non_integer_samples(self):
         # a float count used to fail inside np.linspace with a TypeError
         x0 = PhasePoint([0.0], [1.0])
@@ -275,6 +288,15 @@ def test_pair_system_takes_array_likes():
     assert np.array_equal(listed.grad(y, np.empty(4)), sys.grad(y, np.empty(4)))
     x = PhasePoint(y[:2], y[2:])
     assert listed.hamiltonian(x) == sys.hamiltonian(x)
+
+
+def test_pair_system_needs_one_weight_per_row():
+    # a 1-D T raised a bare IndexError, and a short w built a system whose
+    # first energy raised numpy's ValueError
+    T = np.array([[1.0, -1.0], [1.0, 1.0]])
+    for bad_T, bad_w in ((T[0], [1.0]), (T, [1.0]), (T, [1.0, 2.0, 3.0]), (T, [[1.0, 2.0]])):
+        with pytest.raises(DomainError, match="weight per row"):
+            pair_system(bad_T, bad_w, calogero._order_margin, "pair")
 
 
 # A configuration outside each domain, made from one inside it; the line of

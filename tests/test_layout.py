@@ -18,3 +18,19 @@ def test_no_test_hides_inside_a_function():
         if inner is not outer and isinstance(inner, FUNCTIONS) and inner.name.startswith("test_")
     ]
     assert hidden == []
+
+
+def test_hamiltonian_system_is_the_only_dataclass():
+    # every dataclass costs about a millisecond of code generation at each
+    # import, and intlab runs in many short processes; HamiltonianSystem stays
+    # one because perfbench/tracing.py wraps its callbacks with dataclasses.replace
+    src = Path(__file__).resolve().parent.parent / "src"
+    decorated = [
+        node.name
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for deco in node.decorator_list
+        if "dataclass" in ast.unparse(deco)
+    ]
+    assert decorated == ["HamiltonianSystem"]

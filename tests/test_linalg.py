@@ -63,6 +63,13 @@ class TestHermitianEigen:
             with pytest.raises(StructureError, match="square"):
                 call(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("call", [hermitian_eigen, char_poly])
+    def test_rejects_an_empty_matrix(self, call):
+        # char_poly raised a bare AttributeError (np.poly of no roots is the
+        # float 1.0) and hermitian_eigen returned an empty spectrum
+        with pytest.raises(StructureError, match="non-empty"):
+            call(np.zeros((0, 0)))
+
 
 class TestCharPoly:
     def test_rejects_non_finite(self):
