@@ -72,9 +72,15 @@ def _gaps(x):
 
 def lax_LQ(x):
     """Lax matrix L, position matrix Q = diag(q), and the vector of ones."""
-    L = 1j * x.g / _gaps(x.q)
+    return _lax_L(x), np.diag(x.q.astype(complex)), np.ones(x.n)
+
+
+def _lax_L(x):
+    """The Lax matrix alone; RangeError where a tiny gap overflows g/gap."""
+    with np.errstate(over="ignore", invalid="ignore"):  # complex division meets inf
+        L = 1j * x.g / _gaps(x.q)
     np.fill_diagonal(L, x.p)
-    return L, np.diag(x.q.astype(complex)), np.ones(x.n)
+    return _in_range(L, "entries of L overflow")
 
 
 def moser_B(x):
@@ -95,8 +101,7 @@ def _lax_weights(x):
     c_k = (v^T Q u_k)(u_k^* v) and d_k = u_k^* Q u_k; both are independent
     of the phase of u_k.
     """
-    L, _, _ = lax_LQ(x)
-    spec = hermitian_eigen(L)
+    spec = hermitian_eigen(_lax_L(x))
     U = spec.basis
     c = (x.q @ U) * U.conj().sum(axis=0)
     d = x.q @ np.abs(U) ** 2

@@ -2,9 +2,10 @@
 
 Hermitian eigendecompositions, characteristic polynomials, and the
 linear stencil of the pair potentials.  Everything here is plain numpy
-on small dense matrices; the value added is the fixed conventions
-(sorting, degeneracy flag, monic coefficients, stencil row order) that
-the rest of the package relies on.
+on small dense matrices, except `_poly`, the one route from roots to
+monic coefficients, a Vieta loop over Python numbers; the value added is
+the fixed conventions (sorting, degeneracy flag, monic coefficients,
+stencil row order) that the rest of the package relies on.
 """
 
 from functools import lru_cache
@@ -85,8 +86,23 @@ def hermitian_eigen(M):
     return HermitianSpectrum(eigenvalues=w, basis=U, near_degenerate=flagged)
 
 
+def _poly(roots):
+    """Monic coefficients of prod (x - r) over the 1-D array roots, K_0 = 1 first.
+
+    Vieta's recursion in place: the bits np.poly gives on real roots,
+    without its convolve call per root.  Python products overflow to inf
+    or nan quietly, so callers pass the result through _in_range.
+    """
+    a = [1.0]
+    for r in roots.tolist():
+        a.append(-r * a[-1])
+        for k in range(len(a) - 2, 0, -1):
+            a[k] -= r * a[k - 1]
+    return np.array(a)
+
+
 def char_poly(M):
     """Characteristic coefficients from the eigenvalues of M; RangeError on overflow."""
-    coefficients = np.poly(np.linalg.eigvals(_as_square(M))).astype(complex)
+    coefficients = _poly(np.linalg.eigvals(_as_square(M)))  # complex: eigvals of a complex M
     return CharPoly(coefficients=_in_range(coefficients, "characteristic coefficients overflow"))
 

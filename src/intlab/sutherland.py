@@ -59,7 +59,7 @@ import numpy as np
 from .dynamics import HamiltonianSystem, _count, _finite, _in_range, _pair, _pair_energy
 from .dynamics import _Record, _vec, pair_system
 from .errors import ChartError, DomainError, RangeError
-from .linalg import _stencil
+from .linalg import _poly, _stencil
 
 
 def _cauchy_gaps(lam, rows=None):
@@ -263,7 +263,8 @@ def lax_Y(x, c):
         Y.put(selves, np.concatenate([1j * p, v - 1j * c.kappa, -1j * p, -v - 1j * c.kappa]))
         X = -1j * Y
         X2 = _in_range(X @ X, "(-iY)^2 overflows")
-    lam2 = np.linalg.eigvalsh(X2).reshape(n, 2).mean(axis=1)  # each lam_j^2 twice
+    v = np.linalg.eigvalsh(X2)  # each lam_j^2 twice
+    lam2 = (v[0::2] + v[1::2]) / 2
     return Y, _power_sums(lam2)
 
 
@@ -291,14 +292,18 @@ def dual_h_matrix(lam, kappa):
     or infinite kappa fails; RangeError where lam_j^2 - kappa^2 overflows.
     """
     lam = _vec(lam, "lam")
-    n = lam.size
     if not lam.min() > 0:
         raise DomainError("need lam_j > 0")
     with np.errstate(over="ignore", invalid="ignore"):  # a huge lam or kappa overflows
         disc = lam**2 - np.square(kappa)
     if not (disc.real >= 0).all():  # a nan kappa fails it, and a real one beyond lam
         raise DomainError("need finite kappa and Re(lam_j^2 - kappa^2) >= 0")
-    _in_range(disc, "lam^2 - kappa^2 overflows")
+    return _h_rotation(lam, kappa, _in_range(disc, "lam^2 - kappa^2 overflows"))
+
+
+def _h_rotation(lam, kappa, disc):
+    """dual_h_matrix from lam, kappa and disc = lam^2 - kappa^2; checks nothing."""
+    n = lam.size
     if kappa == 0:
         alpha, beta = np.ones(n), np.zeros(n)
     else:
@@ -619,10 +624,11 @@ def _family_lax(lam, theta, c):
     den = 1j * mu + X
     X.put(selves[: 2 * n], np.inf)  # self factors are 1
     minus, plus = X[:n, :n], X[:n, n:]
-    z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
-    hinv = dual_h_matrix(lam, -1j * c.kappa)  # C h C
     swap = selves.reshape(4, n)[1::2]  # the half swap
-    with np.errstate(all="ignore"):  # e^(-theta/2) and its inverse scale F
+    kappa = -1j * c.kappa
+    with np.errstate(all="ignore"):  # a tiny lam, e^(-theta/2) and its inverse scale F
+        z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
+        hinv = _h_rotation(lam, kappa, lam**2 - np.square(kappa))  # C h C
         f = np.exp(-theta / 2) * np.sqrt(np.abs(z))
         F = np.concatenate([f, np.conj(z) / f])
         num = 1j * mu * (F[:, None] * np.conj(F))
@@ -653,9 +659,9 @@ def family_eval(lam, theta, c):
     lam, theta, n = d.lam, d.theta, d.n
     y = np.linalg.eigvalsh(_family_lax(lam, theta, c))[n:]
     with np.errstate(all="ignore"):
-        # np.poly of the negated values lists e_0..e_n
-        subset = np.poly(-((y - 1) ** 2) / y)
-        coeffs = np.poly(np.concatenate([y, 1 / y]))
+        # the monic polynomial with roots -s lists e_0..e_n of s
+        subset = _poly(-((y - 1) ** 2) / y)
+        coeffs = _poly(np.concatenate([y, 1 / y]))
         energy = _product_energy(
             lam, np.cosh(theta), -c.mu**2, np.array([-c.nu**2, -c.kappa**2]), c.nu * c.kappa
         )

@@ -13,8 +13,9 @@ integrate_flow's start (a pair system's energy) at p = 1e200,
 hermitian_eigen's matrix, whose norm overflows there, moser_B's positions
 and the lam of dual_h_matrix, family_lax and family_eval at 1e200,
 acd_functions at z = +-1e200, and integrate_flow's t0 at +-1e200, where a
-trial step's stages overflow.  Other entry points at huge states are
-outside the contract so far.
+trial step's stages overflow.  Every entry point on a rational CM point is
+also tried at a gap of 1e-310, where g/gap and g^2/gap^2 overflow.  Other
+entry points at huge or tiny states are outside the contract so far.
 """
 
 import ast
@@ -81,6 +82,7 @@ CM_X = RatCMPoint(Q, P, G), {
     "x.q": (lambda v: RatCMPoint(put(Q, v), P, G), ()),
     "x.p": (lambda v: RatCMPoint(Q, put(P, v), G), ()),
     "x.g": (lambda v: RatCMPoint(Q, P, v), (HUGE,)),
+    "gap": (lambda v: RatCMPoint([v, 0.0], [0.0, 1.0], G), (1e-310,)),
 }
 BC_C = also((C, {
     f"c.{name}": (lambda v, k=k: BCnCouplings(*put(COUP, v, k)), (HUGE,))

@@ -34,3 +34,16 @@ def test_hamiltonian_system_is_the_only_dataclass():
         if "dataclass" in ast.unparse(deco)
     ]
     assert decorated == ["HamiltonianSystem"]
+
+
+def test_src_calls_no_np_poly():
+    # linalg._poly is the one route from roots to coefficients; np.poly
+    # gives the same bits on real roots at one convolve call per root
+    src = Path(__file__).resolve().parent.parent / "src"
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.poly", "numpy.poly")
+    ]
+    assert calls == []

@@ -2,11 +2,21 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intlab.errors import DomainError, RangeError, StructureError
-from intlab.linalg import _stencil, char_poly, hermitian_eigen
+from intlab.linalg import _poly, _stencil, char_poly, hermitian_eigen
+
+EPS = np.finfo(float).eps
+DECADES = st.floats(-2.0, 2.0)  # root magnitudes 1e-2 to 1e2
+
+
+def root_lists(root):
+    return st.lists(root, min_size=1, max_size=20).map(np.array)
 
 
 def random_hermitian(rng, n):
@@ -131,6 +141,31 @@ class TestCharPoly:
             K = char_poly(M).coefficients
             for m in range(N + 1):
                 assert abs(K[N - m] - K[m]) <= 1e-9 * max(1.0, abs(K[m]))
+
+
+class TestPoly:
+    @settings(max_examples=300, deadline=None)
+    @given(root_lists(st.tuples(st.sampled_from((1.0, -1.0)), DECADES).map(
+        lambda sd: sd[0] * 10.0 ** sd[1]
+    )))
+    def test_real_roots_match_np_poly_bit_for_bit(self, roots):
+        assert _poly(roots).tobytes() == np.poly(roots).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(root_lists(st.tuples(DECADES, st.floats(0.0, 2 * math.pi)).map(
+        lambda dp: 10.0 ** dp[0] * complex(math.cos(dp[1]), math.sin(dp[1]))
+    )))
+    def test_complex_roots_match_mpmath(self, roots):
+        with mp.workdps(40):
+            want = [mp.mpc(1)]
+            for r in roots.tolist():
+                want = [a - r * b for a, b in zip(want + [0], [0] + want)]
+            want = np.array([complex(w) for w in want])
+        # first-order bound: each of the n steps rounds one complex product
+        # (sqrt(5) eps/2) and one difference (eps/2) of terms that sum to at
+        # most the coefficients of prod (x + |r|)
+        bound = 2 * roots.size * EPS * np.prod(1 + np.abs(roots))
+        assert np.max(np.abs(_poly(roots) - want)) <= bound
 
 
 class TestStencil:

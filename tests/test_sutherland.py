@@ -887,6 +887,15 @@ class TestFamilyEval:
         with pytest.raises(RangeError, match="values overflow"):
             family_eval([3.0, 1.0], [theta, 0.0], COUP)
 
+    def test_tiny_lam_overflow_raises(self):
+        # a valid chamber point: the prefactor (nu/lam)(mu/gap)^2 of the matrix
+        # overflows, and its product leaked numpy's RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (family_eval, family_lax):
+                with pytest.raises(RangeError, match="matrix overflows"):
+                    call([1e-160, 5e-161], [0.3, -0.1], COUP)
+
     @pytest.mark.parametrize("theta", [720.0, -720.0])
     def test_matrix_overflow_raises(self, theta):
         # e^(|theta|/2) squared overflows in the matrix; eigvalsh raised
