@@ -6,8 +6,12 @@ on small dense matrices, except `_poly`, the one route from roots to
 monic coefficients, a Vieta loop over Python numbers; the value added is
 the fixed conventions (sorting, degeneracy flag, monic coefficients,
 stencil row order) that the rest of the package relies on.
+
+One Hermitian test, `_hermitian_part`, picks the eigensolver: `hermitian_eigen`
+requires it, and `char_poly` takes `eigvalsh` where it passes, `eigvals` elsewhere.
 """
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -43,7 +47,8 @@ class HermitianSpectrum(NamedTuple):
 
 
 class CharPoly(NamedTuple):
-    """Coefficients K_0..K_N of det(y I - M) = sum_m K_{N-m} y^m, K_0 = 1."""
+    """Coefficients K_0..K_N of det(y I - M) = sum_m K_{N-m} y^m, K_0 = 1;
+    real for a Hermitian M, complex otherwise."""
 
     coefficients: np.ndarray
 
@@ -67,6 +72,18 @@ def _stencil(n):
     return T
 
 
+def _hermitian_part(M):
+    """(M + M*) / 2 where ||M|| is finite and ||M - M*|| <= 1e-12 max(1, ||M||), else None."""
+    Mh = M.conj().T
+    with np.errstate(over="ignore"):  # entries beyond about 1e154 overflow the norm
+        norm = np.linalg.norm(M)
+        dev = np.linalg.norm(M - Mh)
+    # explicit: inf <= 1e-12 * inf would pass a non-Hermitian M
+    if math.isfinite(norm) and dev <= 1e-12 * max(1.0, norm):
+        return (M + Mh) / 2.0
+    return None
+
+
 def hermitian_eigen(M):
     """Eigendecomposition with the package-wide sorting convention.
 
@@ -74,14 +91,15 @@ def hermitian_eigen(M):
     RangeError where ||M||, and with it that test, overflows.
     """
     M = _as_square(M)
-    with np.errstate(over="ignore"):  # entries beyond about 1e154 overflow the norm
-        scale = _in_range(max(1.0, np.linalg.norm(M)), "matrix norm overflows")
-        dev = np.linalg.norm(M - M.conj().T)
-    if dev > 1e-12 * scale:
+    H = _hermitian_part(M)
+    if H is None:
+        with np.errstate(over="ignore"):
+            scale = _in_range(max(1.0, np.linalg.norm(M)), "matrix norm overflows")
+            dev = np.linalg.norm(M - M.conj().T)
         raise StructureError(
             f"matrix is not Hermitian: ||M - M*|| = {dev:.3e} exceeds 1e-12 * {scale:.3e}"
         )
-    w, U = np.linalg.eigh((M + M.conj().T) / 2.0)
+    w, U = np.linalg.eigh(H)
     flagged = bool(len(w) > 1 and np.min(np.diff(w)) < _DEGENERACY_GAP)
     return HermitianSpectrum(eigenvalues=w, basis=U, near_degenerate=flagged)
 
@@ -102,7 +120,10 @@ def _poly(roots):
 
 
 def char_poly(M):
-    """Characteristic coefficients from the eigenvalues of M; RangeError on overflow."""
-    coefficients = _poly(np.linalg.eigvals(_as_square(M)))  # complex: eigvals of a complex M
-    return CharPoly(coefficients=_in_range(coefficients, "characteristic coefficients overflow"))
+    """Characteristic coefficients from the eigenvalues of M; RangeError on overflow.
+    Real, from eigvalsh, where M passes _hermitian_part; complex, from eigvals, elsewhere."""
+    M = _as_square(M)
+    H = _hermitian_part(M)
+    roots = np.linalg.eigvals(M) if H is None else np.linalg.eigvalsh(H)
+    return CharPoly(coefficients=_in_range(_poly(roots), "characteristic coefficients overflow"))
 

@@ -665,7 +665,7 @@ def family_eval(lam, theta, c):
         energy = _product_energy(
             lam, np.cosh(theta), -c.mu**2, np.array([-c.nu**2, -c.kappa**2]), c.nu * c.kappa
         )
-    _in_range(np.append(subset, [*coeffs, energy]), "family values overflow")
+    _in_range(np.concatenate((subset, coeffs, [energy])), "family values overflow")
     return FamilyTable(subset_values=subset, energy=energy, char_coefficients=coeffs)
 
 

@@ -47,3 +47,21 @@ def test_src_calls_no_np_poly():
         if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.poly", "numpy.poly")
     ]
     assert calls == []
+
+
+def test_src_general_eigensolver_calls_are_listed():
+    # a Hermitian matrix goes through eigh or eigvalsh; the general solver is
+    # left for char_poly's non-Hermitian route and alcove_q's unitary matrix
+    src = Path(__file__).resolve().parent.parent / "src"
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
+            if name in ("eig", "eigvals"):
+                owner = node
+                while owner in parent and not isinstance(owner, FUNCTIONS):
+                    owner = parent[owner]
+                calls.append((path.name, getattr(owner, "name", "<module>")))
+    assert calls == [("linalg.py", "char_poly"), ("sutherland.py", "alcove_q")]

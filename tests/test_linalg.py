@@ -1,6 +1,7 @@
 """Contract tests for intlab.linalg."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from intlab.errors import DomainError, RangeError, StructureError
 from intlab.linalg import _poly, _stencil, char_poly, hermitian_eigen
+from intlab.sutherland import BCnCouplings, family_lax
 
 EPS = np.finfo(float).eps
 DECADES = st.floats(-2.0, 2.0)  # root magnitudes 1e-2 to 1e2
+COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
 
 
 def root_lists(root):
@@ -22,6 +25,75 @@ def root_lists(root):
 def random_hermitian(rng, n):
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (A + A.conj().T) / 2.0
+
+
+def mp_coefficients(roots):
+    """Monic coefficients of prod (x - r) at mpmath's working precision, K_0 = 1 first."""
+    want = [mp.mpf(1)]
+    for r in roots:
+        want = [a - r * b for a, b in zip(want + [0], [0] + want)]
+    return want
+
+
+def hermitian_bound(lam):
+    """2 N eps (e_k(|lam|) + rho e_{k-1}(|lam|)), rho = max |lam|: a first-order
+    bound on the error of each coefficient built from the eigenvalues lam of a
+    Hermitian matrix.  e_k(|lam|) bounds the cancellation in Vieta's sums; the
+    second term carries the absolute error rho eps of a backward-stable
+    eigensolver in each eigenvalue, which e_k(|lam|) alone misses wherever an
+    eigenvalue sits near zero (up to 74 N eps e_k in 80 draws at N = 8)."""
+    e = _poly(-np.abs(lam))
+    return 2 * lam.size * EPS * (e + np.max(np.abs(lam)) * np.concatenate(([0.0], e[:-1])))
+
+
+def off_hermitian(size, deviation):
+    """A Hermitian matrix of norm size plus an anti-Hermitian part that puts
+    ||M - M*|| at deviation * max(1, size); the two parts are orthogonal, so
+    ||M|| stays size up to terms of order deviation^2."""
+    rng = np.random.default_rng(31)
+    H = random_hermitian(rng, 4)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    A = A - A.conj().T
+    A *= deviation * max(1.0, size) / (2 * np.linalg.norm(A))
+    return H * (size / np.linalg.norm(H)) + A
+
+
+ROUTES = [
+    pytest.param(random_hermitian(np.random.default_rng(4), 6), None, None, id="hermitian"),
+    pytest.param([[1, 2e-12], [0, 1]], StructureError, None, id="upper-2e-12"),
+    pytest.param(off_hermitian(0.1, 0.9e-12), None, None, id="0.9e-12-below-norm-1"),
+    pytest.param(off_hermitian(0.1, 1.1e-12), StructureError, None, id="1.1e-12-below-norm-1"),
+    pytest.param(off_hermitian(1e3, 0.9e-12), None, None, id="0.9e-12-at-norm-1e3"),
+    pytest.param(off_hermitian(1e3, 1.1e-12), StructureError, None, id="1.1e-12-at-norm-1e3"),
+    pytest.param(np.diag([1e200, 1.0]), RangeError, [1, -1e200, 1e200], id="diag-1e200"),
+    # the Hermitian part [[1e200, 5e199], [5e199, 1]] has determinant about
+    # -2.5e399, so its route would raise; eigvals reads the diagonal
+    pytest.param([[1e200, 1e200], [0, 1]], RangeError, [1, -1e200, 1e200], id="upper-1e200"),
+]
+
+
+@pytest.mark.parametrize("M, rejected, want", ROUTES)
+def test_char_poly_takes_eigvalsh_exactly_where_hermitian_eigen_accepts(M, rejected, want):
+    # one Hermitian test routes both functions: eigh and eigvalsh of the
+    # Hermitian part where it passes, eigvals and complex coefficients where
+    # it fails, also where ||M|| overflows, with no error and no warning
+    M = np.asarray(M, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = char_poly(M).coefficients
+    if rejected is None:
+        H = (M + M.conj().T) / 2.0
+        s, (w, U) = hermitian_eigen(M), np.linalg.eigh(H)
+        assert s.eigenvalues.tobytes() == w.tobytes() and s.basis.tobytes() == U.tobytes()
+        assert K.dtype == float
+        assert K.tobytes() == _poly(np.linalg.eigvalsh(H)).tobytes()
+    else:
+        with pytest.raises(rejected):
+            hermitian_eigen(M)
+        assert K.dtype == complex
+        assert K.tobytes() == _poly(np.linalg.eigvals(M)).tobytes()
+    if want is not None:
+        assert np.array_equal(K, want)
 
 
 class TestHermitianEigen:
@@ -142,6 +214,34 @@ class TestCharPoly:
             for m in range(N + 1):
                 assert abs(K[N - m] - K[m]) <= 1e-9 * max(1.0, abs(K[m]))
 
+    @pytest.mark.parametrize("N, draws", [(2, 20), (8, 20), (20, 5), (40, 2)])
+    def test_hermitian_route_matches_mpmath(self, N, draws):
+        # 40-digit eigenvalues of the same matrix, then their coefficients.
+        # The constant 2 of hermitian_bound was fixed from 80 draws per N:
+        # the largest ratio to N eps (e_k + rho e_{k-1}) read 0.66, 0.16,
+        # 0.07 and 0.05 at N = 2, 8, 20 and 40.
+        rng = np.random.default_rng(N)
+        for _ in range(draws):
+            M = random_hermitian(rng, N)
+            K = char_poly(M).coefficients
+            with mp.workdps(40):
+                lam = mp.eighe(mp.matrix(M.tolist()), eigvals_only=True)
+                want = np.array([float(k) for k in mp_coefficients(lam)])
+            assert K.dtype == float
+            assert np.all(np.abs(K - want) <= hermitian_bound(np.array([float(x) for x in lam])))
+
+    def test_family_lax_at_n20_is_palindromic(self):
+        # N = 40: the spectrum is 20 pairs (y, 1/y), so K_k = K_{N-k} up to
+        # the coefficient errors of both
+        n = 20
+        rng = np.random.default_rng(42)
+        lam = 0.1 + np.cumsum(rng.uniform(0.2, 2.0, n))[::-1]
+        L = family_lax(lam, rng.uniform(-2.0, 2.0, n), COUP)
+        K = char_poly(L).coefficients
+        assert K.dtype == float
+        bound = hermitian_bound(np.linalg.eigvalsh(L))
+        assert np.all(np.abs(K - K[::-1]) <= bound + bound[::-1])
+
 
 class TestPoly:
     @settings(max_examples=300, deadline=None)
@@ -157,10 +257,7 @@ class TestPoly:
     )))
     def test_complex_roots_match_mpmath(self, roots):
         with mp.workdps(40):
-            want = [mp.mpc(1)]
-            for r in roots.tolist():
-                want = [a - r * b for a, b in zip(want + [0], [0] + want)]
-            want = np.array([complex(w) for w in want])
+            want = np.array([complex(w) for w in mp_coefficients(roots.tolist())])
         # first-order bound: each of the n steps rounds one complex product
         # (sqrt(5) eps/2) and one difference (eps/2) of terms that sum to at
         # most the coefficients of prod (x + |r|)
