@@ -12,8 +12,7 @@ callers are expected to look at the drift numbers rather than trust the
 scheme.
 Every system supplies its analytic right-hand side, written in place:
 grad(y, out) fills out with (dH/dp, -dH/dq) at the flat phase vector
-y = (q, p), so `_dopri` calls it on its stage rows directly.  The
-central-difference stencil serves only poisson_bracket_fd.
+y = (q, p), so `_dopri` calls it on its stage rows directly.
 A flow's samples are one block: `_dopri` writes them as the rows of one
 (m, 2n) array, which the Trajectory holds as a PhasePoint of (m, n) q and
 p.  The Hamiltonian maps a block to its m energies and boundary_margin(q)
@@ -42,7 +41,6 @@ from scipy.optimize import brentq
 from .errors import ConvergenceError, DomainError, RangeError, StiffnessError
 
 _EPS = float(np.finfo(float).eps)
-_FD_STEP = _EPS ** (1.0 / 3.0)
 
 # Distance from the free line above which a flow is not yet free.
 _FREE_LINE_LIMIT = 1e-2
@@ -156,8 +154,7 @@ class HamiltonianSystem:
     grad(y, out) writes Hamilton's right-hand side (dH/dp, -dH/dq) at
     the flat phase vector y = (q, p) into out, a float vector of the
     same length, and returns out; y must not change.  Every system
-    supplies it analytically, and the central-difference stencil serves
-    only poisson_bracket_fd.  grad is defined inside the domain; outside
+    supplies it analytically.  grad is defined inside the domain; outside
     it, or past the float range, it may write non-finite entries, and the
     integrator's error test rejects that trial stage.  hamiltonian(x)
     takes a PhasePoint over a leading sample axis: one energy for a point,
@@ -281,21 +278,6 @@ class ScatteringData(NamedTuple):
     theta_plus: np.ndarray
     theta_minus: np.ndarray
     lambda_plus: np.ndarray
-
-
-def _fd_gradient(f, x):
-    """Central-difference gradient of a scalar observable, split (q, p).
-
-    The step along each coordinate is _FD_STEP * (1 + |coordinate|); the
-    stencil serves poisson_bracket_fd, not the flows.
-    """
-    y = x.to_vector()
-    h = _FD_STEP * (1.0 + np.abs(y))
-    grad = np.array([  # the rows of diag(h) are the probes h_j e_j
-        float(f(PhasePoint.from_vector(y + e))) - float(f(PhasePoint.from_vector(y - e)))
-        for e in np.diag(h)
-    ]) / (2 * h)
-    return grad[: x.dim], grad[x.dim :]
 
 
 def _dense(F, y_old, t_old, h, t):
@@ -442,17 +424,19 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     bit by `_dopri`, without scipy's initial-value driver, which calls
     sys.grad as its right-hand side; diagnostics carry its statistics:
     nfev = 2 + 12 (accepted + rejected) + 3 dense, dense counting the
-    interpolants built for the samples and the margin crossing.
-    A trial stage where sys.grad is not finite fails the error test.
-    t_span may run backward (t1 < t0); the returned trajectory always
-    stores increasing times.  The samples at np.linspace(t0, t1, n_samples)
-    are one block, audited as such: one boundary_margin call truncates it
-    at the first sample outside the domain (status 'truncated' instead of
-    raising), and one sys.energy call takes the energies of the rest.
-    invariant_family's named observables take one sample's point at a time;
-    the energy is always included.  x0 must be one finite PhasePoint of the
-    system's dimension, tol a finite positive scalar, t_span two finite and
-    distinct numbers, and n_samples an integer of at least 2.
+    interpolants built for the samples and the margin crossing.  A trial
+    stage where sys.grad is not finite fails the error test.  The flow stops
+    where boundary_margin falls through _BOUNDARY_MARGIN (1e-8), a downward
+    crossing as scipy's terminal event of direction -1 sees it, so a start
+    below 1e-8 is stopped only by the sample audit.  t_span may run backward
+    (t1 < t0); the returned trajectory always stores increasing times.  The
+    samples at np.linspace(t0, t1, n_samples) are one block, audited as such:
+    one boundary_margin call truncates it at the first sample outside the
+    domain (status 'truncated', not an error), and one sys.energy call takes
+    the energies of the rest.  invariant_family's observables take one
+    sample's point at a time; the energy is always included.  x0 must be one
+    finite PhasePoint of the system's dimension, tol a finite positive scalar,
+    t_span two finite and distinct numbers, n_samples an integer >= 2.
     """
     if np.ndim(tol) or not _finite(float(tol), "tol") > 0:
         raise DomainError("tol must be a positive scalar")
@@ -498,20 +482,6 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     )
 
 
-def poisson_bracket_fd(f, g, x):
-    """Central-difference canonical Poisson bracket {f, g} at one finite point x, not a block.
-
-    The step is _FD_STEP * (1 + |coordinate|) per direction, once; an
-    error an observable raises propagates, and a non-finite difference
-    raises DomainError.
-    """
-    _vec(x.to_vector(), "x")
-    (fq, fp), (gq, gp) = _fd_gradient(f, x), _fd_gradient(g, x)
-    if not _all_finite((fq, fp, gq, gp)):
-        raise DomainError("observable not evaluable near the requested point")
-    return float(np.dot(fq, gp) - np.dot(fp, gq))
-
-
 def _asymptote(traj, at_end):
     """(p, q - p t) of the outermost sample, after extract_scattering's checks."""
     count = max(len(traj.times) // 4, 2)
@@ -532,13 +502,15 @@ def _asymptote(traj, at_end):
 def extract_scattering(traj_fwd, traj_bwd):
     """Asymptotic momenta and intercepts read off a flow's outermost samples.
 
-    theta^+ and lambda^+ are the momenta p and the intercepts q - p t of the
-    last sample of traj_fwd, theta^- the momenta of the first sample of
-    traj_bwd.  Over the outer quarter of each trajectory (at least two
-    samples) the flow must already be free, or ConvergenceError: positions
-    within _FREE_LINE_LIMIT * max(1, max |q|) of the free line through
-    the outermost sample, momenta within 1e-3 of its momenta.
+    theta^+ and lambda^+ are the momenta p and the intercepts q - p t of the last
+    sample of traj_fwd, theta^- the momenta of the first sample of traj_bwd, which
+    must have traj_fwd's dimension (DomainError).  Over the outer quarter of each
+    trajectory (at least two samples) the flow must already be free, or
+    ConvergenceError: positions within _FREE_LINE_LIMIT * max(1, max |q|) of the
+    free line through the outermost sample, momenta within 1e-3 of its momenta.
     """
+    if traj_fwd.states.dim != traj_bwd.states.dim:
+        raise DomainError("forward and backward trajectories must have one dimension")
     th_plus, lam_plus = _asymptote(traj_fwd, at_end=True)
     th_minus, _ = _asymptote(traj_bwd, at_end=False)
     order = np.argsort(th_plus)[::-1]

@@ -73,15 +73,15 @@ def _stencil(n):
 
 
 def _hermitian_part(M):
-    """(M + M*) / 2 where ||M|| is finite and ||M - M*|| <= 1e-12 max(1, ||M||), else None."""
+    """(H, ||M||, ||M - M*||): H = (M + M*) / 2 where ||M|| is finite and
+    ||M - M*|| <= 1e-12 max(1, ||M||), else None."""
     Mh = M.conj().T
     with np.errstate(over="ignore"):  # entries beyond about 1e154 overflow the norm
         norm = np.linalg.norm(M)
         dev = np.linalg.norm(M - Mh)
     # explicit: inf <= 1e-12 * inf would pass a non-Hermitian M
-    if math.isfinite(norm) and dev <= 1e-12 * max(1.0, norm):
-        return (M + Mh) / 2.0
-    return None
+    hermitian = math.isfinite(norm) and dev <= 1e-12 * max(1.0, norm)
+    return (M + Mh) / 2.0 if hermitian else None, norm, dev
 
 
 def hermitian_eigen(M):
@@ -91,11 +91,9 @@ def hermitian_eigen(M):
     RangeError where ||M||, and with it that test, overflows.
     """
     M = _as_square(M)
-    H = _hermitian_part(M)
+    H, norm, dev = _hermitian_part(M)
     if H is None:
-        with np.errstate(over="ignore"):
-            scale = _in_range(max(1.0, np.linalg.norm(M)), "matrix norm overflows")
-            dev = np.linalg.norm(M - M.conj().T)
+        scale = _in_range(max(1.0, norm), "matrix norm overflows")
         raise StructureError(
             f"matrix is not Hermitian: ||M - M*|| = {dev:.3e} exceeds 1e-12 * {scale:.3e}"
         )
@@ -123,7 +121,7 @@ def char_poly(M):
     """Characteristic coefficients from the eigenvalues of M; RangeError on overflow.
     Real, from eigvalsh, where M passes _hermitian_part; complex, from eigvals, elsewhere."""
     M = _as_square(M)
-    H = _hermitian_part(M)
+    H, _, _ = _hermitian_part(M)
     roots = np.linalg.eigvals(M) if H is None else np.linalg.eigvalsh(H)
     return CharPoly(coefficients=_in_range(_poly(roots), "characteristic coefficients overflow"))
 

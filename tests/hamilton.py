@@ -6,9 +6,17 @@ the partial derivatives back off a system's right-hand side.  `energy`
 builds the matching hamiltonian(x), which maps a block of samples (q and
 p of shape (m, n)) to m energies, as integrate_flow's audit asks.  `first`
 and `everywhere` are boundary margins, which every system states.
+
+`differences` is the one central-difference stencil, for gradients a test
+checks against, and `bracket` builds the canonical Poisson bracket on it.
 """
 
 import numpy as np
+
+from intlab.dynamics import PhasePoint
+
+# cbrt(eps): the central difference's truncation and rounding errors balance
+STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 def kinetic(force):
@@ -48,3 +56,20 @@ def split(sys, q, p):
     out = sys.grad(y, np.empty_like(y))
     n = y.size // 2
     return -out[n:], out[:n]
+
+
+def differences(f, y, h):
+    """(f(y + h_j e_j) - f(y - h_j e_j)) / (2 h_j) over the entries j of the 1-D
+    array y, for a scalar f of such a vector; h is one step or one per entry."""
+    h = np.broadcast_to(h, y.shape)
+    return np.array([float(f(y + e)) - float(f(y - e)) for e in np.diag(h)]) / (2 * h)
+
+
+def bracket(f, g, x):
+    """Canonical Poisson bracket {f, g} of two observables at one PhasePoint x,
+    by differences of step STEP (1 + |y_j|) along each coordinate y_j of (q, p)."""
+    y = x.to_vector()
+    h = STEP * (1.0 + np.abs(y))
+    fq, fp = np.split(differences(lambda v: f(PhasePoint.from_vector(v)), y, h), 2)
+    gq, gp = np.split(differences(lambda v: g(PhasePoint.from_vector(v)), y, h), 2)
+    return float(np.dot(fq, gp) - np.dot(fp, gq))

@@ -134,14 +134,6 @@ def free_trajectory(edge=None, at_end=True):
     return Trajectory(times, PhasePoint(q, np.tile([0.5, -0.5], (len(times), 1))))
 
 
-def first_q(x):
-    return x.q[0]
-
-
-def first_p(x):
-    return x.p[0]
-
-
 PAIR = PhasePoint([Q, Q], [P, P])  # a block of two samples
 CM_SYS = calogero.make_system(2, G)
 DUAL_SYS = sutherland.make_dual_system(2, C)
@@ -186,15 +178,6 @@ TABLE = {
                 fixed(1e-8),
             ),
         },
-        "poisson_bracket_fd": calls(
-            dynamics.poisson_bracket_fd,
-            fixed(first_q),
-            fixed(first_p),
-            (PhasePoint(Q, P), {
-                "x.q": (lambda v: PhasePoint(put(Q, v), P), ()),
-                "x.p": (lambda v: PhasePoint(Q, put(P, v)), ()),
-            }),
-        ),
         "extract_scattering": calls(
             dynamics.extract_scattering,
             (free_trajectory(), {"forward edge": (lambda v: free_trajectory(v), ())}),
@@ -256,8 +239,8 @@ TABLE = {
 RECORD = "a result record: the entry point that returns it has checked its numbers"
 EXEMPT = {
     "intlab.dynamics": {
-        "PhasePoint": "holds any floats, nan included; integrate_flow and "
-        "poisson_bracket_fd check the points they are given",
+        "PhasePoint": "holds any floats, nan included; integrate_flow checks "
+        "the start it is given",
         "HamiltonianSystem": "takes callables and an integer dimension, no float",
         "ScatteringData": RECORD,
     },

@@ -191,3 +191,41 @@ def test_trial_stages_outside_the_chamber_are_rejected(lam, theta, tol, span, st
     assert traj.status == status and traj.diagnostics["rejected"] > 0
     if status == "truncated":
         assert traj.diagnostics["stop_margin"] == pytest.approx(BOUNDARY, abs=1e-12)
+
+
+# a start within _BOUNDARY_MARGIN of the wall: the margin event needs a
+# downward crossing, as scipy's terminal event of direction -1 does, so it
+# never stops such a flow, and only the sample audit can truncate it
+def test_a_dual_start_below_the_margin_is_not_stopped_by_the_event():
+    sys = sutherland.make_dual_system(3, COUP)
+    x0 = PhasePoint(
+        [5.540721630599606, 3.940721625599606, 2.2824725634748466],
+        [2.422090225604701, 0.1959618296077304, 1.4311098437656378],
+    )
+    assert sys.boundary_margin(x0.q) == pytest.approx(5.0e-9, rel=1e-8)
+    sol, traj = assert_matches_oracle(sys, x0, (0.0, 5.0), 1e-6)
+    assert sol.status == 0 and traj.status == "completed"
+    # 0.05 earlier on the same orbit the margin is above 1e-8 and falls through it
+    earlier = integrate_flow(sys, x0, (0.0, -0.05), 1e-6, n_samples=2).initial
+    assert sys.boundary_margin(earlier.q) > BOUNDARY
+    _, traj = assert_matches_oracle(sys, earlier, (0.0, 5.0), 1e-6)
+    assert traj.status == "truncated"
+    assert traj.diagnostics["stop_margin"] == pytest.approx(BOUNDARY, abs=1e-12)
+
+
+def test_a_half_line_start_below_the_margin_is_truncated_by_its_samples():
+    # q(t) = 9e-9 - 1e-7 t reaches the wall at the 19th sample, t = 0.09
+    sys = HamiltonianSystem(
+        dim=1,
+        hamiltonian=energy(lambda q: 0.0),
+        grad=kinetic(np.zeros_like),
+        boundary_margin=first,
+        name="free half-line",
+    )
+    x0 = PhasePoint([9e-9], [-1e-7])
+    sol = oracle(sys, x0, (0.0, 1.0), 1e-9)
+    traj = integrate_flow(sys, x0, (0.0, 1.0), tol=1e-9)
+    assert sol.status == 0 and traj.status == "truncated"
+    assert len(traj.times) == 18
+    assert np.array_equal(traj.states.to_vector().T, sol.y[:, :18])
+    assert traj.diagnostics["t_stop"] == 1.0 and traj.diagnostics["stop_margin"] < 0

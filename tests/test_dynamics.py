@@ -1,4 +1,4 @@
-"""Tests for the generic flow/bracket/scattering layer."""
+"""Tests for the generic flow/scattering layer and the test-side bracket of tests/hamilton.py."""
 
 import dataclasses
 
@@ -16,11 +16,10 @@ from intlab.dynamics import (
     integrate_flow,
     invariant_drift,
     pair_system,
-    poisson_bracket_fd,
 )
 from intlab.errors import ConvergenceError, DomainError, StiffnessError
 from intlab.linalg import _stencil
-from hamilton import energy, everywhere, first, kinetic
+from hamilton import bracket, differences, energy, everywhere, first, kinetic
 
 COUP = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
 
@@ -350,15 +349,13 @@ class TestPoissonBracketFd:
         x = PhasePoint([0.4, -1.2], [0.9, 2.0])
         for i in range(2):
             for j in range(2):
-                val = poisson_bracket_fd(
-                    lambda y, i=i: y.q[i], lambda y, j=j: y.p[j], x
-                )
+                val = bracket(lambda y, i=i: y.q[i], lambda y, j=j: y.p[j], x)
                 assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
     def test_antisymmetry_on_same_observable(self):
         H = lambda y: 0.5 * float(np.dot(y.p, y.p)) + float(np.sum(np.cos(y.q)))
         x = PhasePoint([0.3, 0.7], [1.0, -0.2])
-        assert poisson_bracket_fd(H, H, x) == pytest.approx(0.0, abs=1e-8)
+        assert bracket(H, H, x) == pytest.approx(0.0, abs=1e-8)
 
     def test_polynomial_hand_value(self):
         # f = q1^2 p2, g = q2 p1: {f, g} = 2 q1 q2 p2 - q1^2 p1
@@ -366,7 +363,7 @@ class TestPoissonBracketFd:
         g = lambda y: y.q[1] * y.p[0]
         x = PhasePoint([1.3, -0.6], [0.4, 2.1])
         want = 2 * 1.3 * (-0.6) * 2.1 - 1.3 ** 2 * 0.4
-        assert poisson_bracket_fd(f, g, x) == pytest.approx(want, abs=1e-7)
+        assert bracket(f, g, x) == pytest.approx(want, abs=1e-7)
 
     def test_canonical_matrix(self):
         rng = np.random.default_rng(6)
@@ -376,27 +373,19 @@ class TestPoissonBracketFd:
         J = np.zeros((6, 6))
         for a in range(6):
             for b in range(6):
-                J[a, b] = poisson_bracket_fd(coords[a], coords[b], x)
+                J[a, b] = bracket(coords[a], coords[b], x)
         want = np.block(
             [[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]]
         )
         np.testing.assert_allclose(J, want, atol=1e-8)
 
-    def test_an_observable_raising_off_its_point_raises(self):
-        def spiky(y):
-            if abs(y.q[0]) > 1e-12:
-                raise DomainError("off the point")
-            return 0.0
 
-        with pytest.raises(DomainError, match="off the point"):
-            poisson_bracket_fd(spiky, lambda y: y.p[0], PhasePoint([0.0], [0.0]))
-
-    def test_a_non_finite_observable_raises(self):
-        def hole(y):
-            return np.nan if y.q[0] > 0 else 0.0
-
-        with pytest.raises(DomainError, match="not evaluable"):
-            poisson_bracket_fd(hole, lambda y: y.p[0], PhasePoint([0.0], [0.0]))
+@pytest.mark.parametrize("h", [1e-3, [1e-3, 2e-3, 5e-4]], ids=["one-step", "per-entry"])
+def test_differences_of_a_cubic_carry_h_squared(h):
+    # the central difference of y^3 is 3 y^2 + h^2 exactly, up to rounding
+    y = np.array([0.7, -1.3, 2.2])
+    got = differences(lambda v: np.sum(v**3), y, h)
+    np.testing.assert_allclose(got, 3 * y**2 + np.square(h), rtol=1e-10, atol=0)
 
 
 class TestExtractScattering:
@@ -460,6 +449,15 @@ class TestExtractScattering:
         assert np.array_equal(data.lambda_plus, (fwd.final.q - fwd.final.p * 40.0)[order])
         assert np.array_equal(data.theta_minus, np.sort(bwd.initial.p))
 
+    def test_trajectories_of_different_dimensions_raise(self):
+        # theta^+ and theta^- pair up componentwise; this returned 2 and 3 momenta
+        pair = PhasePoint([1.0, -1.0], [0.5, -0.5])
+        fwd = integrate_flow(free_system(2), pair, (0.0, 40.0), tol=1e-12)
+        trio = PhasePoint([1.0, 0.0, -1.0], [0.5, -0.3, 1.2])
+        bwd = integrate_flow(free_system(3), trio, (0.0, -40.0), tol=1e-12)
+        with pytest.raises(DomainError, match="one dimension"):
+            extract_scattering(fwd, bwd)
+
 
 class TestInvariantDrift:
     def test_constant_family(self):
@@ -517,12 +515,10 @@ def test_trajectory_needs_one_sample_per_time():
 
 
 def test_point_entry_points_reject_a_block():
-    # integrate_flow's start and poisson_bracket_fd's point are one point each
+    # integrate_flow's start is one point
     block = PhasePoint([[0.9, -0.2], [1.9, -1.2]], [[0.4, 0.1], [0.4, 0.1]])
     with pytest.raises(DomainError, match="dimension"):
         integrate_flow(calogero.make_system(2, 1.0), block, (0.0, 0.1), tol=1e-9)
-    with pytest.raises(DomainError, match="1-D"):
-        poisson_bracket_fd(first, first, block)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
@@ -554,7 +550,7 @@ def test_a_trajectory_stores_its_audited_block(case, sign):
 
 
 def test_system_requires_gradient():
-    # the flows have no difference fallback; the stencil serves only brackets
+    # the flows have no difference fallback
     with pytest.raises(TypeError, match="grad"):
         HamiltonianSystem(dim=1, hamiltonian=lambda x: 0.0, boundary_margin=everywhere)
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
-from intlab.dynamics import PhasePoint, integrate_flow, poisson_bracket_fd
+from intlab.dynamics import PhasePoint, integrate_flow
 from intlab.errors import ChartError, DomainError, RangeError
 from intlab.linalg import _stencil, char_poly
 from intlab.sutherland import (
@@ -47,7 +47,7 @@ from intlab.sutherland import (
     _family_lax,
     _weights,
 )
-from hamilton import split
+from hamilton import bracket, differences, split
 from oracles import sutherland_reference as oracle
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
@@ -344,7 +344,7 @@ class TestLaxY:
             x = PhasePoint(q0, p0)
             for j in range(n):
                 for k in range(j + 1, n):
-                    assert abs(poisson_bracket_fd(observable(j), observable(k), x)) < 1e-6
+                    assert abs(bracket(observable(j), observable(k), x)) < 1e-6
 
 
 class TestDirectSystem:
@@ -353,16 +353,8 @@ class TestDirectSystem:
         for n in (3, 8, 20):
             x = grid_alcove_point(rng, n)
             dq, dp = split(make_system(n, COUP), x.q, x.p)
-            step = 1e-6
-            for j in range(n):
-                qp, qm = x.q.copy(), x.q.copy()
-                qp[j] += step
-                qm[j] -= step
-                fd = (
-                    sutherland_H(SutherlandPoint(qp, x.p), COUP)
-                    - sutherland_H(SutherlandPoint(qm, x.p), COUP)
-                ) / (2 * step)
-                assert dq[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            fd = differences(lambda q: sutherland_H(SutherlandPoint(q, x.p), COUP), x.q, 1e-6)
+            assert dq == pytest.approx(fd, rel=1e-6, abs=1e-6)
             np.testing.assert_allclose(dp, x.p)
 
     @pytest.mark.parametrize("n", [1, 3, 8, 20])
@@ -392,14 +384,7 @@ class TestDirectSystem:
         sys = make_system(x.n, COUP)
         dq, dp = split(sys, x.q, x.p)
         step = 1e-4 * min(1.0, sys.boundary_margin(x.q))
-        fd = np.empty(x.n)
-        for j in range(x.n):
-            e = np.zeros(x.n)
-            e[j] = step
-            fd[j] = (
-                sutherland_H(SutherlandPoint(x.q + e, x.p), COUP)
-                - sutherland_H(SutherlandPoint(x.q - e, x.p), COUP)
-            ) / (2 * step)
+        fd = differences(lambda q: sutherland_H(SutherlandPoint(q, x.p), COUP), x.q, step)
         scale = max(1.0, float(np.max(np.abs(fd))))
         np.testing.assert_allclose(dq, fd, rtol=0, atol=1e-6 * scale)
         np.testing.assert_array_equal(dp, x.p)
@@ -1114,10 +1099,10 @@ class TestDualGradient:
         for j in range(3):
             lam_j = lambda y, j=j: y.q[j]
             theta_j = lambda y, j=j: y.p[j]
-            assert poisson_bracket_fd(lam_j, sys.hamiltonian, x) == pytest.approx(
+            assert bracket(lam_j, sys.hamiltonian, x) == pytest.approx(
                 dtheta[j], rel=1e-6, abs=1e-8
             )
-            assert poisson_bracket_fd(theta_j, sys.hamiltonian, x) == pytest.approx(
+            assert bracket(theta_j, sys.hamiltonian, x) == pytest.approx(
                 -dlam[j], rel=1e-6, abs=1e-8
             )
 
@@ -1127,14 +1112,9 @@ class TestDualGradient:
         lam, theta, c = point
         dlam, dtheta = _dual_grad(lam, theta, c)
 
-        def energy(lam, theta):
-            return dual_hamiltonian(DualPoint(lam, theta), c)
+        def energy(y):
+            return dual_hamiltonian(DualPoint(*np.split(y, 2)), c)
 
-        step = 1e-6
-        for j in range(lam.size):
-            e = np.zeros(lam.size)
-            e[j] = step
-            fd_lam = (energy(lam + e, theta) - energy(lam - e, theta)) / (2 * step)
-            fd_theta = (energy(lam, theta + e) - energy(lam, theta - e)) / (2 * step)
-            assert dlam[j] == pytest.approx(fd_lam, rel=1e-6, abs=1e-6)
-            assert dtheta[j] == pytest.approx(fd_theta, rel=1e-6, abs=1e-6)
+        fd_lam, fd_theta = np.split(differences(energy, np.concatenate([lam, theta]), 1e-6), 2)
+        assert dlam == pytest.approx(fd_lam, rel=1e-6, abs=1e-6)
+        assert dtheta == pytest.approx(fd_theta, rel=1e-6, abs=1e-6)
