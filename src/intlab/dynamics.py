@@ -153,7 +153,9 @@ class HamiltonianSystem:
 
     grad(y, out) writes Hamilton's right-hand side (dH/dp, -dH/dq) at
     the flat phase vector y = (q, p) into out, a float vector of the
-    same length, and returns out; y must not change.  Every system
+    same length, and returns out; y must not change.  y is the
+    integrator's scratch buffer, valid only during the call: it is
+    overwritten by the next stage, so grad must not keep it.  Every system
     supplies it analytically.  grad is defined inside the domain; outside
     it, or past the float range, it may write non-finite entries, and the
     integrator's error test rejects that trial stage.  hamiltonian(x)
@@ -210,7 +212,9 @@ def pair_system(T, w, margin, name, f=None, df=None):
     through the same matrix, -grad V = T^T (2 w * f'(x) / f(x)^3), with
     the force 2 w folded once here, so grad writes -dH/dq with no
     negation; it divides by f(x) three times, not by the cube, so beyond a
-    gap of about 5.6e102 it underflows to 0 instead of overflowing.
+    gap of about 5.6e102 it underflows to 0 instead of overflowing.  The
+    force r = 2 w f'(x) / f(x) / f(x) / f(x) is formed in place in one
+    array, and T^T r is written straight into out.
     margin(q) is the configuration domain's boundary margin, positive
     exactly inside it, and serves as boundary_margin as it is; it and the
     energy take a leading sample axis.  T is a finite 2-D array-like and w
@@ -227,8 +231,14 @@ def pair_system(T, w, margin, name, f=None, df=None):
     def grad(y, out):
         x = T.dot(y[:n])
         s = x if f is None else f(x)
-        top = force if df is None else force * df(x)
-        np.dot(top / s / s / s, T, out=out[n:])
+        if df is None:
+            r = force / s
+        else:
+            r = force * df(x)
+            r /= s
+        r /= s
+        r /= s
+        r.dot(T, out=out[n:])
         out[:n] = y[n:]
         return out
 
@@ -282,11 +292,13 @@ class ScatteringData(NamedTuple):
 
 def _dense(F, y_old, t_old, h, t):
     """scipy's Dop853DenseOutput on the step of size h from (t_old, y_old):
-    the state at a float t, or one row per entry of a 1-D array t."""
+    the state at a float t, or one row per entry of a 1-D array t.  Stacked,
+    F of shape (7, m, N), y_old (m, N) and t_old and h (m, 1) columns, row k
+    is t[k] on its own step, rounded as that step alone rounds it."""
     x = (np.asarray(t)[..., None] - t_old) / h
-    y = 0.0
+    rest, y = 1 - x, 0.0
     for k, f in enumerate(F[::-1]):
-        y = (y + f) * (x if k % 2 == 0 else 1 - x)
+        y = (y + f) * (rest if k % 2 else x)
     return y + y_old
 
 
@@ -324,7 +336,16 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     crossing on the interpolant as scipy's terminal events do, and the
     samples stop there.  Returns the states at the samples reached, one
     row each, whether the margin stopped the flow, and the diagnostics,
-    dense counting the interpolants built.  Driving scipy's own DOP853
+    dense counting the interpolants built.
+    The loop makes no temporaries where scipy's operations allow it, and
+    does those operations in scipy's order, so the bits are scipy's: every
+    stage argument, the three interpolant stages included, is formed in one
+    reused row arg; y_new, the error scale and the E5 and E3 vectors are
+    written in place; y and y_new swap on acceptance, and so do |y| and
+    |y_new|, so |y_new| serves the next step as |y|.  A step that holds
+    samples only leaves its interpolant pending, and one pass of _dense
+    after the loop evaluates every sample row; the margin crossing still
+    evaluates its own step.  Driving scipy's own DOP853
     stepper (step() and dense_output()) instead costs about a quarter of
     cm-scattering's throughput, so the loop stays in-house.
     """
@@ -345,11 +366,17 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     stages = [(K[:s].T, DOP853.A[s, :s]) for s in range(1, last)]
     extra = [(K[:s].T, a[:s]) for s, a in enumerate(DOP853.A_EXTRA, start=last + 1)]
     KB, KE = K[:last].T, K[: last + 1].T
+    # reused rows: y and y_new swap on acceptance, as do their magnitudes
+    y, y_new, arg, scale, err = y.copy(), *np.empty((4, y.size))
+    abs_y, abs_new = np.abs(y), np.empty_like(y)
 
-    def interpolant(y_old, y, h):
+    def interpolant(y_old, y, h, arg=arg):  # a parameter: arg *= h rebinds a closure's name
         """Dop853DenseOutput's F on the step from y_old to y."""
         for s, (Ks, a) in enumerate(extra, start=last + 1):
-            rhs(y_old + np.dot(Ks, a) * h, K[s])
+            Ks.dot(a, out=arg)
+            arg *= h
+            arg += y_old
+            rhs(arg, K[s])
         F, delta = np.empty((DOP853.D.shape[0] + 3, y.size)), y - y_old
         F[0] = delta
         F[1] = h * K[0] - delta
@@ -357,8 +384,9 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
         F[3:] = h * np.dot(DOP853.D, K)
         return F
 
-    # samples up to and including t, in the direction of time, as bisect keys
-    keys, i, rows = (direction * samples).tolist(), 0, np.empty((samples.size, y.size))
+    # samples up to and including t, in the direction of time, as bisect keys;
+    # each step that holds samples leaves (F, y_old, t_old, h, count) pending
+    keys, i, pending = (direction * samples).tolist(), 0, []
     accepted = rejected = dense = 0
     g, hit = margin(y[:n]), False
     while not hit and t != t1:
@@ -373,13 +401,22 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            for s, (Ks, a) in enumerate(stages, start=1):
-                rhs(y + np.dot(Ks, a) * h, K[s])
-            y_new = y + h * np.dot(KB, DOP853.B)
+            for s, (Ks, a) in enumerate(stages, start=1):  # scipy's y + (Ks . a) h
+                Ks.dot(a, out=arg)
+                arg *= h
+                arg += y
+                rhs(arg, K[s])
+            KB.dot(DOP853.B, out=y_new)
+            y_new *= h
+            y_new += y
             rhs(y_new, K[last])
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = _square_norm(np.dot(KE, DOP853.E5) / scale)
-            denom = err5 + 0.01 * _square_norm(np.dot(KE, DOP853.E3) / scale)
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
+            err5 = _square_norm(np.divide(KE.dot(DOP853.E5, out=err), scale, out=err))
+            err3 = _square_norm(np.divide(KE.dot(DOP853.E3, out=err), scale, out=err))
+            denom = err5 + 0.01 * err3
             error = 0.0 if denom == 0 else h_abs * err5 / np.sqrt(denom * y.size)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error**exponent)
@@ -388,7 +425,8 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
             h_abs *= max(0.2, 0.9 * error**exponent)
             rejected, retried = rejected + 1, True
         accepted += 1
-        t_old, y_old, t, y, f, F = t, y, t_new, y_new, K[last], None
+        t_old, y_old, t, y, y_new, f, F = t, y, t_new, y_new, y, K[last], None
+        abs_y, abs_new = abs_new, abs_y
         g_new = margin(y[:n])
         if g >= _BOUNDARY_MARGIN >= g_new:
             F, seen, dense = interpolant(y_old, y, h), {}, dense + 1
@@ -404,8 +442,14 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
         if j > i:
             if F is None:
                 F, dense = interpolant(y_old, y, h), dense + 1
-            rows[i:j] = _dense(F, y_old, t_old, h, samples[i:j])
+            pending.append((F, y_old.copy(), t_old, h, j - i))
             i = j
+    # one pass of _dense over every sample row, each on its own step; the
+    # first step always holds the sample at t0
+    Fs, y_olds, t_olds, hs, counts = zip(*pending)
+    step = np.repeat(np.arange(len(counts)), counts)
+    t_olds, hs = np.array(t_olds)[step, None], np.array(hs)[step, None]
+    rows = _dense(np.stack(Fs, axis=1)[:, step], np.array(y_olds)[step], t_olds, hs, samples[:i])
     diagnostics = dict(
         nfev=2 + 12 * (accepted + rejected) + 3 * dense,
         accepted=accepted,
@@ -414,7 +458,7 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
         t_stop=t,
         stop_margin=float(g),
     )
-    return rows[:i], hit, diagnostics
+    return rows, hit, diagnostics
 
 
 def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
@@ -433,7 +477,13 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     samples at np.linspace(t0, t1, n_samples) are one block, audited as such:
     one boundary_margin call truncates it at the first sample outside the
     domain (status 'truncated', not an error), and one sys.energy call takes
-    the energies of the rest.  invariant_family's observables take one
+    the energies of the rest.  A start inside the domain keeps its first
+    sample, which is the start itself unless the first step's interpolant
+    overflows (RangeError, as at |t0| = 1e200).  So a flow whose margin stops
+    it before the second sample is a one-sample 'truncated' trajectory, with
+    the usual t_stop and stop_margin: invariant_drift reads 0 on it, and
+    extract_scattering, which has no free line to check on one sample,
+    raises ConvergenceError.  invariant_family's observables take one
     sample's point at a time; the energy is always included.  x0 must be one
     finite PhasePoint of the system's dimension, tol a finite positive scalar,
     t_span two finite and distinct numbers, n_samples an integer >= 2.
@@ -458,14 +508,14 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
 
     samples = np.linspace(t0, t1, n_samples)
     ys, hit, diagnostics = _dopri(sys.grad, y0, t0, t1, tol, samples, sys.boundary_margin, sys.name)
+    # a finite first sample equals the start: _dense at x = 0
+    _in_range(ys[0], f"{sys.name}: the first step's interpolant overflows")
     block = PhasePoint.from_vector(ys)
 
     # drop the samples from the first one that slipped outside the open domain
     inside = sys.contains(block)
     keep = len(ys) if inside.all() else int(inside.argmin())
     status = "truncated" if hit or keep < len(ys) else "completed"
-    if keep < 2:
-        raise DomainError(f"{sys.name}: flow left the domain immediately")
     kept = slice(keep - 1, None, -1) if t1 < t0 else slice(keep)  # increasing times
     states = block[kept]
 
@@ -484,6 +534,8 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
 
 def _asymptote(traj, at_end):
     """(p, q - p t) of the outermost sample, after extract_scattering's checks."""
+    if len(traj.times) < 2:
+        raise ConvergenceError("a one-sample trajectory cannot show that it is free")
     count = max(len(traj.times) // 4, 2)
     k, window = (-1, slice(-count, None)) if at_end else (0, slice(0, count))
     outer, edge = traj.states[window], traj.states[k]
@@ -505,7 +557,8 @@ def extract_scattering(traj_fwd, traj_bwd):
     theta^+ and lambda^+ are the momenta p and the intercepts q - p t of the last
     sample of traj_fwd, theta^- the momenta of the first sample of traj_bwd, which
     must have traj_fwd's dimension (DomainError).  Over the outer quarter of each
-    trajectory (at least two samples) the flow must already be free, or
+    trajectory (at least two samples, so a one-sample trajectory raises) the
+    flow must already be free, or
     ConvergenceError: positions within _FREE_LINE_LIMIT * max(1, max |q|) of the
     free line through the outermost sample, momenta within 1e-3 of its momenta.
     """

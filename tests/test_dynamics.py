@@ -1,6 +1,7 @@
 """Tests for the generic flow/scattering layer and the test-side bracket of tests/hamilton.py."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from intlab.dynamics import (
 from intlab.errors import ConvergenceError, DomainError, StiffnessError
 from intlab.linalg import _stencil
 from hamilton import bracket, differences, energy, everywhere, first, kinetic
+from test_dopri import oracle
 
 COUP = sutherland.BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
 
@@ -160,6 +162,40 @@ class TestIntegrateFlow:
             with pytest.raises(DomainError, match="dimension"):
                 integrate_flow(sys, PhasePoint(q, np.zeros(n)), (0.0, 0.1), tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "build, q, p, span, tol, t_stop",
+        [
+            # free particles 1.5e-8 apart and closing at speed 2 reach the 1e-8
+            # boundary margin at t = 2.5e-9, before the second sample at t = 0.005
+            (lambda: calogero.make_system(2, 0.0), [1.5e-8, 0.0], [-1.0, 1.0], 1.0, 1e-9, 2.5e-9),
+            # test_dopri's dual orbit 0.005 before its below-margin point (margin
+            # 3.3e-6): the event stops it at t = 0.0049, before the sample at 0.025
+            (
+                lambda: sutherland.make_dual_system(3, COUP),
+                [5.540725885306691, 3.9407225544602635, 2.2834823906148753],
+                [1.7888801972892483, 0.8303487605286722, 1.4298147367996152],
+                5.0,
+                1e-6,
+                0.0049,
+            ),
+        ],
+        ids=["ratcm", "dual"],
+    )
+    def test_a_flow_that_leaves_at_once_is_one_sample(self, build, q, p, span, tol, t_stop):
+        # the start keeps its sample; this raised DomainError("...immediately")
+        sys, x0 = build(), PhasePoint(q, p)
+        sol = oracle(sys, x0, (0.0, span), tol)
+        traj = integrate_flow(sys, x0, (0.0, span), tol)
+        assert sol.status == 1 and traj.status == "truncated"
+        assert np.array_equal(traj.times, sol.t) and traj.times.tolist() == [0.0]
+        assert np.array_equal(traj.states.to_vector().T, sol.y)
+        assert traj.diagnostics["nfev"] == sol.nfev
+        assert traj.diagnostics["t_stop"] == sol.t_events[0][0] == pytest.approx(t_stop, rel=1e-2)
+        assert traj.diagnostics["stop_margin"] == pytest.approx(1e-8, abs=1e-12)
+        assert invariant_drift(traj) == {"energy": 0.0}
+        with pytest.raises(ConvergenceError, match="one-sample"):
+            extract_scattering(traj, traj)
+
     @pytest.mark.parametrize("q0", [[0.9, -0.2], [1e200, -0.2]])
     def test_gaps_of_1e200_flow_quietly(self, q0):
         # beyond a gap of about 5.6e102 the cube of the gap overflowed in the
@@ -227,14 +263,6 @@ class TestRaiseSites:
         with pytest.raises(DomainError, match="outside domain"):
             integrate_flow(sys, PhasePoint([0.0, 1.0], [0.0, 0.0]), (0.0, 1.0), tol=1e-9)
 
-    def test_a_flow_that_leaves_at_once_raises(self):
-        # free particles 1.5e-8 apart and closing at speed 2 reach the 1e-8
-        # boundary margin at t = 2.5e-9, before the second sample at t = 0.005
-        sys = calogero.make_system(2, 0.0)
-        x0 = PhasePoint([1.5e-8, 0.0], [-1.0, 1.0])
-        with pytest.raises(DomainError, match="immediately"):
-            integrate_flow(sys, x0, (0.0, 1.0), tol=1e-9)
-
 
 def pair_rhs(T, w, q, p, f=None, df=None):
     """(p, -dV/dq) of pair_system's potential, with dV/dq the chain rule
@@ -262,6 +290,14 @@ def cm_case(n, rng):
     return calogero.make_system(n, 1.3), q, p, pair_rhs(T, np.full(len(T), 1.3**2), q, p)
 
 
+def far_cm_case(n, rng):
+    # gaps of 1e200, beyond the 5.6e102 where the cube of a gap overflows: the
+    # force underflows to 0 quietly
+    q = -1e200 * np.arange(n)
+    p = rng.normal(size=n)
+    return calogero.make_system(n, 1.3), q, p, np.concatenate([p, np.zeros(n)])
+
+
 def dual_case(n, rng):
     gaps = 2 * COUP.mu + rng.uniform(0.8, 1.2, size=n)
     lam = COUP.nu + np.cumsum(gaps[::-1])[::-1]
@@ -270,15 +306,19 @@ def dual_case(n, rng):
     return sutherland.make_dual_system(n, COUP), lam, theta, np.concatenate([dtheta, -dlam])
 
 
-@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 3, 8, 20])
 @pytest.mark.parametrize(
-    "case", [direct_case, cm_case, dual_case], ids=["sutherland", "ratcm", "dual"]
+    "case",
+    [direct_case, cm_case, far_cm_case, dual_case],
+    ids=["sutherland", "ratcm", "ratcm-far", "dual"],
 )
 def test_grad_writes_the_right_hand_side_in_place(case, n):
     sys, q, p, want = case(n, np.random.default_rng(n))
     y = np.concatenate([q, p])
     y0, out = y.copy(), np.full_like(y, np.nan)
-    assert sys.grad(y, out) is out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sys.grad(y, out) is out
     assert np.array_equal(y, y0)
     assert np.array_equal(out, want)  # bit for bit, the sign of a zero aside
 
