@@ -10,7 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PhasePoint, _finite, _in_range, _pair, _pair_energy, _Record, pair_system
+from .dynamics import PhasePoint, _count, _finite, _in_range, _pair, _pair_energy, _Record
+from .dynamics import pair_system
 from .errors import DegeneracyError, DomainError
 from .linalg import _DEGENERACY_GAP, _stencil, hermitian_eigen
 
@@ -154,6 +155,7 @@ def hamiltonian(x):
 
 def make_system(n, g):
     """`pair_system` on the pair-difference rows of the stencil, with w = g^2
-    on every row and f the identity."""
+    on every row and f the identity.  DomainError unless n is an integer >= 1."""
+    n = _count(n, "n", 1)
     T, g = _differences(n), _coupling(g)
     return pair_system(T, np.full(T.shape[0], g**2), _order_margin, f"ratcm(n={n}, g={g})")

@@ -1,15 +1,11 @@
 """Hamiltonian flows on canonical coordinates, plus the audit tooling.
 
-The integrator is a plain adaptive Runge-Kutta pair: scipy's DOP853
-(Dormand-Prince 8(5,3)) reproduced step for step by `_dopri`, which
-differs only in running without scipy's initial-value driver and its
-per-step wrappers, and in taking a zero error where scipy's error norm
-is 0/0.  At the tolerances the flows use, 1e-9 to 1e-10, the 8th-order
-pair takes about 40 % fewer gradient calls than the 5th-order RK45.
-No symplectic structure is imposed.  Conservation is checked
-after the fact: every trajectory carries its invariant samples, and
-callers are expected to look at the drift numbers rather than trust the
-scheme.
+The integrator is scipy's adaptive Runge-Kutta pair DOP853 (Dormand-Prince
+8(5,3)), run step for step by `_dopri`, whose docstring says which parts are
+scipy's own and which are in-house.  No symplectic structure is imposed.
+Conservation is checked after the fact: every trajectory carries its
+invariant samples, and callers are expected to look at the drift numbers
+rather than trust the scheme.
 Every system supplies its analytic right-hand side, written in place:
 grad(y, out) fills out with (dH/dp, -dH/dq) at the flat phase vector
 y = (q, p), so `_dopri` calls it on its stage rows directly.
@@ -302,11 +298,6 @@ def _dense(F, y_old, t_old, h, t):
     return y + y_old
 
 
-def _rms(x):
-    """scipy's error norm, np.linalg.norm(x) / sqrt(x.size), bit for bit."""
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
-
-
 def _square_norm(x):
     """np.linalg.norm(x) ** 2 as scipy's DOP853 rounds it: not x.dot(x)."""
     return np.sqrt(x.dot(x)) ** 2
@@ -317,66 +308,62 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
     """scipy's DOP853 from (t, y) to t1, step for step: the Dormand-Prince
     8(5,3) pair (Prince-Dormand, J. Comput. Appl. Math. 7, 1981) with the
     step control and dense output of Hairer-Norsett-Wanner, Solving ODEs I,
-    II.10.
+    II.10, at atol = tol and rtol = max(tol, 100 eps).
 
-    Same tableau, atol = tol and rtol = max(tol, 100 eps), initial step,
-    12 stages an attempt, the E5/E3 error norm with step exponent -1/8, and
-    StiffnessError below ten float spacings.  One guard departs from
-    scipy, as Hairer's Fortran DOP853 does: where err5 = 0 and
-    0.01 err3^2 underflows, scipy's norm is 0/0 and its solver fails, and
-    here the error is 0.  A nan error still rejects the step.
+    Times, states, status, the margin stop and nfev are those of
+    solve_ivp(method="DOP853"), bit for bit (tests/test_dopri.py).  The start
+    is scipy's: a DOP853 object evaluates f0 and picks the first step with
+    its own selector (II.4).  The step loop, the dense pass and the margin
+    crossing are in-house, because driving scipy's stepper (step() and
+    dense_output()) costs about a quarter of cm-scattering's throughput.
+    They read scipy's tableau and do scipy's operations in scipy's order,
+    12 stages an attempt, the E5/E3 error norm with step exponent -1/8 and
+    StiffnessError below ten float spacings, but into reused rows: one row
+    for every stage argument, y_new, the error scale and the E5 and E3
+    vectors in place, and y, y_new and their magnitudes swapped on
+    acceptance.  One guard departs from scipy, as Hairer's Fortran DOP853
+    does: where err5 = 0 and 0.01 err3^2 underflows, scipy's norm is 0/0 and
+    its solver fails, and here the error is 0.  A nan error still rejects
+    the step.
     rhs(y, out) is a system's grad: it writes the derivative into out (a
     stage row) and returns it; it is autonomous, so the nodes DOP853.C
-    never enter.  It runs under one np.errstate, the initial-step probe
-    included, so a non-finite trial stage fails the error test quietly, as
-    in scipy.  The 7th-order interpolant costs three more stages, built
-    once for a step that holds a sample or a margin crossing and for no
-    other.  margin, a system's boundary_margin, reads the positions y[:n];
-    when it falls to _BOUNDARY_MARGIN within a step, brentq finds the
-    crossing on the interpolant as scipy's terminal events do, and the
-    samples stop there.  Returns the states at the samples reached, one
-    row each, whether the margin stopped the flow, and the diagnostics,
-    dense counting the interpolants built.
-    The loop makes no temporaries where scipy's operations allow it, and
-    does those operations in scipy's order, so the bits are scipy's: every
-    stage argument, the three interpolant stages included, is formed in one
-    reused row arg; y_new, the error scale and the E5 and E3 vectors are
-    written in place; y and y_new swap on acceptance, and so do |y| and
-    |y_new|, so |y_new| serves the next step as |y|.  A step that holds
-    samples only leaves its interpolant pending, and one pass of _dense
-    after the loop evaluates every sample row; the margin crossing still
-    evaluates its own step.  Driving scipy's own DOP853
-    stepper (step() and dense_output()) instead costs about a quarter of
-    cm-scattering's throughput, so the loop stays in-house.
+    never enter.  It runs under one np.errstate, the start included, so a
+    non-finite trial stage fails the error test quietly, as in scipy.  The
+    7th-order interpolant costs three more stages, built once for a step
+    that holds a sample or a margin crossing and for no other.  margin, a
+    system's boundary_margin, reads the positions y[:n]; when it falls to
+    _BOUNDARY_MARGIN within a step, brentq finds the crossing on that step's
+    interpolant as scipy's terminal events do, and the samples stop there.
+    Steps that hold samples leave their interpolants pending, and one pass
+    of _dense after the loop evaluates every sample row.  Returns the states
+    at the samples reached, one row each, whether the margin stopped the
+    flow, and the diagnostics, dense counting the interpolants built.
     """
     rtol, atol, direction = max(tol, 100 * _EPS), tol, 1.0 if t1 > t else -1.0
-    n = y.size // 2
-    exponent, span = -1 / (DOP853.error_estimator_order + 1), abs(t1 - t)
-    f = rhs(y, np.empty_like(y))
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((rhs(y + h0 * direction * f, np.empty_like(y)) - f) / scale) / h0
-    tiny = d1 <= 1e-15 and d2 <= 1e-15
-    h1 = max(1e-6, h0 * 1e-3) if tiny else (0.01 / max(d1, d2)) ** -exponent
-    h_abs = min(100 * h0, h1, span)
+    start = DOP853(lambda _, v: rhs(v, np.empty_like(v)), t, y, t1, rtol=rtol, atol=atol)
+    f, h_abs, exponent, n = start.f, start.h_abs, start.error_exponent, y.size // 2
 
-    # rows: the 12 stages, the derivative at the step's end, the 3 dense stages
+    # rows: the 12 stages, the derivative at the step's end, the 3 dense stages;
+    # each stage s is formed from the rows before it with the weights a
     K, last = np.empty((DOP853.D.shape[1], y.size)), DOP853.n_stages
-    stages = [(K[:s].T, DOP853.A[s, :s]) for s in range(1, last)]
-    extra = [(K[:s].T, a[:s]) for s, a in enumerate(DOP853.A_EXTRA, start=last + 1)]
+    trial = [(s, K[:s].T, DOP853.A[s, :s]) for s in range(1, last)]
+    extra = [(s, K[:s].T, a[:s]) for s, a in enumerate(DOP853.A_EXTRA, start=last + 1)]
     KB, KE = K[:last].T, K[: last + 1].T
     # reused rows: y and y_new swap on acceptance, as do their magnitudes
     y, y_new, arg, scale, err = y.copy(), *np.empty((4, y.size))
     abs_y, abs_new = np.abs(y), np.empty_like(y)
 
-    def interpolant(y_old, y, h, arg=arg):  # a parameter: arg *= h rebinds a closure's name
-        """Dop853DenseOutput's F on the step from y_old to y."""
-        for s, (Ks, a) in enumerate(extra, start=last + 1):
+    def stages(rows, base, h, arg=arg):  # a parameter: arg *= h rebinds a closure's name
+        """K[s] = rhs(base + (Ks . a) h) for each (s, Ks, a) of rows, as scipy rounds it."""
+        for s, Ks, a in rows:
             Ks.dot(a, out=arg)
             arg *= h
-            arg += y_old
+            arg += base
             rhs(arg, K[s])
+
+    def interpolant(y_old, y, h):
+        """Dop853DenseOutput's F on the step from y_old to y."""
+        stages(extra, y_old, h)
         F, delta = np.empty((DOP853.D.shape[0] + 3, y.size)), y - y_old
         F[0] = delta
         F[1] = h * K[0] - delta
@@ -401,11 +388,7 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            for s, (Ks, a) in enumerate(stages, start=1):  # scipy's y + (Ks . a) h
-                Ks.dot(a, out=arg)
-                arg *= h
-                arg += y
-                rhs(arg, K[s])
+            stages(trial, y, h)
             KB.dot(DOP853.B, out=y_new)
             y_new *= h
             y_new += y
@@ -464,11 +447,11 @@ def _dopri(rhs, y, t, t1, tol, samples, margin, name):
 def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     """Integrate Hamilton's equations q' = dH/dp, p' = -dH/dq.
 
-    The steps are scipy's DOP853 at rtol = atol = tol, reproduced bit for
-    bit by `_dopri`, without scipy's initial-value driver, which calls
-    sys.grad as its right-hand side; diagnostics carry its statistics:
-    nfev = 2 + 12 (accepted + rejected) + 3 dense, dense counting the
-    interpolants built for the samples and the margin crossing.  A trial
+    The steps are scipy's DOP853 at tolerance tol, bit for bit (see
+    `_dopri`), with sys.grad as the right-hand side; diagnostics carry its
+    statistics: nfev = 2 + 12 (accepted + rejected) + 3 dense, dense
+    counting the interpolants built for the samples and the margin
+    crossing.  A trial
     stage where sys.grad is not finite fails the error test.  The flow stops
     where boundary_margin falls through _BOUNDARY_MARGIN (1e-8), a downward
     crossing as scipy's terminal event of direction -1 sees it, so a start

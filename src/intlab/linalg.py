@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _count, _finite, _in_range
+from .dynamics import _finite, _in_range
 from .errors import StructureError
 
 # Gap below which a Hermitian spectrum is flagged as near-degenerate.
@@ -62,9 +62,8 @@ def _stencil(n):
     nonzero entries, +-1 or a single 2, so every entry of T @ q is exact
     up to one rounding.  `dynamics.pair_system` builds the pair
     potentials and their gradients on it.  Cached and read-only, as every
-    caller shares it.  DomainError unless n is an integer >= 1.
+    caller shares it.  n is an int >= 1, as the system builders check.
     """
-    n = _count(n, "n", 1)
     j, k = np.triu_indices(n, 1)
     eye = np.eye(n)
     T = np.vstack([eye[j] - eye[k], eye[j] + eye[k], eye, 2 * eye])

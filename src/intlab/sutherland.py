@@ -269,7 +269,9 @@ def lax_Y(x, c):
 
 
 def make_system(n, c):
-    """`pair_system` with f = sin on the whole stencil and w = _weights(n, c)."""
+    """`pair_system` with f = sin on the whole stencil and w = _weights(n, c).
+    DomainError unless n is an integer >= 1."""
+    n = _count(n, "n", 1)
     T = _stencil(n)
     return pair_system(T, _weights(n, c), _alcove_margin, f"sutherland-bc(n={n})", np.sin, np.cos)
 
@@ -688,10 +690,14 @@ class FamilyMatrices(NamedTuple):
     char_from_subset: np.ndarray
 
 
-@lru_cache(maxsize=None)
 def family_matrices(n):
-    """The maps for n particles; cached per n, so the arrays are read-only."""
-    n = _count(n, "n", 1)
+    """The maps for n particles; cached per n, so the arrays are read-only.
+    DomainError unless n is an integer >= 1, checked before the cache hashes n."""
+    return _family_matrices(_count(n, "n", 1))
+
+
+@lru_cache(maxsize=None)
+def _family_matrices(n):
     # the largest entry is char_from_subset[n, 0] = C(2n, n)
     limit = np.iinfo(np.int64).max
     if comb(2 * n, n) > limit:

@@ -8,7 +8,8 @@ p of shape (m, n)) to m energies, as integrate_flow's audit asks.  `first`
 and `everywhere` are boundary margins, which every system states.
 
 `differences` is the one central-difference stencil, for gradients a test
-checks against, and `bracket` builds the canonical Poisson bracket on it.
+checks against.  `gradient` takes an observable's gradient on it, and
+`bracket` builds the canonical Poisson bracket from two such gradients.
 """
 
 import numpy as np
@@ -65,11 +66,16 @@ def differences(f, y, h):
     return np.array([float(f(y + e)) - float(f(y - e)) for e in np.diag(h)]) / (2 * h)
 
 
+def gradient(f, x):
+    """(df/dq, df/dp) of an observable at one PhasePoint x, as one vector, by
+    differences of step STEP (1 + |y_j|) along each coordinate y_j of (q, p)."""
+    y = x.to_vector()
+    return differences(lambda v: f(PhasePoint.from_vector(v)), y, STEP * (1.0 + np.abs(y)))
+
+
 def bracket(f, g, x):
     """Canonical Poisson bracket {f, g} of two observables at one PhasePoint x,
-    by differences of step STEP (1 + |y_j|) along each coordinate y_j of (q, p)."""
-    y = x.to_vector()
-    h = STEP * (1.0 + np.abs(y))
-    fq, fp = np.split(differences(lambda v: f(PhasePoint.from_vector(v)), y, h), 2)
-    gq, gp = np.split(differences(lambda v: g(PhasePoint.from_vector(v)), y, h), 2)
+    on their `gradient`s."""
+    fq, fp = np.split(gradient(f, x), 2)
+    gq, gp = np.split(gradient(g, x), 2)
     return float(np.dot(fq, gp) - np.dot(fp, gq))

@@ -1,18 +1,19 @@
 """integrate_flow against scipy's solve_ivp(method="DOP853") as the oracle.
 
-The in-house Dormand-Prince driver reproduces DOP853 step for step, so the
-samples, their times and the status must be equal bit for bit, and the
-evaluation count must match solve_ivp's nfev.  Both run quietly under
-np.errstate, where a trial stage with a non-finite entry fails the error test.
-The one departure is where scipy's error norm is 0/0: there integrate_flow takes
-a zero error, as Hairer's Fortran DOP853 does, and solve_ivp fails.
+integrate_flow takes its start from scipy's DOP853 and runs the steps in-house
+(`dynamics._dopri`), so the samples, their times and the status must be equal
+bit for bit, and the evaluation count must match solve_ivp's nfev.  Both run
+quietly under np.errstate, where a trial stage with a non-finite entry fails
+the error test.  The one departure is where scipy's error norm is 0/0: there
+integrate_flow takes a zero error, as Hairer's Fortran DOP853 does, and
+solve_ivp fails.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from intlab import calogero, sutherland
+from intlab import calogero, dynamics, sutherland
 from intlab.dynamics import HamiltonianSystem, PhasePoint, integrate_flow
 from intlab.errors import StiffnessError
 from hamilton import energy, everywhere, first, kinetic
@@ -46,9 +47,9 @@ def oracle(sys, x0, t_span, tol, n_samples=201):
         )
 
 
-def assert_matches_oracle(sys, x0, t_span, tol):
-    sol = oracle(sys, x0, t_span, tol)
-    traj = integrate_flow(sys, x0, t_span, tol)
+def assert_matches_oracle(sys, x0, t_span, tol, n_samples=201):
+    sol = oracle(sys, x0, t_span, tol, n_samples)
+    traj = integrate_flow(sys, x0, t_span, tol, n_samples=n_samples)
     times = traj.times
     states = traj.states.to_vector().T
     if t_span[1] < t_span[0]:
@@ -122,6 +123,64 @@ def test_truncation_matches_the_event_root(t_span, p):
     assert diag["stop_margin"] == pytest.approx(BOUNDARY, abs=1e-12)
     assert diag["accepted"] >= 1
     assert diag["nfev"] == 2 + 12 * (diag["accepted"] + diag["rejected"]) + 3 * diag["dense"]
+
+
+def brackets(monkeypatch):
+    """The (t_old, t) step that each margin crossing's brentq searches."""
+    seen, search = [], dynamics.brentq
+
+    def brentq(f, a, b, **kw):
+        seen.append((a, b))
+        return search(f, a, b, **kw)
+
+    monkeypatch.setattr(dynamics, "brentq", brentq)
+    return seen
+
+
+# the sample rows are evaluated in one pass after the step loop, so a step
+# that holds many samples, a margin stop inside such a step and a backward
+# span each get a flow of 2001 samples
+ROWS = [
+    # about 40 steps: every step holds dozens of samples
+    pytest.param(lambda: calogero.make_system(4, 1.0), cm_point(4, np.random.default_rng(4)),
+                 (0.0, 2.0), id="cm-4-many"),
+    pytest.param(lambda: calogero.make_system(4, 1.0), cm_point(4, np.random.default_rng(4)),
+                 (0.0, -2.0), id="cm-4-many-backward"),
+    # the constant force takes a few long steps, and the wall is met within
+    # the last one after samples of its own
+    pytest.param(falling, PhasePoint([1.0], [0.3]), (0.0, 3.0), id="margin-stop"),
+    pytest.param(falling, PhasePoint([1.0], [-0.3]), (0.0, -3.0), id="margin-stop-backward"),
+]
+
+
+@pytest.mark.parametrize("build, x0, t_span", ROWS)
+def test_sample_rows_match_solve_ivp(build, x0, t_span, monkeypatch):
+    seen = brackets(monkeypatch)
+    sol, traj = assert_matches_oracle(build(), x0, t_span, 1e-10, n_samples=2001)
+    assert traj.diagnostics["dense"] * 20 < len(traj.times)
+    assert traj.status == ("truncated" if seen else "completed")
+    if seen:  # samples strictly inside the step before the crossing
+        (a, _), t_stop = seen[0], traj.diagnostics["t_stop"]
+        inside = np.sign(t_span[1] - t_span[0]) * (sol.t - a) > 0
+        assert np.count_nonzero(inside) > 1 and t_stop == sol.t_events[0][0]
+
+
+def norm_inputs():
+    rng = np.random.default_rng(2024)
+    for _ in range(20000):
+        size = int(rng.integers(1, 41))
+        yield rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)
+    for size in (1, 2, 7, 16, 40):
+        yield np.zeros(size)
+        yield np.full(size, 5e-324)
+        yield rng.uniform(0.5, 1.0, size=size) * 2.0**-1030 * rng.choice([-1, 1], size=size)
+
+
+def test_error_norms_are_numpys_bit_for_bit():
+    # the E5 and E3 norms differ from their plain forms in about one draw in a
+    # thousand: np.sqrt(d) ** 2 is not r * r for r = sqrt(d)
+    for x in norm_inputs():
+        assert dynamics._square_norm(x) == np.linalg.norm(x) ** 2
 
 
 def test_stiff_failure_matches_solve_ivp():
