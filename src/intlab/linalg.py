@@ -73,14 +73,16 @@ def _stencil(n):
 
 def _hermitian_part(M):
     """(H, ||M||, ||M - M*||): H = (M + M*) / 2 where ||M|| is finite and
-    ||M - M*|| <= 1e-12 max(1, ||M||), else None."""
-    Mh = M.conj().T
-    with np.errstate(over="ignore"):  # entries beyond about 1e154 overflow the norm
-        norm = np.linalg.norm(M)
-        dev = np.linalg.norm(M - Mh)
+    ||M - M*|| <= 1e-12 max(1, ||M||), else None; ||M - M*|| is inf where
+    ||M|| is not finite."""
+    norm = math.sqrt(np.vdot(M, M).real)
     # explicit: inf <= 1e-12 * inf would pass a non-Hermitian M
-    hermitian = math.isfinite(norm) and dev <= 1e-12 * max(1.0, norm)
-    return (M + Mh) / 2.0 if hermitian else None, norm, dev
+    if not math.isfinite(norm):
+        return None, norm, math.inf
+    Mh = M.conj().T
+    D = M - Mh  # a finite ||M|| keeps every entry below 1.4e154: no overflow
+    dev = math.sqrt(np.vdot(D, D).real)
+    return (M + Mh) / 2.0 if dev <= 1e-12 * max(1.0, norm) else None, norm, dev
 
 
 def hermitian_eigen(M):

@@ -11,7 +11,8 @@ constant stencil T of `linalg._stencil`, with weights
 w = (gamma per pair row, gamma1, gamma2).  `dynamics.pair_system` builds
 its flow and states the gradient's chain rule through T, and the
 first-order matrix lax_Y reads its pair entries off the Cauchy gaps of
-(q, -q), on the layout that every 2n x 2n matrix here shares.
+(q, -q), on the layout that every 2n x 2n matrix here shares, and its
+trace family off one n x n Gram matrix, as that matrix is chiral.
 
 Chart conventions for the dual side:
 
@@ -93,11 +94,20 @@ def _cauchy_masks(n):
     return layout
 
 
+@lru_cache(maxsize=None)
+def _orders(n):
+    """The orders k = 1..n as a column and 2k as a row; cached per n, so read-only."""
+    k = np.arange(1, n + 1)[:, None]
+    twice = 2 * k[:, 0]
+    k.flags.writeable = twice.flags.writeable = False
+    return k, twice
+
+
 def _power_sums(lam2):
     """Trace family sum_j lam2_j^k / (2k), k = 1..n, of lam2 = lam^2; RangeError on overflow."""
-    k = np.arange(1, lam2.size + 1)
+    k, twice = _orders(lam2.size)
     with np.errstate(over="ignore"):
-        sums = (lam2[None, :] ** k[:, None]).sum(axis=1) / (2 * k)
+        sums = (lam2[None, :] ** k).sum(axis=1) / twice
     return _in_range(sums, "power sums of lam^2 overflow")
 
 
@@ -244,11 +254,15 @@ def lax_Y(x, c):
     """First-order matrix of the direct flow and its commuting trace family.
 
     Returns (Y, H) with Y the 2n x 2n anti-Hermitian matrix and
-    H[k-1] = tr((-iY)^(2k)) / (4k) for k = 1..n.  The spectrum of (-iY)^2
-    holds each squared dual position lam_j^2 twice, so H is the power sum
-    of transported_family; squaring before the power halves the rounding
-    it amplifies.  Odd trace powers of -iY vanish, and H[0] reproduces
-    sutherland_H.  RangeError where (-iY)^2 overflows.
+    H[k-1] = tr((-iY)^(2k)) / (4k) for k = 1..n.  In n x n blocks
+    Y = [[a + iP, b + V - i kappa], [-b - V - i kappa, -a - iP]], so with C
+    the half swap -iY = X0 - kappa C, C X0 C = -X0 and (-iY)^2 = X0^2 + kappa^2,
+    where X0^2 is K*K on the +1 space of C and KK*, of the same spectrum, on
+    its -1 space, K = P - i(a + b + V).  So the spectrum of -iY is +-lam_j
+    with lam_j^2 = eig(K*K) + kappa^2, one n x n eigensolve: odd trace powers
+    vanish, H is the power sum of transported_family and H[0] reproduces
+    sutherland_H.  Forming K*K before the power halves the rounding it
+    amplifies.  RangeError where K*K, and with it (-iY)^2, overflows.
     """
     q, p, n = x.q, x.p, x.n
     selves = _cauchy_masks(n).selves
@@ -257,15 +271,17 @@ def lax_Y(x, c):
     s.put(selves[: 2 * n], np.inf)  # the block diagonals are written below
     Y = np.empty((2 * n, 2 * n), complex)
     with np.errstate(over="ignore", invalid="ignore"):  # a subnormal sine overflows too
-        a, b = -c.mu / s[:, :n], c.mu / s[:, n:]
-        Y[:n, :n], Y[:n, n:], Y[n:, :n], Y[n:, n:] = a, b, -b, -a
+        ab = c.mu / s
+        a, b = np.negative(ab[:, :n], out=ab[:, :n]), ab[:, n:]
+        Y[:n] = ab
+        np.negative(b, out=Y[n:, :n])
+        np.negative(a, out=Y[n:, n:])
         v = c.nu / s2 + c.kappa * np.cos(2 * q) / s2
         Y.put(selves, np.concatenate([1j * p, v - 1j * c.kappa, -1j * p, -v - 1j * c.kappa]))
-        X = -1j * Y
-        X2 = _in_range(X @ X, "(-iY)^2 overflows")
-    v = np.linalg.eigvalsh(X2)  # each lam_j^2 twice
-    lam2 = (v[0::2] + v[1::2]) / 2
-    return Y, _power_sums(lam2)
+        K = -1j * (a + b)
+        K.flat[:: n + 1] = p - 1j * v
+        G = _in_range(K.conj().T @ K, "(-iY)^2 overflows")
+    return Y, _power_sums(np.linalg.eigvalsh(G) + c.kappa**2)
 
 
 def make_system(n, c):

@@ -92,6 +92,40 @@ def mp_vector(x):
     return [mp.mpf(float(v)) for v in x]
 
 
+def mp_hermitian_product(X, Z):
+    """X Z for lists of rows X, Z whose product is Hermitian (two powers of
+    one Hermitian matrix): fdot fills the upper triangle, conjugation the rest."""
+    cols = list(zip(*Z))
+    P = [[None] * len(X) for _ in X]
+    for i, row in enumerate(X):
+        for j in range(i, len(X)):
+            P[i][j] = mp.fdot(row, cols[j])
+            P[j][i] = mp.conj(P[i][j])
+    return P
+
+
+def mp_trace_family(x, kmax):
+    """tr((-iY)^(2k)) / (4k), k = 1..kmax, of the oracle's matrix at 30 digits.
+
+    With A = (-iY)^2, tr(A^k) = sum_ij (A^a)_ij conj((A^b)_ij) for a + b = k,
+    as every power of A is Hermitian, so powers up to A^ceil(kmax/2) suffice.
+    """
+    with mp.workdps(30):
+        M = (mp.mpc(0, -1) * oracle.first_order_matrix(mp_vector(x.q), mp_vector(x.p))).tolist()
+        powers = [None, mp_hermitian_product(M, M)]
+        while len(powers) <= (kmax + 1) // 2:
+            powers.append(mp_hermitian_product(powers[-1], powers[1]))
+        want = []
+        for k in range(1, kmax + 1):
+            a, b = powers[(k + 1) // 2], powers[k // 2]
+            if b is None:
+                tr = mp.fsum(a[i][i] for i in range(len(a)))
+            else:
+                tr = mp.fdot((u, mp.conj(w)) for ra, rb in zip(a, b) for u, w in zip(ra, rb))
+            want.append(float(mp.re(tr)) / (4 * k))
+    return want
+
+
 @st.composite
 def family_points(draw, max_n=6):
     n = draw(st.integers(1, max_n))
@@ -296,34 +330,47 @@ class TestLaxY:
         want = np.array(want.tolist(), dtype=complex)
         assert np.max(np.abs(Y - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_trace_family_matches_mpmath_at_n8(self):
-        x = grid_alcove_point(np.random.default_rng(31), 8)
-        want = []
-        with mp.workdps(oracle.DPS):
-            M = mp.mpc(0, -1) * oracle.first_order_matrix(mp_vector(x.q), mp_vector(x.p))
-            M2 = M * M
-            power = M2
-            for k in range(1, 9):
-                want.append(float(mp.re(oracle.trace(power))) / (4 * k))
-                power = power * M2
+    @pytest.mark.parametrize("n, kmax", [(8, 8), (20, 6), (40, 3)])
+    def test_trace_family_matches_mpmath(self, n, kmax):
+        # kmax keeps the mpmath products to about 1.5 s at n = 40
+        x = grid_alcove_point(np.random.default_rng(31), n)
         _, fam = lax_Y(x, COUP)
-        np.testing.assert_allclose(fam, want, rtol=1e-12)
+        np.testing.assert_allclose(fam[:kmax], mp_trace_family(x, kmax), rtol=1e-12)
 
-    def test_trace_family_matches_matrix_powers(self):
+    @pytest.mark.parametrize("c", [
+        pytest.param(COUP, id="kappa>0"),
+        pytest.param(BCnCouplings(mu=1.1, nu=0.9, kappa=0.0), id="kappa=0"),
+        pytest.param(BCnCouplings(mu=0.5, nu=1.3, kappa=-0.9), id="kappa<0"),
+    ])
+    def test_trace_family_matches_matrix_powers(self, c):
         # the definition tr((-iY)^(2k)) / (4k), by repeated products, as
-        # the float reference for the spectral route
+        # the float reference for the spectral route; each sign of kappa,
+        # which enters that route only as the shift kappa^2
         rng = np.random.default_rng(32)
         for n in (2, 8, 20):
             for scale in (1.0, 4.0):
                 x = grid_alcove_point(rng, n)
                 x = SutherlandPoint(x.q, scale * x.p)
-                Y, fam = lax_Y(x, COUP)
+                Y, fam = lax_Y(x, c)
                 m2 = (-1j * Y) @ (-1j * Y)
                 power, want = m2, []
                 for k in range(1, n + 1):
                     want.append(np.trace(power).real / (4 * k))
                     power = power @ m2
                 np.testing.assert_allclose(fam, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_one_n_by_n_eigensolve(self, n, monkeypatch):
+        # the spectrum comes off the n x n Gram matrix, not the 2n x 2n square
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        lax_Y(grid_alcove_point(np.random.default_rng(34), n), COUP)
+        assert shapes == [(n, n)]
 
     def test_commuting_family_brackets(self):
         # bracket values are pure finite-difference noise; tame points keep
