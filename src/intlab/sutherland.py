@@ -28,18 +28,17 @@ and the smallest entry is its boundary margin.
 One routine writes the unitary dual matrix, in the global chart, which
 covers all of C^n, including z = 0, where the chamber inequalities
 saturate and the local chart dies; the local-chart matrix is its gauge
-by the phases of z, taken twice.  It is a Cauchy matrix, a
-rank-one numerator over X - 2*mu with X_ab = x_a - x_b the gaps of
-x = (lam, -lam), and the same gaps give its chart weights and the pair
-factors of the product-form energy.  Three sets of entries are written
-in place: those beside the diagonal of the square blocks, 0/0 where a
-gap saturates; the corner, 0/0 at lam_n = mu; and the diagonals of the
-off-diagonal blocks, which carry the (mu - nu) boundary terms.  The
-0/0 denominators are masked to inf before the division, so a saturated
-gap divides nothing by zero.  The commuting invariants of the direct
-side, transported to the dual side, are symmetric functions of lam(z)
-alone, so they only see the moduli |z_j|; the dual energy, by
-contrast, sees the phases as well.
+by the phases of z, taken twice.  It is a Cauchy matrix: a rank-one
+numerator plus the (mu - nu) boundary terms on the diagonals of the
+off-diagonal blocks, divided once by X - 2*mu, with X_ab = x_a - x_b the
+gaps of x = (lam, -lam); the same gaps give its chart weights and the
+pair factors of the product-form energy.  Where a gap saturates, beside
+the diagonal of the square blocks, and at the corner when lam_n = mu,
+the quotient is 0/0: these denominators are masked to inf before the
+division and the entries written after it in cancelled form.  The
+commuting invariants of the direct side, transported to the dual side,
+are symmetric functions of lam(z) alone, so they only see the moduli
+|z_j|; the dual energy, by contrast, sees the phases as well.
 
 The last third of the module treats a *rational* deformed family on the
 plain positive chamber (no 2*mu gaps): subset-sum Hamiltonians with
@@ -70,7 +69,7 @@ def _cauchy_gaps(lam, rows=None):
     return x[..., :rows, None] - x[..., None, :]
 
 
-_Layout = namedtuple("_Layout", "selves gaps chart ends eye")
+_Layout = namedtuple("_Layout", "selves gaps chart ends cancelled eye")
 
 
 @lru_cache(maxsize=None)
@@ -82,13 +81,15 @@ def _cauchy_masks(n):
     (a, a+1) and (n+a+1, n+a), a < n - 1, where X - 2*mu is the a-th slack.
     chart: selves then gaps, the factors _chart_g leaves out.  ends: the
     (mu - nu) entries of the dual matrix, selves[n:2n-1] then selves[3n:].
-    eye: the n x n boolean identity.
+    cancelled: gaps then the corner (n, 2n), the dual-matrix entries written
+    in cancelled form.  eye: the n x n boolean identity.
     """
     a, e, m = np.arange(n), np.arange(n - 1), 2 * n
     selves = np.concatenate([a * (m + 1), a * (m + 1) + n, (a + n) * (m + 1), (a + n) * m + a])
     gaps = np.concatenate([e * (m + 1) + 1, (e + n + 1) * m + n + e])
     ends = np.concatenate([selves[n : 2 * n - 1], selves[3 * n :]])
-    layout = _Layout(selves, gaps, np.concatenate([selves, gaps]), ends, np.eye(n, dtype=bool))
+    chart, cancelled = np.concatenate([selves, gaps]), np.append(gaps, n * m - 1)
+    layout = _Layout(selves, gaps, chart, ends, cancelled, np.eye(n, dtype=bool))
     for idx in layout:
         idx.flags.writeable = False
     return layout
@@ -438,20 +439,20 @@ def _chart_g(X, lam, c):
 
     Each is a square-root product of chamber factors 1 - 2*mu/X over a row
     of the Cauchy gaps X, low weights from the top rows and high from the
-    bottom.  The self entries, and the one gap factor per row that vanishes
-    on the boundary and is divided out, are masked to factor 1.  The
-    factors overwrite X.
+    bottom, times the row's lead term 1 -+ nu/lam_a.  The self entries and
+    the one gap factor per row that vanishes on the boundary are masked to
+    factor 1, and the gap it divides out divides the lead term instead; the
+    low lead 1 - nu/lam_n, which vanishes at lam_n = nu, becomes 1/lam_n.
+    The factors overwrite X.
     """
     n = lam.size
     gaps = lam[:-1] - lam[1:]
     X.put(_cauchy_masks(n).chart, np.inf)
     f = np.subtract(1.0, np.divide(2 * c.mu, X, out=X), out=X)
-    ratio = c.nu / lam
-    lead = np.concatenate([1.0 - ratio, 1.0 + ratio])  # low, then high; 2n - 2 over gaps
-    np.divide(lead[: n - 1], gaps, out=lead[: n - 1])
-    np.divide(lead[n + 1 :], gaps, out=lead[n + 1 :])
-    lead[n - 1] = 1.0 / lam[-1]
-    lead *= (f[:, :n] * f[:, n:]).prod(axis=1)
+    lead = 1.0 + np.divide.outer((-c.nu, c.nu), lam).reshape(-1)  # low, then high
+    lead[n - 1] = 1.0  # (1 - nu/lam_n) / |z_n|^2 = 1/lam_n
+    lead /= np.concatenate((gaps, lam[-1:], (1.0,), gaps))
+    lead *= f.prod(axis=1)
     return np.sqrt(lead, out=lead)
 
 
@@ -460,13 +461,16 @@ def _cancelled_corner(lam, mu, nu):
 
     The raw quotient [mu*|z_n g_n|^2 - (mu - nu)] / (mu - lam_n) is 0/0 at
     the crossing; expanding |z_n g_n|^2 factor by factor telescopes it
-    into the series below, regular through lam_n = mu.
+    into the series below, regular through lam_n = mu.  On the chamber no
+    square in it exceeds lam_1^2 and every factor of run lies in [0, 2), so
+    one check, on lam_n^2 - lam_1^2, covers every term.
     """
     *rest, x = lam.tolist()  # Python floats: numpy scalar arithmetic is slower
-    acc = 0.0
-    run = 1.0
-    for la in rest:  # products, not **: a Python float square raises OverflowError
-        gap = _in_range(x * x - la * la, "corner series of the dual matrix overflows")
+    if rest:  # products, not **: a Python float square raises OverflowError
+        _in_range(x * x - rest[0] * rest[0], "corner series of the dual matrix overflows")
+    acc, run = 0.0, 1.0
+    for la in rest:
+        gap = x * x - la * la
         acc += run / gap
         run *= ((x - 2 * mu) * (x - 2 * mu) - la * la) / gap
     return (4 * mu**2 * (x - nu) * acc - nu) / x
@@ -475,34 +479,30 @@ def _cancelled_corner(lam, mu, nu):
 def _dual_matrix(lam, z, c):
     """The unitary dual matrix at global-chart z, with lam = lambda_of_z(z).
 
-    A = -2*mu (u v^T) / (X - 2*mu) on the Cauchy gaps X, u = (lo, conj hi) and
-    v = (hi, conj lo), with three sets of entries written in place: (a, a+1)
-    and (n+a+1, n+a), where X - 2*mu = |z_a|^2 cancels to -2*mu*g_a*g_(n+a+1);
-    the diagonals of the off-diagonal blocks, which gain (mu - nu)/(lam - mu)
-    top right and -(mu - nu)/(lam + mu) bottom left; and the corner (n, 2n),
-    by its cancelled form.  The quotients of the first and last set are 0/0
-    where a gap saturates or lam_n = mu, so their denominators are set to inf
-    before the division.  On the second set X - 2*mu is exactly 2*(lam - mu)
-    and -2*(lam + mu), and its terms, negated, are subtracted, so that the
-    imaginary parts keep their signed zeros.
+    With lo_a = conj(z_a) g_a, hi_a = z_(a-1) g_(n+a) and z_(-1) = 1, the
+    vectors u = (lo, conj hi) and v = (hi, conj lo) are each other's
+    conjugates with the halves swapped, so A = N / (X - 2*mu) on the Cauchy
+    gaps X, with N = -2*mu u v^T + 2*(mu - nu) E, has C A C = A*; E holds
+    the diagonals of the off-diagonal blocks, corner aside.  The boundary
+    terms are subtracted, negated, so that the imaginary parts keep their
+    signed zeros.  After the one division two sets of entries are written
+    in cancelled form, their denominators set to inf before it: (a, a+1)
+    and (n+a+1, n+a), where X - 2*mu = |z_a|^2 cancels to
+    -2*mu*g_a*g_(n+a+1), and the corner (n, 2n), 0/0 at lam_n = mu.
     """
     n = z.size
     mu, nu = c.mu, c.nu
     layout = _cauchy_masks(n)
     X = _cauchy_gaps(lam)
     den = X - 2 * mu
-    den.put(layout.gaps, np.inf)
-    den[n - 1, -1] = np.inf  # the corner
+    den.put(layout.cancelled, np.inf)
     g = _chart_g(X, lam, c)
-    uv = np.empty((2, 2 * n), complex)  # rows u = (lo, conj hi) and v = (hi, conj lo)
-    lohi = uv[:, :n]
-    np.conjugate(z, out=lohi[0])
-    lohi[1, 0], lohi[1, 1:] = 1.0, z[:-1]  # z_(a-1) * g_(n+a), z_(-1) = 1
-    np.multiply(lohi, g.reshape(2, n), out=lohi)
-    np.conjugate(lohi[::-1], out=uv[:, n:])
-    A = -2 * mu * (uv[0, :, None] * uv[1]) / den
+    w = np.concatenate((z, (1.0,), z[:-1])) * g  # (conj lo, hi)
+    u = -2 * mu * np.conjugate(w)
+    A = u[:, None] * w.reshape(2, n)[::-1].reshape(-1)  # v is w with its halves swapped
+    A.put(layout.ends, A.take(layout.ends) - 2 * (nu - mu))
+    A /= den
     A.put(layout.gaps, -2 * mu * g[: n - 1] * g[n + 1 :])  # put repeats it for both sets
-    A.put(layout.ends, A.take(layout.ends) - 2 * (nu - mu) / den.take(layout.ends))
     A[n - 1, -1] = _cancelled_corner(lam, mu, nu)
     return A
 
@@ -573,16 +573,16 @@ def dual_lax_local(d, c):
     h = dual_h_matrix(lam, kappa), which agrees with dual_hamiltonian.
     In n x n blocks h^2 = lam^-1 [[d, kappa], [-kappa, d]] with
     d = sqrt(lam^2 - kappa^2), so the value needs only the real parts of
-    the diagonals of the four blocks, which the gauge leaves alone.
+    the diagonals of the four blocks, read off A, as the gauge keeps them.
     """
     lam, n = d.lam, d.n
     phase = np.exp(1j * np.cumsum(d.theta))
     z = np.sqrt(_require_chamber(lam, c)) * phase
     A = _dual_matrix(lam, z, c)
+    tl, tr, br, bl = A.take(_cauchy_masks(n).selves).real.reshape(4, n)  # the block diagonals
     blocks = A.reshape(2, n, 2, n)  # G* A G in place: rows by the phases, columns by their conjugates
     np.multiply(phase[:, None, None], blocks, out=blocks)
     np.multiply(blocks, np.conj(phase), out=blocks)
-    tl, tr, br, bl = A.take(_cauchy_masks(n).selves).real.reshape(4, n)  # the block diagonals
     trace = (np.sqrt(lam**2 - c.kappa**2) * (tl + br) + c.kappa * (bl - tr)) / lam
     return A, 0.5 * float(trace.sum())
 

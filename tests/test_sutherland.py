@@ -582,9 +582,20 @@ class TestDualLaxLocal:
             dual_lax_local(DualPoint([3.0, 0.5], [0.0, 0.0]), COUP)  # lam_n < nu
 
     def test_corner_overflow_raises(self):
-        # lam_1^2 overflows in the corner series, which raised Python's OverflowError
-        with pytest.raises(RangeError, match="corner series"):
-            dual_lax_local(DualPoint([1e160, 5.0], [0.0, 0.0]), COUP)
+        # one check, on lam_n^2 - lam_1^2, covers every term of the corner series:
+        # below its overflow the matrix is finite and unitary, beyond it RangeError
+        # (an overflowing lam_1^2 raised Python's OverflowError before the check);
+        # neither side warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for tail, theta in (([5.0], [0.3, -0.2]), ([5.0, 2.0], [0.3, -0.2, 0.4])):
+                for top in (1e150, 1e154):
+                    A, _ = dual_lax_local(DualPoint([top, *tail], theta), COUP)
+                    assert np.all(np.isfinite(A)), f"lam_1 = {top}"
+                    eye = np.eye(A.shape[0])
+                    np.testing.assert_allclose(A @ A.conj().T, eye, rtol=0, atol=1e-14)
+                with pytest.raises(RangeError, match="corner series"):
+                    dual_lax_local(DualPoint([1e160, *tail], theta), COUP)
 
     def test_former_regularity_margins(self):
         # within 1e-9 of lam_n = nu, of a gap 2*mu and of |2*mu - nu|: the
@@ -613,6 +624,20 @@ class TestDualLaxGlobal:
             for z in ([], [[0.5, 1.0], [1.0, 0.5]], [np.nan, 1.0], [0.5, np.inf]):
                 with pytest.raises(DomainError):
                     call(z)
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 20, 40])
+    def test_matches_mpmath_through_the_gauge(self, n):
+        # A = G L G* with G = chart_gauge(z) and L the oracle's local-chart
+        # matrix at (lam(z), theta(z)): the oracle builds L from its
+        # square-root vector, not from the global chart's Cauchy form
+        rng = np.random.default_rng(40 + n)
+        z = rng.uniform(0.5, 1.2, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        lam, theta = lambda_of_z(z, COUP), np.diff(np.angle(z), prepend=0.0)
+        local = oracle.dual_local_matrix(mp_vector(lam), mp_vector(theta))
+        G = chart_gauge(z)
+        want = G @ np.array(local.tolist(), dtype=complex) @ G.conj().T
+        got = dual_lax_global(z, COUP).lax
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_lambda_of_z(self):
         z = np.array([0.5 + 0.5j, -0.3j, 1.0])
@@ -657,7 +682,7 @@ class TestDualLaxGlobal:
 
     def test_cached_masks_read_only(self):
         # every cached layout array is shared by all callers at that n
-        assert _cauchy_masks(5)._fields == ("selves", "gaps", "chart", "ends", "eye")
+        assert _cauchy_masks(5)._fields == ("selves", "gaps", "chart", "ends", "cancelled", "eye")
         for n in (1, 5):
             for idx in _cauchy_masks(n):
                 assert not idx.flags.writeable
