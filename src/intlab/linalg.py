@@ -7,8 +7,9 @@ monic coefficients, a Vieta loop over Python numbers; the value added is
 the fixed conventions (sorting, degeneracy flag, monic coefficients,
 stencil row order) that the rest of the package relies on.
 
-One Hermitian test, `_hermitian_part`, picks the eigensolver: `hermitian_eigen`
-requires it, and `char_poly` takes `eigvalsh` where it passes, `eigvals` elsewhere.
+Every matrix whose spectrum the package reads is Hermitian, so both
+spectral entry points take their matrix through one front,
+`_hermitian_part`, and raise the same error where it fails.
 """
 
 import math
@@ -25,14 +26,6 @@ from .errors import StructureError
 _DEGENERACY_GAP = 1e-9
 
 
-def _as_square(M):
-    """M as a non-empty square complex matrix, or StructureError; DomainError unless finite."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
-        raise StructureError(f"expected a non-empty square matrix, got shape {M.shape}")
-    return _finite(M, "M")
-
-
 class HermitianSpectrum(NamedTuple):
     """Sorted eigenvalues and aligned orthonormal basis of a Hermitian matrix.
 
@@ -47,8 +40,7 @@ class HermitianSpectrum(NamedTuple):
 
 
 class CharPoly(NamedTuple):
-    """Coefficients K_0..K_N of det(y I - M) = sum_m K_{N-m} y^m, K_0 = 1;
-    real for a Hermitian M, complex otherwise."""
+    """Real coefficients K_0..K_N of det(y I - M) = sum_m K_{N-m} y^m, K_0 = 1."""
 
     coefficients: np.ndarray
 
@@ -72,34 +64,31 @@ def _stencil(n):
 
 
 def _hermitian_part(M):
-    """(H, ||M||, ||M - M*||): H = (M + M*) / 2 where ||M|| is finite and
-    ||M - M*|| <= 1e-12 max(1, ||M||), else None; ||M - M*|| is inf where
-    ||M|| is not finite."""
-    norm = math.sqrt(np.vdot(M, M).real)
-    # explicit: inf <= 1e-12 * inf would pass a non-Hermitian M
-    if not math.isfinite(norm):
-        return None, norm, math.inf
+    """(M + M*) / 2 for a non-empty, square, finite M with ||M - M*|| at most
+    1e-12 max(1, ||M||).  Else, in this order: StructureError for the shape,
+    DomainError for a non-finite entry, RangeError where ||M|| overflows, and
+    StructureError for the deviation."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise StructureError(f"expected a non-empty square matrix, got shape {M.shape}")
+    _finite(M, "M")
+    # an overflowing sum of squares reads inf, or nan where re^2 and im^2 both do
+    norm = _in_range(math.sqrt(np.vdot(M, M).real), "matrix norm overflows")
+    scale = max(1.0, norm)
     Mh = M.conj().T
     D = M - Mh  # a finite ||M|| keeps every entry below 1.4e154: no overflow
     dev = math.sqrt(np.vdot(D, D).real)
-    return (M + Mh) / 2.0 if dev <= 1e-12 * max(1.0, norm) else None, norm, dev
-
-
-def hermitian_eigen(M):
-    """Eigendecomposition with the package-wide sorting convention.
-
-    StructureError unless M is Hermitian to 1e-12 of max(1, ||M||), and
-    RangeError where ||M||, and with it that test, overflows.
-    """
-    M = _as_square(M)
-    H, norm, dev = _hermitian_part(M)
-    if H is None:
-        scale = _in_range(max(1.0, norm), "matrix norm overflows")
+    if not dev <= 1e-12 * scale:  # a nan deviation, from overflowing squares, fails too
         raise StructureError(
             f"matrix is not Hermitian: ||M - M*|| = {dev:.3e} exceeds 1e-12 * {scale:.3e}"
         )
-    w, U = np.linalg.eigh(H)
-    flagged = bool(len(w) > 1 and np.min(np.diff(w)) < _DEGENERACY_GAP)
+    return (M + Mh) / 2.0
+
+
+def hermitian_eigen(M):
+    """Eigendecomposition of the Hermitian M, sorted; the errors of `_hermitian_part`."""
+    w, U = np.linalg.eigh(_hermitian_part(M))
+    flagged = bool(np.diff(w).min(initial=np.inf) < _DEGENERACY_GAP)
     return HermitianSpectrum(eigenvalues=w, basis=U, near_degenerate=flagged)
 
 
@@ -119,10 +108,7 @@ def _poly(roots):
 
 
 def char_poly(M):
-    """Characteristic coefficients from the eigenvalues of M; RangeError on overflow.
-    Real, from eigvalsh, where M passes _hermitian_part; complex, from eigvals, elsewhere."""
-    M = _as_square(M)
-    H, _, _ = _hermitian_part(M)
-    roots = np.linalg.eigvals(M) if H is None else np.linalg.eigvalsh(H)
+    """Characteristic coefficients from eigvalsh of the Hermitian M; the errors of
+    `_hermitian_part`, and RangeError where a coefficient overflows."""
+    roots = np.linalg.eigvalsh(_hermitian_part(M))
     return CharPoly(coefficients=_in_range(_poly(roots), "characteristic coefficients overflow"))
-

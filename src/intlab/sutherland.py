@@ -462,12 +462,13 @@ def _cancelled_corner(lam, mu, nu):
     The raw quotient [mu*|z_n g_n|^2 - (mu - nu)] / (mu - lam_n) is 0/0 at
     the crossing; expanding |z_n g_n|^2 factor by factor telescopes it
     into the series below, regular through lam_n = mu.  On the chamber no
-    square in it exceeds lam_1^2 and every factor of run lies in [0, 2), so
-    one check, on lam_n^2 - lam_1^2, covers every term.
+    square in it, nor in dual_lax_local's trace, exceeds lam_1^2, and every
+    factor of run lies in [0, 2), so one check, on lam_1^2, covers every
+    term at every n.
     """
     *rest, x = lam.tolist()  # Python floats: numpy scalar arithmetic is slower
-    if rest:  # products, not **: a Python float square raises OverflowError
-        _in_range(x * x - rest[0] * rest[0], "corner series of the dual matrix overflows")
+    top = float(lam[0])  # a product, not **: a Python float square raises OverflowError
+    _in_range(top * top, "corner series of the dual matrix overflows")
     acc, run = 0.0, 1.0
     for la in rest:
         gap = x * x - la * la

@@ -9,13 +9,19 @@ energies divide by it.  Anything but an IntlabError fails, and the project's
 warning filter turns a leaked numpy RuntimeWarning into an error too.  Huge
 state magnitudes are tried where a square, a sum of squares or a product
 overflows: the momenta of sutherland_H, calogero.hamiltonian and
-integrate_flow's start (a pair system's energy) at p = 1e200,
-hermitian_eigen's matrix, whose norm overflows there, moser_B's positions
-and the lam of dual_h_matrix, family_lax and family_eval at 1e200,
-acd_functions at z = +-1e200, and integrate_flow's t0 at +-1e200, where a
-trial step's stages overflow.  Every entry point on a rational CM point is
-also tried at a gap of 1e-310, where g/gap and g^2/gap^2 overflow.  Other
-entry points at huge or tiny states are outside the contract so far.
+integrate_flow's start (a pair system's energy) at p = 1e200, the matrix
+of hermitian_eigen and char_poly, whose norm overflows there, moser_B's
+positions and the lam of dual_h_matrix, family_lax and family_eval at
+1e200, acd_functions at z = +-1e200, and integrate_flow's t0 at +-1e200,
+where a trial step's stages overflow.  On the dual side, the lam of
+dual_lax_local and dual_hamiltonian is tried at 1e200, and z at +-1e200
+in its real and in its imaginary part for every entry point on the global
+chart but chart_gauge, whose phases stay finite and valid at any |z|.
+Every entry point on a rational CM point is also tried at a gap of
+1e-310, where g/gap and g^2/gap^2 overflow.  Huge values in the other
+arguments are not tried here; at +-1e200 each of them either returns a
+finite result (an angle theta, lax_LQ's momenta, chart_gauge's z) or
+raises a typed error.
 """
 
 import ast
@@ -92,14 +98,15 @@ DIRECT_X = SutherlandPoint(SQ, SP), {
     "x.q": (lambda v: SutherlandPoint(put(SQ, v), SP), ()),
     "x.p": (lambda v: SutherlandPoint(SQ, put(SP, v)), ()),
 }
-DUAL_D = DualPoint(LAM, THETA), {
+DUAL_D = huge((DualPoint(LAM, THETA), {
     "d.lam": (lambda v: DualPoint(put(LAM, v), THETA), ()),
     "d.theta": (lambda v: DualPoint(LAM, put(THETA, v)), ()),
-}
+}), "d.lam")
 Z_ARG = Z, {
     "Re z": (lambda v: put(Z, v), ()),
     "Im z": (lambda v: put(Z, complex(0.0, v), 1), ()),
 }
+Z_HUGE = also(Z_ARG, (HUGE, -HUGE), "Re z", "Im z")
 KAPPA = 0.25, {
     "kappa": (lambda v: v, (HUGE,)),
     "i kappa": (lambda v: complex(0.0, v), (HUGE,)),
@@ -193,7 +200,7 @@ TABLE = {
     },
     "intlab.linalg": {
         "hermitian_eigen": calls(linalg.hermitian_eigen, huge(M_ARG, "M")),
-        "char_poly": calls(linalg.char_poly, M_ARG),
+        "char_poly": calls(linalg.char_poly, huge(M_ARG, "M")),
     },
     "intlab.calogero": {
         "RatCMPoint": calls(RatCMPoint, vec(Q, "q"), vec(P, "p"), scalar(G, "g", True)),
@@ -219,10 +226,10 @@ TABLE = {
         "make_system": calls(sutherland.make_system, N_ARG, BC_C),
         "dual_h_matrix": calls(sutherland.dual_h_matrix, huge(vec(LAM, "lam"), "lam"), KAPPA),
         "dual_hamiltonian": calls(sutherland.dual_hamiltonian, DUAL_D, BC_C),
-        "lambda_of_z": calls(sutherland.lambda_of_z, Z_ARG, BC_C),
-        "dual_lax_global": calls(sutherland.dual_lax_global, Z_ARG, BC_C),
-        "alcove_q": calls(sutherland.alcove_q, Z_ARG, BC_C),
-        "transported_family": calls(sutherland.transported_family, Z_ARG, BC_C),
+        "lambda_of_z": calls(sutherland.lambda_of_z, Z_HUGE, BC_C),
+        "dual_lax_global": calls(sutherland.dual_lax_global, Z_HUGE, BC_C),
+        "alcove_q": calls(sutherland.alcove_q, Z_HUGE, BC_C),
+        "transported_family": calls(sutherland.transported_family, Z_HUGE, BC_C),
         "chart_gauge": calls(sutherland.chart_gauge, Z_ARG),
         "dual_lax_local": calls(sutherland.dual_lax_local, DUAL_D, BC_C),
         "make_dual_system": calls(sutherland.make_dual_system, N_ARG, BC_C),

@@ -51,7 +51,7 @@ def test_src_calls_no_np_poly():
 
 def test_src_general_eigensolver_calls_are_listed():
     # a Hermitian matrix goes through eigh or eigvalsh; the general solver is
-    # left for char_poly's non-Hermitian route and alcove_q's unitary matrix
+    # left for alcove_q's unitary matrix
     src = Path(__file__).resolve().parent.parent / "src"
     calls = []
     for path in sorted(src.rglob("*.py")):
@@ -64,4 +64,4 @@ def test_src_general_eigensolver_calls_are_listed():
                 while owner in parent and not isinstance(owner, FUNCTIONS):
                     owner = parent[owner]
                 calls.append((path.name, getattr(owner, "name", "<module>")))
-    assert calls == [("linalg.py", "char_poly"), ("sutherland.py", "alcove_q")]
+    assert calls == [("sutherland.py", "alcove_q")]

@@ -582,13 +582,15 @@ class TestDualLaxLocal:
             dual_lax_local(DualPoint([3.0, 0.5], [0.0, 0.0]), COUP)  # lam_n < nu
 
     def test_corner_overflow_raises(self):
-        # one check, on lam_n^2 - lam_1^2, covers every term of the corner series:
-        # below its overflow the matrix is finite and unitary, beyond it RangeError
-        # (an overflowing lam_1^2 raised Python's OverflowError before the check);
-        # neither side warns
+        # one check, on lam_1^2, covers every term of the corner series at
+        # every n: below its overflow the matrix is finite and unitary, beyond
+        # it RangeError (an overflowing lam_1^2 raised Python's OverflowError
+        # before the check, and at n = 1 the trace leaked numpy's overflow
+        # warning); neither side warns
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for tail, theta in (([5.0], [0.3, -0.2]), ([5.0, 2.0], [0.3, -0.2, 0.4])):
+            tails = (([], [0.3]), ([5.0], [0.3, -0.2]), ([5.0, 2.0], [0.3, -0.2, 0.4]))
+            for tail, theta in tails:
                 for top in (1e150, 1e154):
                     A, _ = dual_lax_local(DualPoint([top, *tail], theta), COUP)
                     assert np.all(np.isfinite(A)), f"lam_1 = {top}"
@@ -772,10 +774,15 @@ class TestDualLaxGlobal:
     @pytest.mark.parametrize("call", [dual_lax_global, alcove_q])
     def test_overflow_raises(self, call):
         # at 1e150 lam_1^2 overflows in the corner series, which raised Python's
-        # OverflowError; at 1e160 |z|^2 overflows, with a RuntimeWarning
-        for v, match in ((1e150, "corner series"), (1e160, r"\|z\|\^2")):
+        # OverflowError; one particle at 1e78 has lam_1 = 1e156, which returned
+        # a matrix; at 1e160 |z|^2 overflows, with a RuntimeWarning
+        for z, match in (
+            (np.full(3, 1e150 + 0j), "corner series"),
+            (np.array([1e78 + 0j]), "corner series"),
+            (np.full(3, 1e160 + 0j), r"\|z\|\^2"),
+        ):
             with pytest.raises(RangeError, match=match):
-                call(np.full(3, v + 0j), COUP)
+                call(z, COUP)
 
     def test_lambda_of_z_overflow_raises(self):
         # |z|^2 = 1e320 came back as inf with a RuntimeWarning
