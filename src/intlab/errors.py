@@ -24,7 +24,8 @@ class StructureError(IntlabError):
 
 
 class ConvergenceError(IntlabError):
-    """A flow is not yet asymptotically free where scattering data is read off it."""
+    """A flow is not yet asymptotically free where scattering data is read off it,
+    or an eigensolver did not converge."""
 
 
 class RangeError(IntlabError):

@@ -2,10 +2,11 @@
 
 Hermitian eigendecompositions, characteristic polynomials, and the
 linear stencil of the pair potentials.  Everything here is plain numpy
-on small dense matrices, except `_poly`, the one route from roots to
-monic coefficients, a Vieta loop over Python numbers; the value added is
-the fixed conventions (sorting, degeneracy flag, monic coefficients,
-stencil row order) that the rest of the package relies on.
+on small dense matrices, except `_eigh`, the one LAPACK call behind every
+spectrum in the package, and `_poly`, a Vieta loop over Python numbers
+from roots to monic coefficients; the value added is the fixed
+conventions (sorting, degeneracy flag, monic coefficients, stencil row
+order) that the rest of the package relies on.
 
 Every matrix whose spectrum the package reads is Hermitian, so both
 spectral entry points take their matrix through one front,
@@ -17,9 +18,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import zheevd
 
 from .dynamics import _finite, _in_range
-from .errors import StructureError
+from .errors import ConvergenceError, StructureError
 
 # Gap below which a Hermitian spectrum is flagged as near-degenerate.
 # Downstream code decides what to do with the flag.
@@ -71,9 +73,10 @@ def _hermitian_part(M):
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise StructureError(f"expected a non-empty square matrix, got shape {M.shape}")
-    _finite(M, "M")
-    # an overflowing sum of squares reads inf, or nan where re^2 and im^2 both do
-    norm = _in_range(math.sqrt(np.vdot(M, M).real), "matrix norm overflows")
+    norm = math.sqrt(np.vdot(M, M).real)  # inf or nan for a non-finite entry or on overflow
+    if not math.isfinite(norm):
+        _finite(M, "M")
+        _in_range(norm, "matrix norm overflows")
     scale = max(1.0, norm)
     Mh = M.conj().T
     D = M - Mh  # a finite ||M|| keeps every entry below 1.4e154: no overflow
@@ -85,9 +88,20 @@ def _hermitian_part(M):
     return (M + Mh) / 2.0
 
 
+def _eigh(H, vectors=False):
+    """np.linalg.eigvalsh(H), or eigh(H), bit for bit and without numpy's gufunc overhead:
+    one zheevd call on the lower triangle of the complex H with at least LAPACK's optimal
+    workspace (on less, zhetrd runs unblocked above n = 32); ConvergenceError on failure."""
+    n = len(H)
+    w, U, info = zheevd(H, compute_v=vectors, lower=1, lwork=max(n * n + 2 * n, 33 * n))
+    if info:
+        raise ConvergenceError(f"zheevd did not converge: info = {info}")
+    return (w, np.ascontiguousarray(U)) if vectors else w  # numpy's basis is C-ordered
+
+
 def hermitian_eigen(M):
-    """Eigendecomposition of the Hermitian M, sorted; the errors of `_hermitian_part`."""
-    w, U = np.linalg.eigh(_hermitian_part(M))
+    """Sorted eigendecomposition of the Hermitian M; the errors of `_hermitian_part` and `_eigh`."""
+    w, U = _eigh(_hermitian_part(M), vectors=True)
     flagged = bool(np.diff(w).min(initial=np.inf) < _DEGENERACY_GAP)
     return HermitianSpectrum(eigenvalues=w, basis=U, near_degenerate=flagged)
 
@@ -108,7 +122,7 @@ def _poly(roots):
 
 
 def char_poly(M):
-    """Characteristic coefficients from eigvalsh of the Hermitian M; the errors of
-    `_hermitian_part`, and RangeError where a coefficient overflows."""
-    roots = np.linalg.eigvalsh(_hermitian_part(M))
+    """Characteristic coefficients from the eigenvalues of the Hermitian M; the errors
+    of `_hermitian_part` and `_eigh`, and RangeError where a coefficient overflows."""
+    roots = _eigh(_hermitian_part(M))
     return CharPoly(coefficients=_in_range(_poly(roots), "characteristic coefficients overflow"))

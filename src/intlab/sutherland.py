@@ -59,7 +59,7 @@ import numpy as np
 from .dynamics import HamiltonianSystem, _count, _finite, _in_range, _pair, _pair_energy
 from .dynamics import _Record, _vec, pair_system
 from .errors import ChartError, DomainError, RangeError
-from .linalg import _poly, _stencil
+from .linalg import _eigh, _poly, _stencil
 
 
 def _cauchy_gaps(lam, rows=None):
@@ -282,7 +282,7 @@ def lax_Y(x, c):
         K = -1j * (a + b)
         K.flat[:: n + 1] = p - 1j * v
         G = _in_range(K.conj().T @ K, "(-iY)^2 overflows")
-    return Y, _power_sums(np.linalg.eigvalsh(G) + c.kappa**2)
+    return Y, _power_sums(_eigh(G) + c.kappa**2)
 
 
 def make_system(n, c):
@@ -326,8 +326,10 @@ def _h_rotation(lam, kappa, disc):
     if kappa == 0:
         alpha, beta = np.ones(n), np.zeros(n)
     else:
-        root = np.sqrt(lam + np.sqrt(disc))
-        alpha, beta = root / np.sqrt(2 * lam), kappa / (np.sqrt(2 * lam) * root)
+        # real roots of a real disc, divided as complex where kappa is: a complex disc's bits
+        root = np.sqrt(lam + np.sqrt(disc)).astype(np.result_type(disc, kappa), copy=False)
+        s = np.sqrt(2 * lam)
+        alpha, beta = root / s, kappa / (s * root)
     h = np.zeros((2 * n, 2 * n), np.result_type(alpha, beta))
     h.put(_cauchy_masks(n).selves, np.concatenate([alpha, beta, alpha, -beta]))  # selves order
     return h
@@ -642,17 +644,16 @@ def _family_lax(lam, theta, c):
     X = _cauchy_gaps(lam)
     den = 1j * mu + X
     X.put(selves[: 2 * n], np.inf)  # self factors are 1
-    minus, plus = X[:n, :n], X[:n, n:]
     swap = selves.reshape(4, n)[1::2]  # the half swap
-    kappa = -1j * c.kappa
     with np.errstate(all="ignore"):  # a tiny lam, e^(-theta/2) and its inverse scale F
-        z = -(1 + 1j * nu / lam) * ((1 + 1j * mu / minus) * (1 + 1j * mu / plus)).prod(axis=1)
-        hinv = _h_rotation(lam, kappa, lam**2 - np.square(kappa))  # C h C
+        w = 1 + 1j * mu / X[:n]  # the minus half, then the plus half
+        z = -(1 + 1j * nu / lam) * (w[:, :n] * w[:, n:]).prod(axis=1)
+        hinv = _h_rotation(lam, -1j * c.kappa, lam**2 + c.kappa * c.kappa)  # C h C
         f = np.exp(-theta / 2) * np.sqrt(np.abs(z))
         F = np.concatenate([f, np.conj(z) / f])
         num = 1j * mu * (F[:, None] * np.conj(F))
         num.put(swap, num.take(swap) + 1j * (mu - 2 * nu))
-        return _in_range(hinv @ (num / den) @ hinv, "family matrix overflows")
+        return _in_range(hinv @ np.divide(num, den, out=num) @ hinv, "family matrix overflows")
 
 
 class FamilyTable(NamedTuple):
@@ -676,7 +677,7 @@ def family_eval(lam, theta, c):
     """
     d = DualPoint(lam, theta)
     lam, theta, n = d.lam, d.theta, d.n
-    y = np.linalg.eigvalsh(_family_lax(lam, theta, c))[n:]
+    y = _eigh(_family_lax(lam, theta, c))[n:]
     with np.errstate(all="ignore"):
         # the monic polynomial with roots -s lists e_0..e_n of s
         subset = _poly(-((y - 1) ** 2) / y)

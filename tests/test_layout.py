@@ -39,19 +39,11 @@ def test_hamiltonian_system_is_the_only_dataclass():
 def test_src_calls_no_np_poly():
     # linalg._poly is the one route from roots to coefficients; np.poly
     # gives the same bits on real roots at one convolve call per root
-    src = Path(__file__).resolve().parent.parent / "src"
-    calls = [
-        (path.name, node.lineno)
-        for path in sorted(src.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.poly", "numpy.poly")
-    ]
-    assert calls == []
+    assert src_calls(("poly",)) == []
 
 
-def test_src_general_eigensolver_calls_are_listed():
-    # a Hermitian matrix goes through eigh or eigvalsh; the general solver is
-    # left for alcove_q's unitary matrix
+def src_calls(names):
+    """(file, enclosing function) of every call in src/ whose last dotted name is in names."""
     src = Path(__file__).resolve().parent.parent / "src"
     calls = []
     for path in sorted(src.rglob("*.py")):
@@ -59,9 +51,23 @@ def test_src_general_eigensolver_calls_are_listed():
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             name = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
-            if name in ("eig", "eigvals"):
+            if name in names:
                 owner = node
                 while owner in parent and not isinstance(owner, FUNCTIONS):
                     owner = parent[owner]
                 calls.append((path.name, getattr(owner, "name", "<module>")))
-    assert calls == [("sutherland.py", "alcove_q")]
+    return calls
+
+
+def test_src_general_eigensolver_calls_are_listed():
+    # a Hermitian matrix goes through linalg._eigh; the general solver is
+    # left for alcove_q's unitary matrix
+    assert src_calls(("eig", "eigvals")) == [("sutherland.py", "alcove_q")]
+
+
+def test_src_hermitian_spectra_go_through_one_route():
+    # linalg._eigh is the one call into LAPACK's zheevd, with the workspace
+    # that keeps numpy's bits; eigh and eigvalsh would pay numpy's gufunc
+    # overhead on every small matrix
+    assert src_calls(("eigh", "eigvalsh")) == []
+    assert src_calls(("zheevd",)) == [("linalg.py", "_eigh")]

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intlab.errors import DomainError, RangeError, StructureError
-from intlab.linalg import _poly, _stencil, char_poly, hermitian_eigen
+from intlab import linalg
+from intlab.errors import ConvergenceError, DomainError, RangeError, StructureError
+from intlab.linalg import _eigh, _poly, _stencil, char_poly, hermitian_eigen
 from intlab.sutherland import BCnCouplings, family_lax
 
 EPS = np.finfo(float).eps
@@ -98,6 +99,35 @@ def test_char_poly_accepts_exactly_what_hermitian_eigen_accepts(M, rejected):
                 hermitian_eigen(M)
             with pytest.raises(rejected, match=re.escape(str(first.value))):
                 char_poly(M)
+
+
+class TestEigh:
+    @pytest.mark.parametrize("n", [1, 2, 8, 20, 31, 32, 33, 40, 64])
+    def test_numpy_bits(self, n):
+        # zhetrd blocks above n = 32 only with a workspace of LAPACK's optimum;
+        # with scipy's default of n + 1 the eigenvalues differed at n = 40 in
+        # every draw.  A Fortran-ordered basis moved calogero's weights
+        # q @ |U|^2 by an ulp at n = 2, so the basis is C-ordered, as numpy's
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            H = random_hermitian(rng, n)
+            w, U = np.linalg.eigh(H)
+            got_w, got_U = _eigh(H, vectors=True)
+            assert np.array_equal(got_w, w) and np.array_equal(got_U, U)
+            assert got_U.flags.c_contiguous
+            assert np.array_equal(_eigh(H), np.linalg.eigvalsh(H))
+
+    @pytest.mark.parametrize("call", [hermitian_eigen, char_poly])
+    def test_no_convergence_raises(self, call, monkeypatch):
+        # zheevd reports info > 0 where its divide and conquer fails; numpy
+        # raised a bare LinAlgError there
+        def stalled(a, compute_v=1, **kwargs):
+            n = len(a)
+            return np.zeros(n), np.zeros((n, n) if compute_v else (0, 0), complex), 1
+
+        monkeypatch.setattr(linalg, "zheevd", stalled)
+        with pytest.raises(ConvergenceError, match="info = 1"):
+            call(random_hermitian(np.random.default_rng(6), 4))
 
 
 class TestHermitianEigen:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
+from intlab import sutherland
 from intlab.dynamics import PhasePoint, integrate_flow
 from intlab.errors import ChartError, DomainError, RangeError
 from intlab.linalg import _stencil, char_poly
@@ -362,13 +363,13 @@ class TestLaxY:
     @pytest.mark.parametrize("n", [1, 8])
     def test_one_n_by_n_eigensolve(self, n, monkeypatch):
         # the spectrum comes off the n x n Gram matrix, not the 2n x 2n square
-        shapes, eigvalsh = [], np.linalg.eigvalsh
+        shapes, eigh = [], sutherland._eigh
 
         def spy(a, *args, **kwargs):
             shapes.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(sutherland, "_eigh", spy)
         lax_Y(grid_alcove_point(np.random.default_rng(34), n), COUP)
         assert shapes == [(n, n)]
 
@@ -745,6 +746,22 @@ class TestDualLaxGlobal:
         lam_1 = lambda_of_z(np.zeros(n), c)[0]
         total = np.cos(2 * alcove_q(np.zeros(n), c)).sum()
         assert abs(total + n * kappa / lam_1) <= 2e-15 * n
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_dual_energy_is_cosine_sum_at_general_z(self, n):
+        # the duality away from z = 0: the dual energy at (lam(z), theta), theta
+        # the successive phase differences of z, is -sum_j cos 2q_j at the
+        # positions q = alcove_q(z).  The error relative to max(1, |H|) grows as
+        # 1/cos^2 q_1 near the outer wall; times cos^2 q_1 it read at most 4.0e-15
+        # in 1000 draws per n (flat: up to 4.9e-14 at n = 10)
+        rng = np.random.default_rng(23 + n)
+        for _ in range(60):
+            z = 0.7 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            d = DualPoint(lambda_of_z(z, COUP), np.diff(np.angle(z), prepend=0.0))
+            H = dual_hamiltonian(d, COUP)
+            q = alcove_q(z, COUP)
+            err = abs(H + np.cos(2 * q).sum()) / max(1.0, abs(H))
+            assert err * np.cos(q[0]) ** 2 <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
     @pytest.mark.parametrize("mu, nu, kappa", EQUILIBRIUM_COUPLINGS)
