@@ -521,26 +521,33 @@ def dual_lax_global(z, c):
     """Global-chart dual matrix, defined on all of C^n including z = 0.
 
     It stays smooth where chamber gaps saturate; the local-chart matrix
-    of dual_lax_local is its gauge, and alcove_q reads the direct-side
-    positions off its spectrum.
+    of dual_lax_local is its gauge, and duality_map reads the direct-side
+    point off its spectrum and eigenvectors.
     """
     z = _vec(z, "z", complex)
     lam = _lam_of_z(z, c)
     return DualGlobal(lam=lam, lax=_dual_matrix(lam, z, c))
 
 
-def alcove_q(z, c):
-    """Direct-side alcove positions encoded in the dual matrix at z.
+def duality_map(z, c):
+    """Direct-side point (q, p) dual to the global-chart point z.
 
-    They are half the n largest eigenphases of -(h A h)^*, with A the
-    global-chart matrix and h = dual_h_matrix(lam(z), kappa).  At z = 0
-    they are the equilibrium configuration of the direct flow.
+    With A the global-chart matrix and h = dual_h_matrix(lam(z), kappa), the
+    unitary M = -(h A h)^* has the spectrum exp(+-2i q_j).  Inside the alcove
+    -1 is not in it, so K = i(I - M)(I + M)^-1 is Hermitian, with eigenvalues
+    tan(+-q_j): q is arctan of its n largest, descending, and p_j the weight of
+    diag(lam, -lam) on h^T times the j-th of their eigenvectors.  lax_Y's trace
+    family at (q, p) is transported_family(z); at z = 0, (q, 0) is the
+    equilibrium of the direct flow.
     """
     glob = dual_lax_global(z, c)
-    h = dual_h_matrix(glob.lam, c.kappa)
-    spun = h @ glob.lax @ h
-    args = np.angle(np.linalg.eigvals(-spun.conj().T))
-    return np.sort(args)[::-1][: glob.lam.size] / 2.0
+    lam, n = glob.lam, glob.lam.size
+    h = dual_h_matrix(lam, c.kappa)
+    M = -(h @ glob.lax @ h).conj().T
+    eye = np.eye(2 * n)
+    w, W = _eigh(1j * np.linalg.solve(eye + M, eye - M), vectors=True)
+    p = np.concatenate([lam, -lam]) @ np.abs(h.T @ W[:, : n - 1 : -1]) ** 2
+    return SutherlandPoint(np.arctan(w[: n - 1 : -1]), p)
 
 
 def transported_family(z, c):

@@ -228,7 +228,7 @@ TABLE = {
         "dual_hamiltonian": calls(sutherland.dual_hamiltonian, DUAL_D, BC_C),
         "lambda_of_z": calls(sutherland.lambda_of_z, Z_HUGE, BC_C),
         "dual_lax_global": calls(sutherland.dual_lax_global, Z_HUGE, BC_C),
-        "alcove_q": calls(sutherland.alcove_q, Z_HUGE, BC_C),
+        "duality_map": calls(sutherland.duality_map, Z_HUGE, BC_C),
         "transported_family": calls(sutherland.transported_family, Z_HUGE, BC_C),
         "chart_gauge": calls(sutherland.chart_gauge, Z_ARG),
         "dual_lax_local": calls(sutherland.dual_lax_local, DUAL_D, BC_C),

@@ -60,9 +60,9 @@ def src_calls(names):
 
 
 def test_src_general_eigensolver_calls_are_listed():
-    # a Hermitian matrix goes through linalg._eigh; the general solver is
-    # left for alcove_q's unitary matrix
-    assert src_calls(("eig", "eigvals")) == [("sutherland.py", "alcove_q")]
+    # none are left: every spectrum src/ reads goes through linalg._eigh, and
+    # duality_map reads its unitary matrix's off a Hermitian Cayley transform
+    assert src_calls(("eig", "eigvals")) == []
 
 
 def test_src_hermitian_spectra_go_through_one_route():

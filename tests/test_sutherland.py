@@ -25,12 +25,12 @@ from intlab.sutherland import (
     BCnCouplings,
     DualPoint,
     SutherlandPoint,
-    alcove_q,
     chart_gauge,
     dual_h_matrix,
     dual_hamiltonian,
     dual_lax_global,
     dual_lax_local,
+    duality_map,
     family_eval,
     family_lax,
     family_matrices,
@@ -44,11 +44,13 @@ from intlab.sutherland import (
 from intlab.sutherland import (
     _cauchy_gaps,
     _cauchy_masks,
+    _chamber_slack,
     _dual_grad,
     _family_lax,
     _weights,
 )
 from hamilton import bracket, differences, gradient, split
+from oracles import duality
 from oracles import sutherland_reference as oracle
 
 COUP = BCnCouplings(mu=0.8, nu=0.7, kappa=0.25)
@@ -621,7 +623,7 @@ class TestDualLaxGlobal:
             lambda z: transported_family(z, COUP),
             chart_gauge,
             lambda z: dual_lax_global(z, COUP),
-            lambda z: alcove_q(z, COUP),
+            lambda z: duality_map(z, COUP),
         )
         for call in calls:
             for z in ([], [[0.5, 1.0], [1.0, 0.5]], [np.nan, 1.0], [0.5, np.inf]):
@@ -711,7 +713,7 @@ class TestDualLaxGlobal:
 
     def test_equilibrium_positions_critical(self):
         for c in (BCnCouplings(mu=1.0, nu=0.5, kappa=0.0), COUP):
-            q = alcove_q(np.zeros(3), c)
+            q = duality_map(np.zeros(3), c).q
             assert q[-1] > 0 and q[0] < np.pi / 2 and np.all(np.diff(q) < 0)
             dq, _ = split(make_system(3, c), q, np.zeros(3))
             assert np.max(np.abs(dq)) < 1e-8
@@ -735,8 +737,10 @@ class TestDualLaxGlobal:
         # a = (nu + kappa)/(2 mu) - 1 and b = (nu - kappa)/(2 mu) - 1
         c = BCnCouplings(mu, nu, kappa)
         x, _ = roots_jacobi(n, (nu + kappa) / (2 * mu) - 1, (nu - kappa) / (2 * mu) - 1)
-        q = alcove_q(np.zeros(n), c)
-        assert np.max(np.abs(q - np.arccos(x) / 2)) <= 1e-14
+        point = duality_map(np.zeros(n), c)
+        assert np.max(np.abs(point.q - np.arccos(x) / 2)) <= 1e-14
+        # and at rest: |p| read at most 2.1e-14 lam_1 over these cases
+        assert np.max(np.abs(point.p)) <= 1e-13 * lambda_of_z(np.zeros(n), c)[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
     @pytest.mark.parametrize("mu, nu, kappa", JACOBI_COUPLINGS)
@@ -744,22 +748,22 @@ class TestDualLaxGlobal:
         # sum_j cos 2q_j = -n kappa / lam_1 at z = 0, lam_1 = nu + 2 mu (n - 1)
         c = BCnCouplings(mu, nu, kappa)
         lam_1 = lambda_of_z(np.zeros(n), c)[0]
-        total = np.cos(2 * alcove_q(np.zeros(n), c)).sum()
+        total = np.cos(2 * duality_map(np.zeros(n), c).q).sum()
         assert abs(total + n * kappa / lam_1) <= 2e-15 * n
 
     @pytest.mark.parametrize("n", [3, 6, 10])
     def test_dual_energy_is_cosine_sum_at_general_z(self, n):
         # the duality away from z = 0: the dual energy at (lam(z), theta), theta
         # the successive phase differences of z, is -sum_j cos 2q_j at the
-        # positions q = alcove_q(z).  The error relative to max(1, |H|) grows as
-        # 1/cos^2 q_1 near the outer wall; times cos^2 q_1 it read at most 4.0e-15
-        # in 1000 draws per n (flat: up to 4.9e-14 at n = 10)
+        # positions q = duality_map(z).q.  The error relative to max(1, |H|)
+        # grows as 1/cos^2 q_1 near the outer wall; times cos^2 q_1 it read at
+        # most 2.6e-15 in 1000 draws per n (flat: up to 2.7e-13 at n = 10)
         rng = np.random.default_rng(23 + n)
         for _ in range(60):
             z = 0.7 * (rng.normal(size=n) + 1j * rng.normal(size=n))
             d = DualPoint(lambda_of_z(z, COUP), np.diff(np.angle(z), prepend=0.0))
             H = dual_hamiltonian(d, COUP)
-            q = alcove_q(z, COUP)
+            q = duality_map(z, COUP).q
             err = abs(H + np.cos(2 * q).sum()) / max(1.0, abs(H))
             assert err * np.cos(q[0]) ** 2 <= 1e-14
 
@@ -771,7 +775,7 @@ class TestDualLaxGlobal:
         # eigenvalues are omega_j^2 with omega_j = 2 sum_{k <= j} lam_k(0)
         c = BCnCouplings(mu, nu, kappa)
         T, w = _stencil(n), _weights(n, c)
-        s2 = np.sin(T @ alcove_q(np.zeros(n), c)) ** 2
+        s2 = np.sin(T @ duality_map(np.zeros(n), c).q) ** 2
         hessian = T.T @ ((w * 2 * (3 - 2 * s2) / s2**2)[:, None] * T)
         omega = 2 * np.cumsum(lambda_of_z(np.zeros(n), c))
         np.testing.assert_allclose(np.linalg.eigvalsh(hessian), np.sort(omega**2), rtol=1e-12)
@@ -782,13 +786,13 @@ class TestDualLaxGlobal:
         # each force component against the sum of the force sizes 2|w|/|sin x|^3
         # that enter it: the force terms themselves vanish at n = 1, kappa = 0
         c = BCnCouplings(mu, nu, kappa)
-        q = alcove_q(np.zeros(n), c)
+        q = duality_map(np.zeros(n), c).q
         T, w = _stencil(n), _weights(n, c)
         scale = np.abs(T).T @ (2 * np.abs(w) / np.abs(np.sin(T @ q)) ** 3)
         force, _ = split(make_system(n, c), q, np.zeros(n))
         assert np.all(np.abs(force) <= 1e-11 * scale)
 
-    @pytest.mark.parametrize("call", [dual_lax_global, alcove_q])
+    @pytest.mark.parametrize("call", [dual_lax_global, duality_map])
     def test_overflow_raises(self, call):
         # at 1e150 lam_1^2 overflows in the corner series, which raised Python's
         # OverflowError; one particle at 1e78 has lam_1 = 1e156, which returned
@@ -826,6 +830,66 @@ class TestDualLaxGlobal:
             z = mods * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
             np.testing.assert_allclose(transported_family(z, COUP), base, atol=1e-10)
             np.testing.assert_allclose(lambda_of_z(z, COUP), lambda_of_z(mods, COUP), atol=1e-10)
+
+
+class TestDualityMap:
+    """duality_map(z) is the direct-side point dual to z (Feher and Gorbe,
+    J. Math. Phys. 55, 2014).  tan q_1 is the largest eigenvalue it reads,
+    so its errors grow as 1/cos^2 q_1 near the outer wall; the bounds at
+    general z hold the errors times cos^2 q_1."""
+
+    KAPPAS = [0.25, 0.0, -0.4]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_trace_family_is_transported(self, n, kappa):
+        # the duality's spectral half: lax_Y's trace family at duality_map(z) is
+        # transported_family(z).  Entry by entry relative, times cos^2 q_1, the
+        # error read at most 4.0e-15 in 300 draws per n over the three kappa
+        # (flat: up to 2.5e-10 at n = 40).  With the n largest eigenvectors taken
+        # ascending, every draw here from n = 2 on misses by 1e-6 or more, scaled
+        c = couplings_with(kappa)
+        rng = np.random.default_rng([n, self.KAPPAS.index(kappa)])
+        for _ in range(10):
+            z = 0.7 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            x = duality_map(z, c)
+            want = transported_family(z, c)
+            err = np.max(np.abs(lax_Y(x, c)[1] - want) / want)
+            assert err * np.cos(x.q[0]) ** 2 <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
+    def test_positions_match_eigenphases(self, n):
+        # the oracle reads 2q off the general eigensolver's phases of M itself;
+        # the two routes differed by up to 1.5e-12 at n = 40, and times cos^2 q_1
+        # by at most 3.8e-16, in 300 draws per (n, kappa)
+        rng = np.random.default_rng(37 + n)
+        for _ in range(5):
+            z = 0.7 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            q = duality_map(z, COUP).q
+            assert np.max(np.abs(q - duality.eigvals_q(z, COUP))) * np.cos(q[0]) ** 2 <= 2e-15
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_dual_flow_is_linear(self, n):
+        # along the dual flow q stays fixed and p moves as p(0) + t sin 2q, with
+        # no factor 2, as the map carries dq^dp to dlam^dtheta / 2.  Over 300
+        # DOP853 flows per n (tol 1e-12, t <= 2, 21 samples) q moved by at most
+        # 2.4e-11 and p missed by at most 8.2e-10 relative to max(1, |p|).  With
+        # p's sign flipped in the map it misses by 1.0 or more here, which the
+        # trace family, even in p, cannot see
+        sys = make_dual_system(n, COUP)
+        rng = np.random.default_rng(370 + n)
+        for _ in range(4):
+            z0 = 0.7 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            start = PhasePoint(lambda_of_z(z0, COUP), np.diff(np.angle(z0), prepend=0.0))
+            traj = integrate_flow(sys, start, (0.0, 2.0), tol=1e-12, n_samples=21)
+            assert traj.status == "completed"
+            x0 = duality_map(z0, COUP)
+            for t, lam, theta in zip(traj.times, traj.states.q, traj.states.p):
+                mods = np.sqrt(_chamber_slack(lam, 2 * COUP.mu, COUP.nu))
+                x = duality_map(mods * np.exp(1j * np.cumsum(theta)), COUP)
+                assert np.max(np.abs(x.q - x0.q)) <= 1e-10
+                want = x0.p + t * np.sin(2 * x0.q)
+                assert np.max(np.abs(x.p - want) / np.maximum(1.0, np.abs(want))) <= 4e-9
 
 
 class TestFamilyEval:
