@@ -10,10 +10,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PhasePoint, _count, _finite, _in_range, _pair, _pair_energy, _Record
+from .dynamics import PhasePoint, _count, _in_range, _pair, _pair_energy, _Record, _scalar
 from .dynamics import pair_system
 from .errors import DegeneracyError, DomainError
-from .linalg import _DEGENERACY_GAP, _stencil, hermitian_eigen
+from .linalg import _eigh, _stencil
+
+_DEGENERACY_GAP = 1e-9  # closer Lax eigenvalues leave their eigenvectors ill defined
 
 
 def _order_margin(q):
@@ -27,8 +29,8 @@ def _order_margin(q):
 
 
 def _coupling(g):
-    """g itself: DomainError unless finite, RangeError where g^2 (of Python floats) overflows."""
-    _in_range(float(_finite(g, "g")) * float(g), "g^2 overflows")
+    """g itself: DomainError unless one finite number, RangeError where g^2 overflows."""
+    _in_range(float(_scalar(g, "g")) * float(g), "g^2 overflows")
     return g
 
 
@@ -97,16 +99,15 @@ def moser_B(x):
 
 
 def _lax_weights(x):
-    """Spectrum of L and the weights of Q along its eigenvectors u_k.
+    """Ascending spectrum lam of L and the weights of Q along its eigenvectors u_k.
 
     c_k = (v^T Q u_k)(u_k^* v) and d_k = u_k^* Q u_k; both are independent
-    of the phase of u_k.
+    of the phase of u_k.  L is Hermitian as built, so it skips the outside front.
     """
-    spec = hermitian_eigen(_lax_L(x))
-    U = spec.basis
+    lam, U = _eigh(_lax_L(x), vectors=True)
     c = (x.q @ U) * U.conj().sum(axis=0)
     d = x.q @ np.abs(U) ** 2
-    return spec, c, d
+    return lam, c, d
 
 
 def acd_functions(x, z):
@@ -115,11 +116,11 @@ def acd_functions(x, z):
     C and D trace the adjugate of (zI - L) against Q, with and without
     the rank-one projector onto the all-ones vector.  The adjugate is
     sum_k prod_{l != k} (z - lam_l) u_k u_k^*, valid for every finite z.
-    RangeError where a value overflows.
+    DomainError unless z is one finite number; RangeError where a value overflows.
     """
-    spec, c, d = _lax_weights(x)
+    lam, c, d = _lax_weights(x)
     with np.errstate(all="ignore"):  # a huge z overflows the products
-        diffs = _finite(z, "z") - spec.eigenvalues
+        diffs = _scalar(z, "z") - lam
         cof = np.prod(np.where(np.eye(x.n, dtype=bool), 1.0, diffs), axis=1)
         values = np.array([np.prod(diffs), cof @ c, cof @ d])
     return tuple(_in_range(values, "A, C, D overflow").tolist())
@@ -129,15 +130,14 @@ def sklyanin_coords(x):
     """Canonical spectral coordinates: theta_k = C/A' and mu_k = D/A' at lam_k.
 
     At z = lam_k only the k-th term of the adjugate survives, so the
-    quotients reduce to the weights c_k and d_k.
+    quotients reduce to the weights c_k and d_k.  DegeneracyError on a near-double lam.
     """
-    spec, c, d = _lax_weights(x)
-    if spec.near_degenerate:
+    lam, c, d = _lax_weights(x)
+    if np.diff(lam).min(initial=np.inf) < _DEGENERACY_GAP:
         raise DegeneracyError(
             f"Lax eigenvalues closer than {_DEGENERACY_GAP:.0e}; "
             "eigenvector weights unreliable"
         )
-    lam = spec.eigenvalues
     f = 1j * x.g * np.sum(1.0 / _gaps(lam), axis=1)
     return SpectralCoords(lam=lam, theta=c, mu=d, f=f)
 

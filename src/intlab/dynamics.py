@@ -67,6 +67,13 @@ def _finite(value, name):
     return value
 
 
+def _scalar(value, name):
+    """value itself if it is one finite number, or DomainError naming it."""
+    if np.ndim(value):
+        raise DomainError(f"{name} must be a scalar")
+    return _finite(value, name)
+
+
 def _in_range(values, what):
     """values itself, or RangeError naming what overflowed unless every entry is finite."""
     if not _all_finite(values):
@@ -213,12 +220,12 @@ def pair_system(T, w, margin, name, f=None, df=None):
     array, and T^T r is written straight into out.
     margin(q) is the configuration domain's boundary margin, positive
     exactly inside it, and serves as boundary_margin as it is; it and the
-    energy take a leading sample axis.  T is a finite 2-D array-like and w
-    holds one finite weight per row of T, or DomainError.
+    energy take a leading sample axis.  T is a finite 2-D array-like, w
+    holds one finite weight per row of T and f comes with df, or DomainError.
     """
     T, w = _finite(np.asarray(T, float), "T"), _finite(np.asarray(w, float), "w")
-    if T.ndim != 2 or w.shape != T.shape[:1]:
-        raise DomainError(f"{name}: need a 2-D T and one weight per row of T")
+    if T.ndim != 2 or w.shape != T.shape[:1] or (f is None) != (df is None):
+        raise DomainError(f"{name}: need a 2-D T, one weight per row of T and f with df")
     force, n = 2.0 * w, T.shape[1]
 
     def H(point):
@@ -471,7 +478,7 @@ def integrate_flow(sys, x0, t_span, tol, invariant_family=None, n_samples=201):
     finite PhasePoint of the system's dimension, tol a finite positive scalar,
     t_span two finite and distinct numbers, n_samples an integer >= 2.
     """
-    if np.ndim(tol) or not _finite(float(tol), "tol") > 0:
+    if not float(_scalar(tol, "tol")) > 0:
         raise DomainError("tol must be a positive scalar")
     span = np.asarray(t_span, float)
     if span.shape != (2,):

@@ -5,12 +5,12 @@ linear stencil of the pair potentials.  Everything here is plain numpy
 on small dense matrices, except `_eigh`, the one LAPACK call behind every
 spectrum in the package, and `_poly`, a Vieta loop over Python numbers
 from roots to monic coefficients; the value added is the fixed
-conventions (sorting, degeneracy flag, monic coefficients, stencil row
-order) that the rest of the package relies on.
+conventions (sorting, monic coefficients, stencil row order) that the
+rest of the package relies on.
 
-Every matrix whose spectrum the package reads is Hermitian, so both
-spectral entry points take their matrix through one front,
-`_hermitian_part`, and raise the same error where it fails.
+Both spectral entry points take an outside matrix through one front,
+`_hermitian_part`, and raise the same error where it fails; matrices
+that the package builds Hermitian by construction go to `_eigh` directly.
 """
 
 import math
@@ -23,22 +23,15 @@ from scipy.linalg.lapack import zheevd
 from .dynamics import _finite, _in_range
 from .errors import ConvergenceError, StructureError
 
-# Gap below which a Hermitian spectrum is flagged as near-degenerate.
-# Downstream code decides what to do with the flag.
-_DEGENERACY_GAP = 1e-9
-
 
 class HermitianSpectrum(NamedTuple):
     """Sorted eigenvalues and aligned orthonormal basis of a Hermitian matrix.
 
     eigenvalues are ascending; column j of basis belongs to eigenvalues[j].
-    near_degenerate is set when two eigenvalues sit closer than 1e-9, a
-    regime where individual eigenvectors stop being well defined.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-    near_degenerate: bool
 
 
 class CharPoly(NamedTuple):
@@ -101,9 +94,7 @@ def _eigh(H, vectors=False):
 
 def hermitian_eigen(M):
     """Sorted eigendecomposition of the Hermitian M; the errors of `_hermitian_part` and `_eigh`."""
-    w, U = _eigh(_hermitian_part(M), vectors=True)
-    flagged = bool(np.diff(w).min(initial=np.inf) < _DEGENERACY_GAP)
-    return HermitianSpectrum(eigenvalues=w, basis=U, near_degenerate=flagged)
+    return HermitianSpectrum(*_eigh(_hermitian_part(M), vectors=True))
 
 
 def _poly(roots):

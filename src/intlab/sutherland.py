@@ -56,8 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import HamiltonianSystem, _count, _finite, _in_range, _pair, _pair_energy
-from .dynamics import _Record, _vec, pair_system
+from .dynamics import HamiltonianSystem, _count, _in_range, _pair, _pair_energy
+from .dynamics import _Record, _scalar, _vec, pair_system
 from .errors import ChartError, DomainError, RangeError
 from .linalg import _eigh, _poly, _stencil
 
@@ -154,7 +154,7 @@ class BCnCouplings(_Record):
 
     def __init__(self, mu, nu, kappa=0.0):
         for label, value in zip(self.__slots__, (mu, nu, kappa)):
-            object.__setattr__(self, label, _finite(float(value), label))
+            object.__setattr__(self, label, float(_scalar(value, label)))
         if self.mu <= 0:
             raise DomainError("mu must be positive")
         if self.nu <= abs(self.kappa):
@@ -542,7 +542,7 @@ def duality_map(z, c):
     """
     glob = dual_lax_global(z, c)
     lam, n = glob.lam, glob.lam.size
-    h = dual_h_matrix(lam, c.kappa)
+    h = _h_rotation(lam, c.kappa, lam**2 - np.square(c.kappa))  # lam >= nu > |kappa|
     M = -(h @ glob.lax @ h).conj().T
     eye = np.eye(2 * n)
     w, W = _eigh(1j * np.linalg.solve(eye + M, eye - M), vectors=True)

@@ -21,7 +21,9 @@ Every entry point on a rational CM point is also tried at a gap of
 1e-310, where g/gap and g^2/gap^2 overflow.  Huge values in the other
 arguments are not tried here; at +-1e200 each of them either returns a
 finite result (an angle theta, lax_LQ's momenta, chart_gauge's z) or
-raises a typed error.
+raises a typed error.  Every scalar argument is also tried as a list of two
+copies of the bad number and of its valid value: a list z in acd_functions
+broadcast against the spectrum, and a list coupling raised TypeError.
 """
 
 import ast
@@ -51,13 +53,17 @@ def put(values, v, k=0):
 # An argument is (valid value, {label: (spoil, extra)}): spoil(v) is the
 # argument with the bad number v in it, and extra lists the finite values that
 # must break it too: 1e200 for a scalar coupling or a state whose energy, norm
-# or products overflow, and 1e-200 for mu.
+# or products overflow, 1e-200 for mu, and the valid value of a scalar
+# argument given as a list.
 def vec(values, name):
     return values, {name: (lambda v: put(values, v), ())}
 
 
 def scalar(value, name, coupling=False):
-    return value, {name: (lambda v: v, (HUGE,) if coupling else ())}
+    return value, {
+        name: (lambda v: v, (HUGE,) if coupling else ()),
+        f"{name} as a list": (lambda v: [v, v], (value,)),
+    }
 
 
 def fixed(value):

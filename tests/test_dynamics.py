@@ -334,6 +334,15 @@ def test_pair_system_takes_array_likes():
     assert listed.hamiltonian(x) == sys.hamiltonian(x)
 
 
+@pytest.mark.parametrize("profile", [dict(f=np.sin), dict(df=np.cos)], ids=["f", "df"])
+def test_pair_system_needs_f_and_df_together(profile):
+    # either alone built a gradient that was not its energy's: at q = (0.9, -0.2)
+    # -dH/dq_1 read 2.83 with f = sin alone and 0.68 with df = cos alone, where
+    # the energy's central differences gave 1.28 and 1.50
+    with pytest.raises(DomainError, match="f with df"):
+        pair_system(np.array([[1.0, -1.0]]), [1.0], calogero._order_margin, "pair", **profile)
+
+
 def test_pair_system_needs_one_weight_per_row():
     # a 1-D T raised a bare IndexError, and a short w built a system whose
     # first energy raised numpy's ValueError

@@ -161,10 +161,6 @@ class TestHermitianEigen:
             assert np.linalg.norm((U * s.eigenvalues) @ U.conj().T - M) <= 1e-11 * scale
             assert np.linalg.norm(s.basis.conj().T @ s.basis - np.eye(n)) <= 1e-12 * n
 
-    def test_degeneracy_flag(self):
-        assert hermitian_eigen(np.eye(2)).near_degenerate
-        assert not hermitian_eigen(np.diag([0.0, 1.0])).near_degenerate
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(StructureError):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))

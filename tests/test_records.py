@@ -46,7 +46,7 @@ RECORDS = [
         dict(name="system"),
         True,
     ),
-    (HermitianSpectrum, dict(eigenvalues=V, basis=np.eye(2), near_degenerate=False), {}, False),
+    (HermitianSpectrum, dict(eigenvalues=V, basis=np.eye(2)), {}, False),
     (CharPoly, dict(coefficients=np.array([1.0, -3.0, 2.0])), {}, False),
     (RatCMPoint, dict(q=[1.0, 0.0], p=[0.0, 0.5], g=1.0), {}, False),
     (SpectralCoords, dict(lam=V, theta=V, mu=V, f=1j * V), {}, False),

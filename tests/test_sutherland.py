@@ -891,6 +891,36 @@ class TestDualityMap:
                 want = x0.p + t * np.sin(2 * x0.q)
                 assert np.max(np.abs(x.p - want) / np.maximum(1.0, np.abs(want))) <= 4e-9
 
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_direct_flow_is_exact(self, n):
+        # the direct flow is linear in the angles of z: z_j(t) = z_j(0) times
+        # exp(2it sum_{k<=j} lam_k), as H = sum lam^2 / 2 and dq^dp = dlam^dtheta / 2.
+        # DOP853 (t <= 0.5, 11 samples) against it, entry by entry relative to
+        # max(1, |.|), at tol 1e-8, 1e-10 and 1e-12.  In 360 draws per n the
+        # largest errors were 4.5e-5, 1.2e-7 and 2.1e-9 at n = 3 and 1.0e-1,
+        # 4.4e-6 and 1.3e-8 at n = 8: the tail is flows that pass near the outer
+        # wall (cos q_1 down to 0.02).  From the first tol to the last every draw fell
+        # by 24 or more, though not always per step.  The opposite sign of the
+        # exponent misses by 2.6 or more at every tol
+        bounds = {3: (2e-4, 1e-6, 1e-8), 8: (0.5, 2e-5, 1e-7)}[n]
+        sys = make_system(n, COUP)
+        rng = np.random.default_rng(380 + n)
+        times = np.linspace(0.0, 0.5, 11)
+        for _ in range(4 if n == 3 else 2):
+            z0 = 0.7 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            turn = 2j * np.cumsum(lambda_of_z(z0, COUP))
+            exact = [duality_map(z0 * np.exp(turn * t), COUP) for t in times]
+            want = np.array([np.concatenate([x.q, x.p]) for x in exact])
+            x0 = exact[0]
+            errors = []
+            for tol in (1e-8, 1e-10, 1e-12):
+                traj = integrate_flow(sys, PhasePoint(x0.q, x0.p), (0.0, 0.5), tol, n_samples=11)
+                assert traj.status == "completed"
+                flow = np.hstack([traj.states.q, traj.states.p])
+                errors.append(np.max(np.abs(flow - want) / np.maximum(1.0, np.abs(want))))
+            assert all(e <= b for e, b in zip(errors, bounds)), errors
+            assert errors[0] > 10 * errors[2], errors
+
 
 class TestFamilyEval:
     def test_order_zero_normalization(self):
